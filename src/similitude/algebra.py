@@ -6,8 +6,8 @@ Every computation in this package bottoms out here.  The layers are:
   Poly               sparse multivariate polynomial: exponent tuple -> coefficient
   RationalFunction   quotient of two Poly over the same variable list
   Jet                polynomial truncated at a total-degree bound (ring mod degree > N)
-  PolyMatrix         dense rectangular matrix of Poly
-  FuncMatrix         dense rectangular matrix of RationalFunction
+  PolyMatrix         dense rectangular matrix, generic over its entries
+  FuncMatrix         PolyMatrix whose entry ring is RationalFunction
 
 Rationals are gmpy2.mpq when available (much faster), with a transparent
 fallback to fractions.Fraction.  Both keep reduced form with positive
@@ -34,6 +34,8 @@ under greedy parsing.
 from __future__ import annotations
 
 from typing import Mapping, Sequence
+
+from . import linalg
 
 try:
     from gmpy2 import mpq as _mpq
@@ -704,7 +706,9 @@ def _apply_factor(sc: _Scanner, name: str, expo: list, vs: tuple, text: str):
 
 
 # ---------------------------------------------------------------------------
-# Univariate coefficient-list helpers (fast paths for RationalFunction)
+# Univariate coefficient lists [c0, c1, ...] over any field: GaussianRational
+# or RationalFunction coefficients.  Zeros are taken from the coefficients, so
+# results hold no zero of another type.
 
 
 def _u_trim(a: list) -> list:
@@ -717,15 +721,16 @@ def _u_divmod(a: list, b: list) -> tuple[list, list]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(a)
-    q = [GR_ZERO] * max(0, len(a) - len(b) + 1)
+    q = []
     inv_lead = b[-1].inverse()
     for k in range(len(a) - len(b), -1, -1):
         c = r[k + len(b) - 1] * inv_lead
+        q.append(c)
         if c:
-            q[k] = c
             for i, bc in enumerate(b):
                 if bc:
                     r[k + i] = r[k + i] - c * bc
+    q.reverse()
     return _u_trim(q), _u_trim(r[: len(b) - 1])
 
 
@@ -738,6 +743,19 @@ def _u_gcd_monic(a: list, b: list) -> list:
         return []
     inv = a[-1].inverse()
     return [c * inv for c in a]
+
+
+def _u_mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    zero = a[0] - a[0]
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = out[i + j] + x * y
+    return out
 
 
 def poly_gcd_univariate(a: Poly, b: Poly) -> Poly:
@@ -1124,15 +1142,29 @@ def rational_to_jet(f: RationalFunction, order: int) -> Jet:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial matrices
+# Matrices over Poly or RationalFunction
+
+
+def _matrix(grid: list[list]) -> "PolyMatrix":
+    """Wrap a grid in the matrix type of its entries."""
+    if isinstance(grid[0][0], RationalFunction):
+        return FuncMatrix(grid)
+    return PolyMatrix(grid)
 
 
 class PolyMatrix:
-    """Dense rectangular matrix of Poly entries over one variable list."""
+    """Dense rectangular matrix over one variable list.
+
+    The arithmetic is generic over the entries: Poly here, RationalFunction in
+    the FuncMatrix subclass, which supplies only its entry ring.  A result has
+    the type of its entries, so any product or sum with a FuncMatrix operand
+    is a FuncMatrix.
+    """
 
     __slots__ = ("rows", "cols", "entries")
+    ring = Poly
 
-    def __init__(self, entries: Sequence[Sequence[Poly]]):
+    def __init__(self, entries: Sequence[Sequence]):
         grid = [list(row) for row in entries]
         if not grid or not grid[0]:
             raise AlgebraError("matrix must have at least one row and column")
@@ -1158,24 +1190,20 @@ class PolyMatrix:
             [[parse_polynomial(s, variables) for s in row] for row in grid]
         )
 
-    @staticmethod
-    def identity(n: int, variables: Sequence[str]) -> "PolyMatrix":
-        one = Poly.constant(variables, GR_ONE)
-        zero = Poly.zero(variables)
-        return PolyMatrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
+    @classmethod
+    def identity(cls, n: int, variables: Sequence[str]) -> "PolyMatrix":
+        one = cls.ring.constant(variables, GR_ONE)
+        zero = cls.ring.constant(variables, GR_ZERO)
+        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zeros(rows: int, cols: int, variables: Sequence[str]) -> "PolyMatrix":
-        zero = Poly.zero(variables)
-        return PolyMatrix([[zero] * cols for _ in range(rows)])
+    @classmethod
+    def zeros(cls, rows: int, cols: int, variables: Sequence[str]) -> "PolyMatrix":
+        zero = cls.ring.constant(variables, GR_ZERO)
+        return cls([[zero] * cols for _ in range(rows)])
 
-    @staticmethod
-    def from_scalars(grid: Sequence[Sequence[GaussianRational]], variables: Sequence[str] = ()) -> "PolyMatrix":
-        return PolyMatrix(
-            [[Poly.constant(variables, c) for c in row] for row in grid]
-        )
+    @classmethod
+    def from_scalars(cls, grid: Sequence[Sequence[GaussianRational]], variables: Sequence[str] = ()) -> "PolyMatrix":
+        return cls([[cls.ring.constant(variables, c) for c in row] for row in grid])
 
     def __getitem__(self, key):
         i, j = key
@@ -1187,24 +1215,18 @@ class PolyMatrix:
         return self.entries == other.entries
 
     def __hash__(self):
-        raise TypeError("PolyMatrix is not hashable")
+        raise TypeError(f"{type(self).__name__} is not hashable")
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._shape_check(other)
-        return PolyMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
+        return _matrix(
+            [[x + y for x, y in zip(r, s)] for r, s in zip(self.entries, other.entries)]
         )
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._shape_check(other)
-        return PolyMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
+        return _matrix(
+            [[x - y for x, y in zip(r, s)] for r, s in zip(self.entries, other.entries)]
         )
 
     def __neg__(self) -> "PolyMatrix":
@@ -1218,33 +1240,30 @@ class PolyMatrix:
         if isinstance(other, PolyMatrix):
             if self.cols != other.rows:
                 raise AlgebraError("inner dimensions differ")
-            zero = Poly.zero(self.variables)
             out = []
             for i in range(self.rows):
                 row = []
                 for j in range(other.cols):
-                    acc = zero
-                    for k in range(self.cols):
+                    acc = self.entries[i][0] * other.entries[0][j]
+                    for k in range(1, self.cols):
                         acc = acc + self.entries[i][k] * other.entries[k][j]
                     row.append(acc)
                 out.append(row)
-            return PolyMatrix(out)
-        if isinstance(other, (int, GaussianRational, Poly)):
+            return _matrix(out)
+        if isinstance(other, (int, GaussianRational, Poly, RationalFunction)):
             return self.map(lambda p: p * other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, GaussianRational, Poly)):
+        if isinstance(other, (int, GaussianRational, Poly, RationalFunction)):
             return self.map(lambda p: other * p)
         return NotImplemented
 
     def map(self, fn) -> "PolyMatrix":
-        return PolyMatrix([[fn(p) for p in row] for row in self.entries])
+        return _matrix([[fn(p) for p in row] for row in self.entries])
 
     def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return _matrix([list(col) for col in zip(*self.entries)])
 
     def kron(self, other: "PolyMatrix") -> "PolyMatrix":
         """Kronecker product (self tensor other)."""
@@ -1256,7 +1275,7 @@ class PolyMatrix:
                     for l in range(other.cols):
                         row.append(self.entries[i][j] * other.entries[k][l])
                 out.append(row)
-        return PolyMatrix(out)
+        return _matrix(out)
 
     def evaluate(self, point: Sequence[GaussianRational]) -> list[list[GaussianRational]]:
         return [[p.evaluate(point) for p in row] for row in self.entries]
@@ -1265,167 +1284,40 @@ class PolyMatrix:
         return self.map(lambda p: p.substitute(bindings))
 
     def to_func(self) -> "FuncMatrix":
-        return FuncMatrix([[RationalFunction(p) for p in row] for row in self.entries])
+        """The same matrix with RationalFunction entries."""
+        return FuncMatrix(
+            [
+                [p if isinstance(p, RationalFunction) else RationalFunction(p) for p in row]
+                for row in self.entries
+            ]
+        )
 
     def is_zero(self) -> bool:
         return all(not p for row in self.entries for p in row)
 
     def to_strings(self) -> list[list[str]]:
-        return [[format_polynomial(p) for p in row] for row in self.entries]
+        return [[str(p) for p in row] for row in self.entries]
 
     def __repr__(self):
-        return f"PolyMatrix({self.to_strings()})"
+        return f"{type(self).__name__}({self.to_strings()})"
 
 
-class FuncMatrix:
+class FuncMatrix(PolyMatrix):
     """Dense rectangular matrix of RationalFunction entries."""
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence[RationalFunction]]):
-        grid = [list(row) for row in entries]
-        if not grid or not grid[0]:
-            raise AlgebraError("matrix must have at least one row and column")
-        width = len(grid[0])
-        vs = grid[0][0].variables
-        for row in grid:
-            if len(row) != width:
-                raise AlgebraError("ragged matrix")
-            for f in row:
-                if f.variables != vs:
-                    raise AlgebraError("matrix entries use different variable lists")
-        self.rows = len(grid)
-        self.cols = width
-        self.entries = tuple(tuple(row) for row in grid)
-
-    @property
-    def variables(self) -> tuple:
-        return self.entries[0][0].variables
-
-    @staticmethod
-    def identity(n: int, variables: Sequence[str]) -> "FuncMatrix":
-        one = RationalFunction.constant(variables, GR_ONE)
-        zero = RationalFunction.constant(variables, GR_ZERO)
-        return FuncMatrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, FuncMatrix):
-            return NotImplemented
-        if self.rows != other.rows or self.cols != other.cols:
-            return False
-        return all(
-            self.entries[i][j] == other.entries[i][j]
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
-
-    def __hash__(self):
-        raise TypeError("FuncMatrix is not hashable")
-
-    def __add__(self, other: "FuncMatrix") -> "FuncMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise AlgebraError("matrix shapes differ")
-        return FuncMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __sub__(self, other: "FuncMatrix") -> "FuncMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise AlgebraError("matrix shapes differ")
-        return FuncMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __neg__(self) -> "FuncMatrix":
-        return self.map(lambda f: -f)
-
-    def __mul__(self, other):
-        if isinstance(other, FuncMatrix):
-            if self.cols != other.rows:
-                raise AlgebraError("inner dimensions differ")
-            zero = RationalFunction.constant(self.variables, GR_ZERO)
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc = zero
-                    for k in range(self.cols):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                out.append(row)
-            return FuncMatrix(out)
-        if isinstance(other, (int, GaussianRational, Poly, RationalFunction)):
-            return self.map(lambda f: f * other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, GaussianRational, Poly, RationalFunction)):
-            return self.map(lambda f: other * f)
-        return NotImplemented
-
-    def map(self, fn) -> "FuncMatrix":
-        return FuncMatrix([[fn(f) for f in row] for row in self.entries])
-
-    def transpose(self) -> "FuncMatrix":
-        return FuncMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def kron(self, other: "FuncMatrix") -> "FuncMatrix":
-        """Kronecker product (self tensor other)."""
-        out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                row = []
-                for j in range(self.cols):
-                    for l in range(other.cols):
-                        row.append(self.entries[i][j] * other.entries[k][l])
-                out.append(row)
-        return FuncMatrix(out)
+    __slots__ = ()
+    ring = RationalFunction
 
     def defined_at(self, point: Sequence[GaussianRational]) -> bool:
         return all(f.defined_at(point) for row in self.entries for f in row)
 
-    def evaluate(self, point: Sequence[GaussianRational]) -> list[list[GaussianRational]]:
-        return [[f.evaluate(point) for f in row] for row in self.entries]
 
-    def substitute(self, bindings: Mapping[str, Poly]) -> "FuncMatrix":
-        return self.map(lambda f: f.substitute(bindings))
-
-    def is_zero(self) -> bool:
-        return all(not f for row in self.entries for f in row)
-
-    def to_strings(self) -> list[list[str]]:
-        return [[str(f) for f in row] for row in self.entries]
-
-    def __repr__(self):
-        return f"FuncMatrix({self.to_strings()})"
-
-
-def generic_rank(m: PolyMatrix | FuncMatrix) -> int:
+def generic_rank(m: PolyMatrix) -> int:
     """Rank of m over the fraction field of the polynomial ring.
 
     Equals the maximum over all points of the pointwise rank.
     """
-    from . import linalg
-
-    if isinstance(m, FuncMatrix):
-        work = [list(row) for row in m.entries]
-    else:
-        work = [[RationalFunction(p) for p in row] for row in m.entries]
-    return linalg.rank(work)
+    return linalg.rank(m.to_func().entries)
 
 
 __all__ = [

@@ -38,9 +38,12 @@ from .algebra import (
     Poly,
     PolyMatrix,
     RationalFunction,
+    _u_divmod,
+    _u_gcd_monic,
+    _u_mul,
     rat,
 )
-from .similarity import characteristic_pencil, pointwise_similar
+from .similarity import local_similarity, pointwise_similar
 from .smith import invariant_factors
 from .sylvester import ConstMatrix, commutant_basis_at, sylvester_matrix, unvec
 
@@ -75,8 +78,6 @@ def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]]
     work = [c * lead_inv for c in coeffs]
 
     deriv = [work[i] * i for i in range(1, len(work))]
-    from .algebra import _u_gcd_monic, _u_divmod
-
     g = _u_gcd_monic(work, deriv)
     squarefree, _ = _u_divmod(work, g)
 
@@ -156,12 +157,8 @@ def char_poly_coeffs(a: PolyMatrix) -> list[Poly]:
 
 def char_poly_at(a0: ConstMatrix) -> Poly:
     """det(tI - A0) as a univariate polynomial over Q(i)."""
-    pencil = characteristic_pencil(a0, "t")
-    work = [[RationalFunction(p) for p in row] for row in pencil.entries]
-    one = RationalFunction.constant(("t",), GR_ONE)
-    zero = RationalFunction.constant(("t",), GR_ZERO)
-    d = linalg.det(work, one, zero)
-    return d.as_poly()
+    coeffs = [c.constant_value() for c in reversed(char_poly_coeffs(PolyMatrix.from_scalars(a0)))]
+    return Poly.from_coefficients(("t",), coeffs + [GR_ONE])
 
 
 # ---------------------------------------------------------------------------
@@ -332,37 +329,6 @@ class InstabilityCandidates:
         return [c.exact for c in self.points if c.exact is not None]
 
 
-def _rf_poly_divmod(a: list, b: list, zero):
-    if not b:
-        raise ZeroDivisionError
-    r = list(a)
-    q = [zero] * max(0, len(a) - len(b) + 1)
-    inv = b[-1].inverse()
-    for k in range(len(a) - len(b), -1, -1):
-        c = r[k + len(b) - 1] * inv
-        if c:
-            q[k] = c
-            for i, bc in enumerate(b):
-                if bc:
-                    r[k + i] = r[k + i] - c * bc
-    while r and not r[-1]:
-        r.pop()
-    while q and not q[-1]:
-        q.pop()
-    return q, r
-
-
-def _rf_poly_gcd(a: list, b: list, zero) -> list:
-    a, b = list(a), list(b)
-    while b:
-        _, r = _rf_poly_divmod(a, b, zero)
-        a, b = b, r
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
-
-
 def _resultant(a: list, b: list, one, zero):
     """Resultant via the Sylvester matrix determinant (coefficients in a field)."""
     m = len(a) - 1
@@ -404,8 +370,8 @@ def jordan_instability_candidates(a: PolyMatrix) -> InstabilityCandidates:
     # (a) branching locus
     char = [RationalFunction(c) for c in reversed(char_poly_coeffs(a))] + [one]
     deriv = [char[i] * i for i in range(1, len(char))]
-    g = _rf_poly_gcd(char, deriv, zero)
-    squarefree, _ = _rf_poly_divmod(char, g, zero)
+    g = _u_gcd_monic(char, deriv)
+    squarefree, _ = _u_divmod(char, g)
     sq_deriv = [squarefree[i] * i for i in range(1, len(squarefree))]
     disc = _resultant(squarefree, sq_deriv, one, zero)
     if disc and disc.numerator.total_degree() > 0:
@@ -566,8 +532,6 @@ def stable_normalization(
     block-diagonal Jordan form with those eigenvalue functions; H is the
     kernel-bundle solution of A h = h J renormalized by the constant seed.
     """
-    from .similarity import local_similarity
-
     if len(a.variables) != 1:
         raise JordanError("stable_normalization requires a univariate family")
     pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
@@ -594,11 +558,10 @@ def stable_normalization(
     # verify char(A(z)) = prod (t - lambda_j(z))^{k_j} exactly
     char_coeffs = char_poly_coeffs(a)
     one = RationalFunction.constant(vs, GR_ONE)
-    zero = RationalFunction.constant(vs, GR_ZERO)
     product = [one]
     for f, ev in matched:
         for _ in range(ev.multiplicity):
-            product = _rf_poly_mul(product, [zero - f, one], zero)
+            product = _u_mul(product, [-f, one])
     expected = [RationalFunction(c) for c in reversed(char_coeffs)] + [one]
     if len(product) != len(expected) or any(
         product[i] != expected[i] for i in range(len(expected))
@@ -615,23 +578,10 @@ def stable_normalization(
 
     h = local_similarity(a, j, pt, phi).H
     phi_inv = linalg.invert(phi, GR_ONE, GR_ZERO)
-    const_inv = FuncMatrix(
-        [[RationalFunction.constant(vs, x) for x in row] for row in phi_inv]
-    )
-    result = h * const_inv
+    result = h * FuncMatrix.from_scalars(phi_inv, vs)
 
     _certify_commutant_conjugation(a, pt, result)
     return result
-
-
-def _rf_poly_mul(a: list, b: list, zero):
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for jj, y in enumerate(b):
-                if y:
-                    out[i + jj] = out[i + jj] + x * y
-    return out
 
 
 def _model_family(matched, vs, n) -> FuncMatrix:
@@ -657,9 +607,7 @@ def _certify_commutant_conjugation(a: PolyMatrix, pt: GaussianRational, h: FuncM
     one = RationalFunction.constant(vs, GR_ONE)
     zero = RationalFunction.constant(vs, GR_ZERO)
     system = sylvester_matrix(a, a)
-    generic_kernel = linalg.nullspace(
-        [[RationalFunction(p) for p in row] for row in system.M.entries], one, zero
-    )
+    generic_kernel = linalg.nullspace(system.M.to_func().entries, one, zero)
     target = commutant_basis_at(a, pt)
     h_inv_rows = linalg.invert([list(r) for r in h.entries], one, zero)
     if h_inv_rows is None:

@@ -140,9 +140,8 @@ def invert(m: Sequence[Sequence], one, zero) -> list[list] | None:
     return [row[n:] for row in work]
 
 
-def reduced_basis(vectors: Sequence[Sequence], zero) -> list[list]:
+def reduced_basis(vectors: Sequence[Sequence]) -> list[list]:
     """Canonical basis of the span of the given vectors (nonzero RREF rows)."""
-    del zero
     if not vectors:
         return []
     work = _copy(vectors)

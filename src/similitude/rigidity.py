@@ -40,6 +40,7 @@ from .algebra import (
     Poly,
     PolyMatrix,
     RationalFunction,
+    parse_gaussian_rational,
     rat,
 )
 
@@ -217,8 +218,6 @@ Variety = FullPlane | Cusp | Lines
 
 def parse_variety(text: str) -> Variety:
     """CLI grammar: 'full', 'cusp:P,Q', or 'lines:t1,t2,...'."""
-    from .algebra import parse_gaussian_rational
-
     if text in ("full", "full_plane"):
         return FullPlane()
     if text.startswith("cusp:"):
@@ -435,7 +434,7 @@ def jet_rigidity(
     )
     zero_cols = [col_index[(r, c, 0, 0)] for r in range(n) for c in range(n)]
     projections = [[vec[col] for col in zero_cols] for vec in kernel]
-    basis = linalg.reduced_basis(projections, GR_ZERO)
+    basis = linalg.reduced_basis(projections)
     return JetRigidityResult(
         relation=relation,
         variety=variety,

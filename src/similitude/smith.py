@@ -20,6 +20,7 @@ and rank-drop loci.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from . import linalg
@@ -95,7 +96,7 @@ def _valuation(f: RationalFunction) -> int | None:
     return f.numerator.valuation()
 
 
-def local_smith(m: PolyMatrix | FuncMatrix, point: GaussianRational) -> SmithFactorization:
+def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
     """Local Smith factorization of a univariate matrix family at `point`.
 
     Accepts polynomial entries or rational-function entries from the local
@@ -108,8 +109,7 @@ def local_smith(m: PolyMatrix | FuncMatrix, point: GaussianRational) -> SmithFac
         raise SmithError("local_smith requires a univariate matrix")
     pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
     vs = m.variables
-    if isinstance(m, PolyMatrix):
-        m = m.to_func()
+    m = m.to_func()
     if not m.defined_at([pt]):
         raise SmithError("matrix entries must lie in the local ring at the point")
     z_shift = Poly.variable(vs, vs[0]) + Poly.constant(vs, pt)
@@ -323,8 +323,6 @@ def minor_gcd_valuation(m: PolyMatrix, point: GaussianRational, k: int) -> int |
     """
     if len(m.variables) != 1:
         raise SmithError("minor_gcd_valuation requires a univariate matrix")
-    from itertools import combinations
-
     pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
     shifted = m.map(lambda p: p.shift_univariate(pt))
     best: int | None = None

@@ -23,6 +23,7 @@ from .algebra import (
     GR_ONE,
     GR_ZERO,
     PolyMatrix,
+    generic_rank,
     rat,
 )
 
@@ -38,7 +39,7 @@ class SylvesterSystem:
     """Representation matrix of the intertwiner operator for a pair (A, B).
 
     A and B are polynomial families; either may also carry rational-function
-    entries (FuncMatrix), in which case M does as well.
+    entries (FuncMatrix), in which case M is a FuncMatrix as well.
     """
 
     A: object
@@ -63,7 +64,7 @@ class CommutantBasis:
         return len(self.basis)
 
 
-def vec(matrix: Sequence[Sequence], zero=GR_ZERO) -> list:
+def vec(matrix: Sequence[Sequence]) -> list:
     """Column-major vectorization."""
     n = len(matrix)
     cols = len(matrix[0])
@@ -85,16 +86,7 @@ def sylvester_matrix(a, b) -> SylvesterSystem:
         raise SylvesterError("A and B must have the same size")
     if a.variables != b.variables:
         raise AlgebraError("A and B must share one variable list")
-    from .algebra import FuncMatrix
-
-    if isinstance(a, FuncMatrix) or isinstance(b, FuncMatrix):
-        if isinstance(a, PolyMatrix):
-            a = a.to_func()
-        if isinstance(b, PolyMatrix):
-            b = b.to_func()
-        eye = FuncMatrix.identity(a.rows, a.variables)
-    else:
-        eye = PolyMatrix.identity(a.rows, a.variables)
+    eye = PolyMatrix.identity(a.rows, a.variables)
     m = eye.kron(a) - b.transpose().kron(eye)
     return SylvesterSystem(A=a, B=b, M=m)
 
@@ -109,8 +101,6 @@ def intertwiner_dim_at(a: PolyMatrix, b: PolyMatrix, point: GaussianRational) ->
 
 def generic_intertwiner_dim(a: PolyMatrix, b: PolyMatrix) -> int:
     """Kernel dimension of the intertwiner over the function field."""
-    from .algebra import generic_rank
-
     system = sylvester_matrix(a, b)
     return a.rows * a.rows - generic_rank(system.M)
 

@@ -9,11 +9,15 @@ from similitude.algebra import (
     GR_I,
     GR_ONE,
     GR_ZERO,
+    FuncMatrix,
     GaussianRational,
     Jet,
     Poly,
     PolyMatrix,
     RationalFunction,
+    _u_divmod,
+    _u_gcd_monic,
+    _u_mul,
     format_polynomial,
     generic_rank,
     parse_gaussian_rational,
@@ -158,6 +162,7 @@ class TestGenericRank:
                 [[rand_poly(rng, ("z",), 3) for _ in range(3)] for _ in range(3)]
             )
             r = generic_rank(m)
+            assert generic_rank(m.to_func()) == r
             pt = rand_scalar(rng, 4)
             assert linalg.rank(m.evaluate([pt])) <= r
 
@@ -187,6 +192,24 @@ class TestRingLaws:
             assert a * (b + c) == a * b + a * c
             assert (a * b) * c == a * (b * c)
 
+    def test_matrix_laws_agree_over_func(self):
+        # to_func is a ring homomorphism, and a FuncMatrix operand makes the
+        # result a FuncMatrix
+        rng = random.Random(14)
+        vs = ("z",)
+        for _ in range(10):
+            rows, inner, cols = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+            m = PolyMatrix([[rand_poly(rng, vs, 3) for _ in range(inner)] for _ in range(rows)])
+            n = PolyMatrix([[rand_poly(rng, vs, 3) for _ in range(cols)] for _ in range(inner)])
+            fm, fn = m.to_func(), n.to_func()
+            assert type(m * n) is PolyMatrix and type(fm * fn) is FuncMatrix
+            assert (m * n).to_func() == fm * fn
+            assert type(m * fn) is FuncMatrix and m * fn == fm * fn
+            assert m.kron(n).to_func() == fm.kron(fn)
+            assert m.transpose().to_func() == fm.transpose()
+            assert (-m).to_func() == -fm
+            assert fm.to_strings() == m.to_strings()
+
     def test_eval_compose_law(self):
         rng = random.Random(13)
         for _ in range(50):
@@ -198,6 +221,46 @@ class TestRingLaws:
             assert poly_eval(composed, point) == poly_eval(
                 p, [poly_eval(f, point), poly_eval(h, point)]
             )
+
+
+def rand_rf(rng):
+    z = Poly.variable(("z",), "z")
+    num = z * rand_scalar(rng, 2) + rand_scalar(rng, 2)
+    return RationalFunction(num, z + rng.randint(1, 3))
+
+
+class TestUnivariateToolkit:
+    @pytest.mark.parametrize("field", [GaussianRational, RationalFunction])
+    def test_divmod_gcd_mul(self, field):
+        rng = random.Random(19)
+        draw = (lambda: rand_scalar(rng, 3)) if field is GaussianRational else (lambda: rand_rf(rng))
+
+        def rand_list(length):
+            out = [draw() for _ in range(length)]
+            while not out[-1]:
+                out[-1] = draw()
+            return out
+
+        for _ in range(6):
+            common = rand_list(rng.randint(1, 2))
+            a = _u_mul(common, rand_list(rng.randint(1, 3)))
+            b = _u_mul(common, rand_list(rng.randint(1, 3)))
+            q, r = _u_divmod(a, b)
+            assert len(r) < len(b)
+            if q:
+                qb = _u_mul(q, b)
+                r_padded = r + [a[0] - a[0]] * (len(qb) - len(r))
+                assert [x + y for x, y in zip(qb, r_padded)] == a
+            else:
+                assert r == a
+            g = _u_gcd_monic(a, b)
+            assert g[-1] == 1 and len(g) >= len(common)
+            assert not _u_divmod(a, g)[1] and not _u_divmod(b, g)[1]
+            t = [a[0] - a[0], a[0] / a[0]]
+            shifted, rest = _u_divmod(_u_mul(b, t), b)
+            assert (shifted, rest) == (t, [])
+            assert all(type(c) is field for c in a + b + q + r + g + shifted)
+        assert _u_mul([], a) == [] and _u_mul(a, []) == []
 
 
 class TestGrammar:

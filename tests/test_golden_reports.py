@@ -1,0 +1,139 @@
+"""Golden CLI reports: `result`, `verdict` and exit code on a fixed corpus.
+
+Each case runs `cli.run` on inline input files and compares with the stored
+`tests/golden/<name>.json`.  Floats (numeric eigenvalues, radii) are compared
+rounded to 9 decimal places; everything else must match exactly.
+
+The corpus leaves out the two known defects, `verify-paper --ell 0` (ROADMAP
+D6) and numeric `segre_at` on the D5 family: a golden file must not pin a
+value already shown to be wrong.
+
+To record a new case, add it to CASES and run
+`PYTHONPATH=src python tests/test_golden_reports.py NAME`; never re-record an
+existing case to make the test pass.
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from similitude.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SMITH_4X4 = [
+    ["z", "1", "0", "z^2"],
+    ["z^2", "z", "z", "z^3+z"],
+    ["1", "0", "z^2-z", "1i"],
+    ["0", "z", "z^3", "z^2"],
+]
+# A = [[z, 1], [0, 0]] and B = P A P^-1 with P = [[1, z], [0, 1]]
+PAIR_A = [["z", "1"], ["0", "0"]]
+PAIR_B = [["z", "1-z^2"], ["0", "0"]]
+PAIR_PHI = [["1", "-1"], ["0", "1"]]
+# the kernel dimension jumps at 0 (nonzero Smith exponents), yet
+# H = [[1, 0], [0, z]] extends PHI
+JUMP_A = [["0", "z"], ["0", "0"]]
+JUMP_B = [["0", "z^2"], ["0", "0"]]
+JUMP_PHI = [["1", "0"], ["0", "0"]]
+FAMILY_3X3 = [["z", "1", "0"], ["0", "z^2", "1"], ["1", "0", "0"]]
+POINTWISE_A = [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "2i"]]
+POINTWISE_B = [["2i", "0", "0"], ["1", "1", "1"], ["0", "0", "1"]]
+BRANCH = [["0", "1"], ["z", "0"]]
+
+
+def _matrix(grid, variables=("z",)):
+    return {"variables": list(variables), "matrix": grid}
+
+
+# name -> (argv with @file placeholders, {file name: payload})
+CASES = {
+    "smith-4x4": (
+        ["smith", "--matrix", "@m.json", "--point", "0"],
+        {"m.json": _matrix(SMITH_4X4)},
+    ),
+    # E and F carry rational-function entries here
+    "smith-4x4-at-1": (
+        ["smith", "--matrix", "@m.json", "--point", "1"],
+        {"m.json": _matrix(SMITH_4X4)},
+    ),
+    "wasow-conjugate": (
+        ["wasow", "--a", "@a.json", "--b", "@b.json", "--point", "1"],
+        {"a.json": _matrix(PAIR_A), "b.json": _matrix(PAIR_B)},
+    ),
+    "local-similarity-conjugate": (
+        ["local-similarity", "--a", "@a.json", "--b", "@b.json", "--point", "1", "--phi", "@phi.json"],
+        {"a.json": _matrix(PAIR_A), "b.json": _matrix(PAIR_B), "phi.json": _matrix(PAIR_PHI, ())},
+    ),
+    "wasow-jump": (
+        ["wasow", "--a", "@a.json", "--b", "@b.json", "--point", "0"],
+        {"a.json": _matrix(JUMP_A), "b.json": _matrix(JUMP_B)},
+    ),
+    "local-similarity-jump": (
+        ["local-similarity", "--a", "@a.json", "--b", "@b.json", "--point", "0", "--phi", "@phi.json"],
+        {"a.json": _matrix(JUMP_A), "b.json": _matrix(JUMP_B), "phi.json": _matrix(JUMP_PHI, ())},
+    ),
+    "commutant": (
+        ["commutant", "--matrix", "@m.json", "--point", "0"],
+        {"m.json": _matrix(FAMILY_3X3)},
+    ),
+    "pointwise": (
+        ["pointwise", "--a", "@a.json", "--b", "@b.json", "--witness"],
+        {"a.json": _matrix(POINTWISE_A, ()), "b.json": _matrix(POINTWISE_B, ())},
+    ),
+    "jordan-candidates": (
+        ["jordan", "candidates", "--matrix", "@m.json"],
+        {"m.json": _matrix(FAMILY_3X3)},
+    ),
+    "jordan-check-exact": (
+        ["jordan", "check", "--matrix", "@m.json", "--point", "0"],
+        {"m.json": _matrix(BRANCH)},
+    ),
+    "rigidity-cusp-5-4": (
+        ["rigidity", "--ell", "0", "--relation", "AHeqHB", "--variety", "cusp:5,4", "--order", "20"],
+        {},
+    ),
+    "verify-paper-ell-1": (["verify-paper", "--ell", "1"], {}),
+}
+
+
+def _rounded(value):
+    if isinstance(value, float):
+        return round(value, 9)
+    if isinstance(value, list):
+        return [_rounded(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    return value
+
+
+def _report(name, workdir):
+    argv, files = CASES[name]
+    for file_name, payload in files.items():
+        (workdir / file_name).write_text(json.dumps(payload))
+    argv = [str(workdir / a[1:]) if a.startswith("@") else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    report = json.loads(out.getvalue())
+    return {"exit_code": code, "verdict": report["verdict"], "result": _rounded(report["result"])}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("SIMILITUDE_SEED", raising=False)
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert _report(name, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    for case in sys.argv[1:]:
+        with tempfile.TemporaryDirectory() as tmp:
+            got = _report(case, Path(tmp))
+        (GOLDEN / f"{case}.json").write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
+        print(f"recorded {case}: {got['verdict']} (exit {got['exit_code']})")

@@ -15,6 +15,7 @@ from similitude.algebra import (
 )
 from similitude.jordan import (
     JordanError,
+    char_poly_at,
     gaussian_rational_roots,
     is_jordan_stable,
     jordan_instability_candidates,
@@ -80,6 +81,29 @@ class TestRootExtraction:
         roots, cofactor = gaussian_rational_roots(p)
         assert roots == []
         assert cofactor.total_degree() == 2
+
+
+class TestCharPoly:
+    def test_matches_sympy_charpoly(self):
+        sympy = pytest.importorskip("sympy")
+
+        def to_sympy(x):
+            return sympy.Rational(str(x.re)) + sympy.I * sympy.Rational(str(x.im))
+
+        rng = random.Random(97)
+        for trial in range(24):
+            n = 2 + trial % 4  # 2x2 to 5x5
+            a0 = [
+                [g(rng.randint(-4, 4), rng.randint(-2, 2)) / rng.randint(1, 3) for _ in range(n)]
+                for _ in range(n)
+            ]
+            ours = char_poly_at(a0)
+            assert ours.variables == ("t",) and ours.total_degree() == n
+            oracle = sympy.Matrix([[to_sympy(x) for x in row] for row in a0])
+            expected = oracle.charpoly(sympy.Symbol("t")).all_coeffs()
+            got = [to_sympy(c) for c in reversed(ours.coefficients())]
+            assert len(got) == len(expected)
+            assert all(sympy.expand(x - y) == 0 for x, y in zip(got, expected))
 
 
 class TestSegreAt:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import similitude.linalg as linalg
-from similitude.algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, PolyMatrix
+from similitude.algebra import GR_ONE, GR_ZERO, FuncMatrix, GaussianRational, Poly, PolyMatrix
 from similitude.sylvester import (
     SylvesterError,
     commutant_basis_at,
@@ -65,6 +65,9 @@ class TestSylvesterMatrix:
         a = EX45
         b = PolyMatrix.from_strings([["0", "z"], ["1", "z^2"]], ["z"])
         system = sylvester_matrix(a, b)
+        # rational-function entries in either operand make M a FuncMatrix
+        for mixed in (sylvester_matrix(a.to_func(), b), sylvester_matrix(a, b.to_func())):
+            assert isinstance(mixed.M, FuncMatrix) and mixed.M == system.M.to_func()
         for _ in range(100):
             theta = rand_const(rng, 2)
             pt = g(rng.randint(-4, 4), rng.randint(-2, 2))
