@@ -424,6 +424,26 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """Exact quotient by leading-term reduction in grlex order; AlgebraError if inexact."""
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        self._check(o)
+        if not o.terms:
+            raise ZeroDivisionError("polynomial division by zero")
+        lead = max(o.terms, key=_grlex_key)
+        inv = o.terms[lead].inverse()
+        rem, quot = self, {}
+        while rem.terms:
+            top = max(rem.terms, key=_grlex_key)
+            shift = tuple(x - y for x, y in zip(top, lead))
+            if any(e < 0 for e in shift):
+                raise AlgebraError("polynomial division is not exact")
+            c = quot[shift] = rem.terms[top] * inv
+            rem = rem + o * self._raw(self.variables, {shift: -c})
+        return self._raw(self.variables, quot)
+
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise AlgebraError("negative power of a polynomial")
@@ -538,20 +558,6 @@ class Poly:
                     term = term * p
             result = result + term
         return result
-
-    def derivative(self, name: str) -> "Poly":
-        idx = self.variables.index(name)
-        out: dict = {}
-        for expo, coeff in self.terms.items():
-            e = expo[idx]
-            if e:
-                ne = list(expo)
-                ne[idx] = e - 1
-                key = tuple(ne)
-                c = coeff * e
-                acc = out.get(key)
-                out[key] = c if acc is None else acc + c
-        return Poly(self.variables, out)
 
     def map_coefficients(self, fn) -> "Poly":
         return Poly(self.variables, {e: fn(c) for e, c in self.terms.items()})
@@ -820,10 +826,6 @@ class RationalFunction:
         self.denominator = den
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def from_poly(p: Poly) -> "RationalFunction":
-        return RationalFunction(p)
 
     @staticmethod
     def constant(variables: Sequence[str], value) -> "RationalFunction":
@@ -1317,7 +1319,7 @@ def generic_rank(m: PolyMatrix) -> int:
 
     Equals the maximum over all points of the pointwise rank.
     """
-    return linalg.rank(m.to_func().entries)
+    return linalg.rank(m.entries)
 
 
 __all__ = [

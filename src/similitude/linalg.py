@@ -1,11 +1,15 @@
-"""Exact Gaussian elimination over any field with duck-typed scalars.
+"""Exact elimination with duck-typed scalars; matrices are plain nested lists.
 
-Scalars must support +, -, *, /, unary minus and truthiness (falsy iff zero);
-GaussianRational and RationalFunction both qualify.  Matrices are plain nested
-lists; callers own copies (every function here copies its input first).
+Scalars must support +, -, *, /, unary minus and truthiness (falsy iff zero).
+Callers own copies: every function here copies its input first.
 
-Elimination uses exact division, so there is never roundoff: a pivot is any
-nonzero entry, chosen topmost-then-leftmost for deterministic output.
+`rank` and `det` run `_bareiss`, fraction-free elimination whose divisions
+are all exact, so they need only an exact `/`: they work over the fields
+Q(i) (GaussianRational) and Q(i)(z) (RationalFunction) and over the rings
+Q(i)[z, ...] (Poly), where `/` is exact division.  `nullspace`, `solve`,
+`invert` and `reduced_basis` need a reduced row echelon form and hence a
+field.  There is never roundoff; pivots are topmost-then-leftmost nonzero
+entries, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -24,11 +28,7 @@ def _echelon(work: list[list]) -> list[int]:
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if work[i][c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, rows) if work[i][c]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
@@ -50,10 +50,44 @@ def _echelon(work: list[list]) -> list[int]:
     return pivots
 
 
+def _bareiss(work: list[list]) -> tuple[int, object, int]:
+    """In-place fraction-free forward elimination (Bareiss 1968).
+
+    Below each pivot, a_ij becomes (pivot * a_ij - a_ic * a_rj) / previous
+    pivot: a minor of the input, so the division is exact.  Zero columns are
+    skipped and entries under a pivot are left stale.  Returns (rank, last
+    pivot or None, row swaps); the last pivot of a square matrix of full rank
+    is its determinant up to the sign of the swaps.
+    """
+    rows = len(work)
+    cols = len(work[0]) if rows else 0
+    r = 0
+    prev = None
+    swaps = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if work[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            swaps += 1
+        row_r = work[r]
+        piv = row_r[c]
+        for i in range(r + 1, rows):
+            row_i = work[i]
+            f = row_i[c]
+            for j in range(c + 1, cols):
+                x = piv * row_i[j] - f * row_r[j] if f else piv * row_i[j]
+                row_i[j] = x / prev if prev is not None and x else x
+        prev = piv
+        r += 1
+        if r == rows:
+            break
+    return r, prev, swaps
+
+
 def rank(m: Sequence[Sequence]) -> int:
-    if not m:
-        return 0
-    return len(_echelon(_copy(m)))
+    return _bareiss(_copy(m))[0]
 
 
 def nullspace(m: Sequence[Sequence], one, zero) -> list[list]:
@@ -98,34 +132,16 @@ def solve(m: Sequence[Sequence], rhs: Sequence, zero) -> list | None:
 
 
 def det(m: Sequence[Sequence], one, zero):
-    """Exact determinant by fraction-producing elimination."""
+    """Exact determinant: the last Bareiss pivot, signed by the row swaps."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant requires a square matrix")
-    work = _copy(m)
-    result = one
-    sign_flip = False
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return zero
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            sign_flip = not sign_flip
-        piv = work[c][c]
-        result = result * piv
-        for i in range(c + 1, n):
-            if work[i][c]:
-                f = work[i][c] / piv
-                row_i = work[i]
-                row_c = work[c]
-                for j in range(c, n):
-                    row_i[j] = row_i[j] - f * row_c[j]
-    return -result if sign_flip else result
+    if n == 0:
+        return one
+    r, last, swaps = _bareiss(_copy(m))
+    if r < n:
+        return zero
+    return -last if swaps % 2 else last
 
 
 def invert(m: Sequence[Sequence], one, zero) -> list[list] | None:

@@ -281,34 +281,13 @@ class JetRigidityResult:
             return False
         k = len(self.solution_space)
         xs = tuple(f"x{i}" for i in range(k))
+        units = [tuple(int(s == t) for s in range(k)) for t in range(k)]
         n = self.n
-        entries = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = Poly.zero(xs)
-                for t, vec in enumerate(self.solution_space):
-                    coeff = vec[i * n + j]
-                    if coeff:
-                        acc = acc + Poly.monomial(
-                            xs, tuple(1 if s == t else 0 for s in range(k)), coeff
-                        )
-                row.append(acc)
-            entries.append(row)
-        det = _poly_det(entries, xs)
-        return bool(det)
-
-
-def _poly_det(entries: list[list[Poly]], xs) -> Poly:
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    total = Poly.zero(xs)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in entries[1:]]
-        term = entries[0][j] * _poly_det(minor, xs)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+        entries = [
+            [Poly(xs, {e: v[i * n + j] for e, v in zip(units, self.solution_space)}) for j in range(n)]
+            for i in range(n)
+        ]
+        return bool(linalg.det(entries, Poly.constant(xs, GR_ONE), Poly.zero(xs)))
 
 
 def _unknown_monomials(variety: Variety, order: int) -> list[tuple[int, int]]:

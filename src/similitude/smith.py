@@ -328,14 +328,13 @@ def minor_gcd_valuation(m: PolyMatrix, point: GaussianRational, k: int) -> int |
     best: int | None = None
     rows = range(shifted.rows)
     cols = range(shifted.cols)
-    one = RationalFunction.constant(m.variables, GR_ONE)
-    zero = RationalFunction.constant(m.variables, GR_ZERO)
+    one = Poly.constant(m.variables, GR_ONE)
+    zero = Poly.zero(m.variables)
     for rsel in combinations(rows, k):
         for csel in combinations(cols, k):
-            sub = [[RationalFunction(shifted.entries[i][j]) for j in csel] for i in rsel]
-            d = linalg.det(sub, one, zero)
+            d = linalg.det([[shifted.entries[i][j] for j in csel] for i in rsel], one, zero)
             if d:
-                v = d.numerator.valuation()
+                v = d.valuation()
                 if best is None or v < best:
                     best = v
                 if best == 0:

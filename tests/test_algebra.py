@@ -263,6 +263,31 @@ class TestUnivariateToolkit:
         assert _u_mul([], a) == [] and _u_mul(a, []) == []
 
 
+class TestExactDivision:
+    @pytest.mark.parametrize("variables", [("z",), ("x", "y", "w")])
+    def test_product_over_factor(self, variables):
+        rng = random.Random(23)
+        for _ in range(40):
+            a = rand_poly(rng, variables, 4)
+            b = rand_poly(rng, variables, 3)
+            if not a or not b:
+                continue
+            assert (a * b) / b == a and (a * b) / a == b
+            assert a / g(2, -1) == a * g(2, -1).inverse()
+
+    def test_inexact_division_raises(self):
+        vs = ("x", "y", "w")
+        x, y = Poly.variable(vs, "x"), Poly.variable(vs, "y")
+        with pytest.raises(AlgebraError, match="not exact"):
+            (x * y + 1) / x
+        with pytest.raises(AlgebraError, match="not exact"):
+            (x * x + y) / (x + y)
+        with pytest.raises(AlgebraError, match="not exact"):
+            Poly.constant(vs, 1) / x
+        with pytest.raises(ZeroDivisionError):
+            x / Poly.zero(vs)
+
+
 class TestGrammar:
     CANONICAL = [
         "z^2*w^2",

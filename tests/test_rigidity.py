@@ -10,6 +10,7 @@ from similitude.algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, PolyMatr
 from similitude.rigidity import (
     Cusp,
     FullPlane,
+    JetRigidityResult,
     Lines,
     RigidityError,
     build_family,
@@ -161,6 +162,32 @@ class TestJetRigidityLines:
         fam = build_family(0)
         res = jet_rigidity(fam.A, fam.B, "AHeqHB", Lines((g(1), g(2))), 4)
         assert res.contains_invertible()
+
+    def test_contains_invertible_on_three_by_three_spaces(self):
+        # det(sum x_t V_t) over Q(i)[x0, ...]: a 3x3 span reaches the exact
+        # divisions of the fraction-free determinant, a 2x2 span does not
+        def space(*mats):
+            vecs = tuple(tuple(g(x) for row in m for x in row) for m in mats)
+            return JetRigidityResult("AHeqHB", FullPlane(), 0, vecs, 0, 3)
+
+        def unit(i, j):
+            return [[int((r, c) == (i, j)) for c in range(3)] for r in range(3)]
+
+        def add(*mats):
+            return [[sum(m[r][c] for m in mats) for c in range(3)] for r in range(3)]
+
+        def skew(i, j):
+            return add(unit(i, j), [[-x for x in row] for row in unit(j, i)])
+
+        assert space(add(unit(0, 0), unit(1, 1)), unit(2, 2)).contains_invertible()
+        # x0*I + x1*N with N nilpotent: det = x0^3
+        eye, nilpotent = add(unit(0, 0), unit(1, 1), unit(2, 2)), add(unit(0, 1), unit(1, 2))
+        assert space(eye, nilpotent).contains_invertible()
+        # every matrix with a zero third row
+        assert not space(*(unit(i, j) for i in range(2) for j in range(3))).contains_invertible()
+        # 3x3 skew-symmetric matrices: det vanishes identically, with no zero row
+        assert not space(skew(0, 1), skew(0, 2), skew(1, 2)).contains_invertible()
+        assert not space().contains_invertible()
 
     def test_repeated_slopes_rejected(self):
         with pytest.raises(RigidityError, match="distinct"):
