@@ -161,7 +161,7 @@ class GaussianRational:
     # -- predicates / conversions ------------------------------------------
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -6,14 +6,19 @@ Callers own copies: every function here copies its input first.
 `rank` and `det` run `_bareiss`, fraction-free elimination whose divisions
 are all exact, so they need only an exact `/`: they work over the fields
 Q(i) (GaussianRational) and Q(i)(z) (RationalFunction) and over the rings
-Q(i)[z, ...] (Poly), where `/` is exact division.  `nullspace`, `solve`,
-`invert` and `reduced_basis` need a reduced row echelon form and hence a
-field.  There is never roundoff; pivots are topmost-then-leftmost nonzero
+Q(i)[z, ...] (Poly), where `/` is exact division.  `nullspace`,
+`projected_nullspace`, `solve`, `invert` and `reduced_basis` need a reduced
+row echelon form and hence a field; `_echelon` computes it touching only the
+nonzero entries of each pivot row, so sparse systems cost what their fill-in
+costs.  `projected_nullspace` reads the projection of the kernel onto the
+last columns straight from that form, without a kernel basis of the whole
+matrix.  There is never roundoff; pivots are topmost-then-leftmost nonzero
 entries, so output is deterministic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Sequence
 
 
@@ -22,7 +27,11 @@ def _copy(m: Sequence[Sequence]) -> list[list]:
 
 
 def _echelon(work: list[list]) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot column list."""
+    """In-place reduced row echelon form; returns the pivot column list.
+
+    Only the pivot row's nonzero columns are divided and subtracted: a
+    skipped update would be 0 / p or x - f * 0.
+    """
     rows = len(work)
     cols = len(work[0]) if rows else 0
     pivots: list[int] = []
@@ -33,15 +42,16 @@ def _echelon(work: list[list]) -> list[int]:
             continue
         if pivot_row != r:
             work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c]
         row_r = work[r]
-        for j in range(c, cols):
+        inv = row_r[c]
+        nz = [j for j in range(c, cols) if row_r[j]]
+        for j in nz:
             row_r[j] = row_r[j] / inv
         for i in range(rows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                row_i = work[i]
-                for j in range(c, cols):
+            row_i = work[i]
+            f = row_i[c]
+            if f and i != r:
+                for j in nz:
                     row_i[j] = row_i[j] - f * row_r[j]
         pivots.append(c)
         r += 1
@@ -90,6 +100,21 @@ def rank(m: Sequence[Sequence]) -> int:
     return _bareiss(_copy(m))[0]
 
 
+def _kernel(rref: Sequence[Sequence], pivots: Sequence[int], cols: int, one, zero) -> list[list]:
+    """Kernel basis read from a reduced row echelon form, one vector per free column."""
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        vec = [zero] * cols
+        vec[fc] = one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rref[r][fc]
+        basis.append(vec)
+    return basis
+
+
 def nullspace(m: Sequence[Sequence], one, zero) -> list[list]:
     """Basis of the right kernel, one vector per free column.
 
@@ -98,17 +123,28 @@ def nullspace(m: Sequence[Sequence], one, zero) -> list[list]:
     """
     work = _copy(m)
     cols = len(work[0]) if work else 0
+    return _kernel(work, _echelon(work), cols, one, zero)
+
+
+def projected_nullspace(m: Sequence[Sequence], k: int, one, zero) -> tuple[int, list[list]]:
+    """(rank of m, `reduced_basis` of its kernel projected onto the last k columns).
+
+    In the reduced row echelon form, a row whose pivot lies before the last k
+    columns can be solved for its pivot whatever the other coordinates are.
+    So the projection is the kernel of the rows that pivot in the last k
+    columns; those rows are zero on every earlier column and already reduced.
+    No kernel vector of m itself is built.  An empty m constrains nothing.
+    """
+    work = _copy(m)
+    cols = len(work[0]) if work else k
+    if not 0 <= k <= cols:
+        raise ValueError("k must lie between 0 and the number of columns")
+    start = cols - k
     pivots = _echelon(work)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [zero] * cols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        basis.append(vec)
-    return basis
+    first = bisect_left(pivots, start)
+    block = [row[start:] for row in work[first:len(pivots)]]
+    kernel = _kernel(block, [pc - start for pc in pivots[first:]], k, one, zero)
+    return len(pivots), reduced_basis(kernel)
 
 
 def solve(m: Sequence[Sequence], rhs: Sequence, zero) -> list | None:

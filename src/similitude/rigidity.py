@@ -15,9 +15,12 @@ jet_rigidity decides what truncated power-series solutions of a matrix
 relation can look like at the origin.  The unknown n x n jet H is assembled
 into an exact linear system on its Taylor coefficients; restriction to a
 variety (full plane, the cusp z^p = w^q via z -> t^q, w -> t^p, or a union of
-lines w = t_j z) is a re-keying of monomials.  Every retained equation up to
-the truncation order is a complete constraint on a true holomorphic solution,
-so a trivial projected solution space is a proof that H(0) is forced.
+lines w = t_j z) is a re-keying of monomials.  The H(0) unknowns are numbered
+last, so one reduced echelon form of the system yields both the jet nullity
+and, from its last block, the admissible values of H(0), without a kernel
+basis of the whole jet.  Every retained equation up to the truncation order is
+a complete constraint on a true holomorphic solution, so a trivial projected
+solution space is a proof that H(0) is forced.
 
 index_sets enumerates the exponent-collision sets of the cusp comparison
 argument, winding_number certifies discrete curve indices, and
@@ -224,7 +227,11 @@ def parse_variety(text: str) -> Variety:
         parts = text[len("cusp:"):].split(",")
         if len(parts) != 2:
             raise RigidityError("cusp variety needs exactly two exponents")
-        return Cusp(p=int(parts[0]), q=int(parts[1]))
+        try:
+            p, q = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise RigidityError(f"cusp exponents must be integers: {text!r}") from None
+        return Cusp(p=p, q=q)
     if text.startswith("lines:"):
         slopes = tuple(
             parse_gaussian_rational(s) for s in text[len("lines:"):].split(",") if s
@@ -316,8 +323,8 @@ def jet_rigidity(
     Builds the linear system on the Taylor coefficients of the unknown jet H
     (coefficients h_{jk} with j+k <= order, or weighted degree jq+kp <= order
     on the cusp), restricts the relation to the variety, retains every
-    monomial constraint up to the order, eliminates exactly and projects the
-    nullspace onto the order-zero coefficients of H.
+    monomial constraint up to the order, eliminates exactly and reads the H(0)
+    projection from the last echelon block (`linalg.projected_nullspace`).
     """
     if order < 1:
         raise RigidityError("order must be at least 1")
@@ -330,8 +337,10 @@ def jet_rigidity(
     n = a.rows
 
     monos = _unknown_monomials(variety, order)
+    # monos starts with (0, 0): moving it last gives the H(0) unknowns the
+    # last n^2 columns, where projected_nullspace reads them
     col_index: dict[tuple, int] = {}
-    for jk in monos:
+    for jk in monos[1:] + monos[:1]:
         for r in range(n):
             for c in range(n):
                 col_index[(r, c, jk[0], jk[1])] = len(col_index)
@@ -403,23 +412,13 @@ def jet_rigidity(
         if filled:
             matrix.append(row)
 
-    kernel = (
-        linalg.nullspace(matrix, GR_ONE, GR_ZERO)
-        if matrix
-        else [
-            [GR_ONE if i == t else GR_ZERO for i in range(width)]
-            for t in range(width)
-        ]
-    )
-    zero_cols = [col_index[(r, c, 0, 0)] for r in range(n) for c in range(n)]
-    projections = [[vec[col] for col in zero_cols] for vec in kernel]
-    basis = linalg.reduced_basis(projections)
+    rank, basis = linalg.projected_nullspace(matrix, n * n, GR_ONE, GR_ZERO)
     return JetRigidityResult(
         relation=relation,
         variety=variety,
         order=order,
         solution_space=tuple(tuple(v) for v in basis),
-        jet_nullity=len(kernel),
+        jet_nullity=width - rank,
         n=n,
     )
 

@@ -80,6 +80,14 @@ class TestExitCodes:
         code, _, err = invoke(capsys, ["smith", "--matrix", bad, "--point", "0"])
         assert code == 2 and err
 
+    def test_bad_variety_is_two(self, capsys):
+        code, report, err = invoke(
+            capsys, ["rigidity", "--ell", "0", "--relation", "AHeqHB", "--variety", "cusp:a,b"]
+        )
+        assert code == 2
+        assert report is None
+        assert "cusp" in err
+
     def test_unknown_subcommand_is_two(self, capsys):
         assert run(["frobnicate"]) == 2
 

@@ -99,6 +99,19 @@ CASES = {
         {},
     ),
     "verify-paper-ell-1": (["verify-paper", "--ell", "1"], {}),
+    # jet nullity 362: the largest jet system in the corpus
+    "rigidity-full-16": (
+        ["rigidity", "--ell", "0", "--relation", "AHeqHB", "--variety", "full", "--order", "16"],
+        {},
+    ),
+    "rigidity-lines-7": (
+        ["rigidity", "--ell", "0", "--relation", "AHeqHB", "--variety", "lines:1,2,3,4,5", "--order", "7"],
+        {},
+    ),
+    "rigidity-scalar-line": (
+        ["rigidity", "--ell", "1", "--relation", "AHeqHA", "--variety", "full", "--order", "10"],
+        {},
+    ),
 }
 
 

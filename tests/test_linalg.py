@@ -1,14 +1,19 @@
-"""Elimination kernel: det and rank against sympy's DomainMatrix.
+"""Elimination kernels against sympy's DomainMatrix.
 
 Q(i) matrices are compared with DomainMatrix over QQ_I; polynomial matrices
 with DomainMatrix over QQ_I[z] (det) and its fraction field QQ_I(z) (rank, and
 det of rational-function matrices).  Rank-deficient rectangular matrices and
-zero columns exercise the column skip of the fraction-free kernel.
+zero columns exercise the column skip of the fraction-free kernel.  Sparse
+Q(i) matrices with zero rows and columns exercise the zero skipping of the
+reduced echelon form behind nullspace, solve, invert and reduced_basis, and
+projected_nullspace is checked against the projection of the full kernel.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from similitude import linalg
 from similitude.algebra import (
@@ -151,3 +156,129 @@ class TestPolynomial:
             ]
             expected = domain_matrix(m, lambda p: to_ring(p, ring), ring).det()
             assert to_ring(linalg.det(m, one, zero), ring) == expected
+
+
+def sparse_qi(rng, rows, cols):
+    """About 70% zeros, and now and then a whole zero row, a zero column or a repeated row."""
+    m = [[rand_scalar(rng, 0.7) for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.5:
+        m[rng.randrange(rows)] = [GR_ZERO] * cols
+    if rng.random() < 0.5:
+        dead = rng.randrange(cols)
+        for row in m:
+            row[dead] = GR_ZERO
+    if rows > 1 and rng.random() < 0.3:
+        m[rng.randrange(rows)] = list(m[rng.randrange(rows)])
+    return m
+
+
+def qqi_rows(vectors):
+    return [[to_qqi(x) for x in v] for v in vectors]
+
+
+def span(vectors):
+    """Nonzero rows of sympy's RREF of QQ_I vectors: a canonical form of their span."""
+    if not vectors:
+        return []
+    rref, _ = DomainMatrix(vectors, (len(vectors), len(vectors[0])), QQ_I).rref()
+    return [row for row in rref.to_list() if any(row)]
+
+
+class TestSparseReducedForms:
+    CASES = 200
+
+    def instances(self, seed):
+        rng = random.Random(seed)
+        for _ in range(self.CASES):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 10)
+            yield rng, sparse_qi(rng, rows, cols)
+
+    def test_nullspace_spans_the_kernel(self):
+        for _, m in self.instances(501):
+            oracle = domain_matrix(m, to_qqi, QQ_I)
+            basis = linalg.nullspace(m, GR_ONE, GR_ZERO)
+            assert len(basis) == len(m[0]) - oracle.rank()
+            assert all(not any(linalg.mat_vec(m, v, GR_ZERO)) for v in basis)
+            expected = [v for v in oracle.nullspace().to_list() if any(v)]
+            assert span(qqi_rows(basis)) == span(expected)
+
+    def test_reduced_basis_is_the_rref(self):
+        for _, m in self.instances(502):
+            assert qqi_rows(linalg.reduced_basis(m)) == span(qqi_rows(m))
+
+    def test_solve_is_consistent_exactly_when_sympy_says_so(self):
+        for rng, m in self.instances(503):
+            rows, cols = len(m), len(m[0])
+            if rng.random() < 0.5:
+                x0 = [rand_scalar(rng, 0.5) for _ in range(cols)]
+                rhs = linalg.mat_vec(m, x0, GR_ZERO)
+            else:
+                rhs = [rand_scalar(rng, 0.5) for _ in range(rows)]
+            augmented = [row + [b] for row, b in zip(m, rhs)]
+            consistent = (
+                domain_matrix(augmented, to_qqi, QQ_I).rank() == domain_matrix(m, to_qqi, QQ_I).rank()
+            )
+            x = linalg.solve(m, rhs, GR_ZERO)
+            assert (x is not None) == consistent
+            if x is not None:
+                assert linalg.mat_vec(m, x, GR_ZERO) == rhs
+
+    def test_invert_matches_domain_matrix(self):
+        rng = random.Random(504)
+        for _ in range(self.CASES):
+            n = rng.randint(1, 8)
+            m = sparse_qi(rng, n, n)
+            if rng.random() < 0.5:
+                # a dense enough diagonal to make most of these invertible
+                for i in range(n):
+                    m[i][i] = m[i][i] + g(rng.randint(1, 4), rng.randint(-1, 1))
+            oracle = domain_matrix(m, to_qqi, QQ_I)
+            inverse = linalg.invert(m, GR_ONE, GR_ZERO)
+            if oracle.det() == QQ_I.zero:
+                assert inverse is None
+            else:
+                assert qqi_rows(inverse) == oracle.inv().to_list()
+
+
+SCALARS = st.sampled_from([GR_ZERO] * 7 + [GR_ONE, g(-2), g(0, 1), g(1, -1) / 3, g(5, 2)])
+
+
+@st.composite
+def matrix_and_k(draw):
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 8)) if rows else 0
+    m = [draw(st.lists(SCALARS, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for r in draw(st.sets(st.integers(0, rows - 1), max_size=2)) if rows else ():
+        m[r] = [GR_ZERO] * cols
+    return m, draw(st.integers(0, cols))
+
+
+class TestProjectedNullspace:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(matrix_and_k())
+    def test_equals_projection_of_the_full_kernel(self, case):
+        m, k = case
+        cols = len(m[0]) if m else 0
+        full = linalg.nullspace(m, GR_ONE, GR_ZERO)
+        rank, basis = linalg.projected_nullspace(m, k, GR_ONE, GR_ZERO)
+        assert rank == cols - len(full)
+        assert basis == linalg.reduced_basis([v[cols - k:] for v in full])
+
+    def test_edge_cases(self):
+        z, one = GR_ZERO, GR_ONE
+        assert linalg.projected_nullspace([], 0, one, z) == (0, [])
+        # no equations: every value of the projected coordinates is admissible
+        assert linalg.projected_nullspace([], 2, one, z) == (0, linalg.identity(2, one, z))
+        assert linalg.projected_nullspace([[z, z, z], [z, z, z]], 3, one, z) == (
+            0,
+            linalg.identity(3, one, z),
+        )
+        m = [[one, z, g(2)], [z, z, z], [z, one, one]]
+        assert linalg.projected_nullspace(m, 0, one, z) == (2, [])
+        # the kernel is spanned by (-2, -1, 1)
+        assert linalg.projected_nullspace(m, 3, one, z) == (2, [[one, one / 2, -one / 2]])
+        # x0 is solved for whatever x2 is; x1 + x2 = 0 ties x1 to x2
+        assert linalg.projected_nullspace(m, 2, one, z) == (2, [[one, -one]])
+        assert linalg.projected_nullspace(m, 1, one, z) == (2, [[one]])
+        with pytest.raises(ValueError):
+            linalg.projected_nullspace(m, 4, one, z)

@@ -199,6 +199,9 @@ class TestJetRigidityLines:
         assert parse_variety("lines:1,2") == Lines((g(1), g(2)))
         assert default_order(Cusp(4, 3), 0) == 21
         assert default_order(FullPlane(), 1) == 6
+        for bad in ("cusp:a,b", "cusp:4", "cusp:4,2", "plane"):
+            with pytest.raises(RigidityError):
+                parse_variety(bad)
 
 
 class TestIndexSets:
