@@ -14,7 +14,6 @@ from .algebra import (
     GR_I,
     GR_ONE,
     GR_ZERO,
-    Jet,
     Poly,
     PolyMatrix,
     RationalFunction,
@@ -22,9 +21,6 @@ from .algebra import (
     generic_rank,
     parse_gaussian_rational,
     parse_polynomial,
-    poly_eval,
-    poly_substitute,
-    rational_to_jet,
 )
 from .jordan import (
     InstabilityCandidates,
@@ -74,7 +70,6 @@ from .smith import (
 from .sylvester import (
     CommutantBasis,
     SylvesterError,
-    SylvesterSystem,
     commutant_basis_at,
     generic_intertwiner_dim,
     intertwiner_dim_at,

@@ -5,7 +5,6 @@ Every computation in this package bottoms out here.  The layers are:
   GaussianRational   a + b*i with exact rational a, b (the ground field)
   Poly               sparse multivariate polynomial: exponent tuple -> coefficient
   RationalFunction   quotient of two Poly over the same variable list
-  Jet                polynomial truncated at a total-degree bound (ring mod degree > N)
   PolyMatrix         dense rectangular matrix, generic over its entries
   FuncMatrix         PolyMatrix whose entry ring is RationalFunction
 
@@ -70,12 +69,6 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         self.re = rat(re)
         self.im = rat(im)
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_string(text: str) -> "GaussianRational":
-        return parse_gaussian_rational(text)
 
     # -- ring / field operations -------------------------------------------
 
@@ -151,13 +144,6 @@ class GaussianRational:
             e >>= 1
         return result
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def abs2(self):
-        """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
-
     # -- predicates / conversions ------------------------------------------
 
     def __bool__(self) -> bool:
@@ -171,9 +157,6 @@ class GaussianRational:
 
     def __hash__(self):
         return hash((self.re, self.im))
-
-    def is_rational(self) -> bool:
-        return self.im == 0
 
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -190,19 +173,15 @@ GR_ONE = GaussianRational(1, 0)
 GR_I = GaussianRational(0, 1)
 
 
-def _rat_str(q) -> str:
-    return str(q)
-
-
 def format_gaussian_rational(value: GaussianRational) -> str:
     """Canonical string: '0', '3/2', '1i', '-2i', '3/2+1/2i', '1-2i'."""
     re, im = value.re, value.im
     if im == 0:
-        return _rat_str(re)
+        return str(re)
     if re == 0:
-        return _rat_str(im) + "i"
+        return str(im) + "i"
     sign = "+" if im > 0 else "-"
-    return _rat_str(re) + sign + _rat_str(abs(im)) + "i"
+    return str(re) + sign + str(abs(im)) + "i"
 
 
 class _Scanner:
@@ -247,6 +226,8 @@ class _Scanner:
             if den is None:
                 self.pos = save
                 return None
+            if not int(den):
+                raise AlgebraError(f"zero denominator in {self.text!r}")
             return num + "/" + den
         return num
 
@@ -500,9 +481,6 @@ class Poly:
         if self.total_degree() > 0:
             raise AlgebraError("polynomial is not constant")
         return self.constant_coefficient()
-
-    def coefficient(self, expo: Sequence[int]) -> GaussianRational:
-        return self.terms.get(tuple(expo), GR_ZERO)
 
     # -- calculus-flavoured operations ---------------------------------------
 
@@ -959,191 +937,6 @@ class RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# Jets (truncated power series)
-
-
-class Jet:
-    """Polynomial modulo total degree > order: the ring of N-jets at 0."""
-
-    __slots__ = ("variables", "order", "terms")
-
-    def __init__(self, variables: Sequence[str], order: int, terms: Mapping[tuple, GaussianRational]):
-        if order < 0:
-            raise AlgebraError("jet order must be nonnegative")
-        vs = tuple(variables)
-        clean = {}
-        for expo, coeff in terms.items():
-            if len(expo) != len(vs):
-                raise AlgebraError("exponent vector length does not match variables")
-            if sum(expo) <= order and coeff:
-                clean[tuple(expo)] = coeff
-        self.variables = vs
-        self.order = order
-        self.terms = clean
-
-    @staticmethod
-    def from_poly(p: Poly, order: int) -> "Jet":
-        return Jet(p.variables, order, p.terms)
-
-    @staticmethod
-    def constant(variables: Sequence[str], order: int, value) -> "Jet":
-        c = value if isinstance(value, GaussianRational) else GaussianRational(value)
-        return Jet(variables, order, {(0,) * len(tuple(variables)): c})
-
-    def to_poly(self) -> Poly:
-        return Poly(self.variables, self.terms)
-
-    def _check(self, other: "Jet"):
-        if self.variables != other.variables or self.order != other.order:
-            raise AlgebraError("jet variable lists or orders differ")
-
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            return other
-        if isinstance(other, (int, GaussianRational)):
-            return Jet.constant(self.variables, self.order, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        self._check(o)
-        out = dict(self.terms)
-        for expo, coeff in o.terms.items():
-            acc = out.get(expo)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[expo] = acc
-            else:
-                out.pop(expo, None)
-        return Jet(self.variables, self.order, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o + (-self)
-
-    def __neg__(self):
-        return Jet(self.variables, self.order, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        self._check(o)
-        out: dict = {}
-        order = self.order
-        for ea, ca in self.terms.items():
-            da = sum(ea)
-            for eb, cb in o.terms.items():
-                if da + sum(eb) > order:
-                    continue
-                expo = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
-                acc = out.get(expo)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[expo] = acc
-                else:
-                    out.pop(expo, None)
-        return Jet(self.variables, self.order, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Jet":
-        if exponent < 0:
-            raise AlgebraError("negative power of a jet")
-        result = Jet.constant(self.variables, self.order, GR_ONE)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return (
-            self.variables == o.variables
-            and self.order == o.order
-            and self.terms == o.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("Jet is not hashable")
-
-    def constant_coefficient(self) -> GaussianRational:
-        return self.terms.get((0,) * len(self.variables), GR_ZERO)
-
-    def inverse(self) -> "Jet":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        c = self.constant_coefficient()
-        if not c:
-            raise AlgebraError("jet has no inverse: constant term vanishes")
-        inv_c = c.inverse()
-        # self = c * (1 - u) with val(u) >= 1; invert by geometric series.
-        one = Jet.constant(self.variables, self.order, GR_ONE)
-        u = one - self * inv_c
-        acc = one
-        power = one
-        for _ in range(self.order):
-            power = power * u
-            if not power:
-                break
-            acc = acc + power
-        return acc * inv_c
-
-    def __str__(self) -> str:
-        return format_polynomial(self.to_poly()) + f" (mod deg>{self.order})"
-
-    def __repr__(self) -> str:
-        return f"Jet({format_polynomial(self.to_poly())!r}, order={self.order})"
-
-
-# ---------------------------------------------------------------------------
-# Free-function surface
-
-
-def poly_eval(p: Poly, point: Sequence[GaussianRational]) -> GaussianRational:
-    """Exact value of p at a point (arity checked)."""
-    return p.evaluate(point)
-
-
-def poly_substitute(p: Poly, bindings: Mapping[str, Poly]) -> Poly:
-    """Exact composition p(bindings); every variable of p must be bound."""
-    return p.substitute(bindings)
-
-
-def rational_to_jet(f: RationalFunction, order: int) -> Jet:
-    """Taylor jet of f at the origin up to total degree `order`.
-
-    Requires the denominator to be nonzero at the origin.
-    """
-    if not f.denominator.constant_coefficient():
-        raise AlgebraError("denominator vanishes at the origin")
-    num = Jet.from_poly(f.numerator, order)
-    den = Jet.from_poly(f.denominator, order)
-    return num * den.inverse()
-
-
-# ---------------------------------------------------------------------------
 # Matrices over Poly or RationalFunction
 
 
@@ -1331,12 +1124,8 @@ __all__ = [
     "rat",
     "Poly",
     "RationalFunction",
-    "Jet",
     "PolyMatrix",
     "FuncMatrix",
-    "poly_eval",
-    "poly_substitute",
-    "rational_to_jet",
     "generic_rank",
     "poly_gcd_univariate",
     "poly_divmod_univariate",

@@ -41,16 +41,8 @@ class InputError(ValueError):
 # Serialization helpers
 
 
-def _scalar(x: GaussianRational) -> str:
-    return str(x)
-
-
 def _scalar_grid(grid) -> list[list[str]]:
     return [[str(x) for x in row] for row in grid]
-
-
-def _matrix_strings(m) -> list[list[str]]:
-    return m.to_strings()
 
 
 def load_matrix_file(path: str) -> PolyMatrix:
@@ -69,6 +61,8 @@ def load_matrix_file(path: str) -> PolyMatrix:
         raise InputError(f"{path}: 'variables' must be a list of names")
     if not isinstance(grid, list) or not grid or not all(isinstance(r, list) for r in grid):
         raise InputError(f"{path}: 'matrix' must be a nonempty list of rows")
+    if not all(isinstance(x, str) for r in grid for x in r):
+        raise InputError(f"{path}: every matrix entry must be a string")
     try:
         return PolyMatrix.from_strings(grid, variables)
     except AlgebraError as exc:
@@ -93,10 +87,17 @@ def load_curve_file(path: str) -> list[complex]:
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "samples" not in data:
         raise InputError(f"{path}: expected an object with 'samples'")
+    samples = data["samples"]
+    if not isinstance(samples, list):
+        raise InputError(f"{path}: 'samples' must be a list of [re, im] pairs")
     out = []
-    for entry in data["samples"]:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise InputError(f"{path}: each sample must be [re, im]")
+    for entry in samples:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max for x in entry)
+        ):
+            raise InputError(f"{path}: each sample must be a finite numeric pair [re, im]")
         out.append(complex(float(entry[0]), float(entry[1])))
     return out
 
@@ -136,12 +137,12 @@ def cmd_smith(args) -> tuple[dict, str, int]:
     point = parse_point(args.point)
     fact = smith_mod.local_smith(m, point)
     result = {
-        "point": _scalar(fact.point),
+        "point": str(fact.point),
         "exponents": list(fact.exponents),
         "generic_rank": fact.generic_rank,
-        "E": _matrix_strings(fact.E),
-        "diagonal": _matrix_strings(fact.diagonal()),
-        "F": _matrix_strings(fact.F),
+        "E": fact.E.to_strings(),
+        "diagonal": fact.diagonal().to_strings(),
+        "F": fact.F.to_strings(),
     }
     return result, "factored", 0
 
@@ -151,7 +152,7 @@ def cmd_commutant(args) -> tuple[dict, str, int]:
     point = parse_point(args.point)
     basis = sylvester_mod.commutant_basis_at(m, point)
     result = {
-        "point": _scalar(basis.point),
+        "point": str(basis.point),
         "dimension": basis.dimension,
         "basis": [_scalar_grid(theta) for theta in basis.basis],
     }
@@ -164,7 +165,7 @@ def cmd_wasow(args) -> tuple[dict, str, int]:
     point = parse_point(args.point)
     report = similarity_mod.wasow_check(a, b, point)
     result = {
-        "point": _scalar(report.point),
+        "point": str(report.point),
         "dim_at_point": report.dim_at_point,
         "dim_generic": report.dim_generic,
         "constant_near_point": report.constant_near_point,
@@ -186,8 +187,8 @@ def cmd_local_similarity(args) -> tuple[dict, str, int]:
             return {"error": str(exc)}, "not-certified", 1
         raise InputError(str(exc)) from exc
     result = {
-        "point": _scalar(sim.point),
-        "H": _matrix_strings(sim.H),
+        "point": str(sim.point),
+        "H": sim.H.to_strings(),
         "phi": _scalar_grid(sim.seed),
     }
     return result, "constructed", 0
@@ -220,7 +221,7 @@ def cmd_jordan_candidates(args) -> tuple[dict, str, int]:
     points = []
     for c in cands.points:
         if c.exact is not None:
-            points.append({"exact": _scalar(c.exact)})
+            points.append({"exact": str(c.exact)})
         else:
             points.append(
                 {
@@ -243,17 +244,17 @@ def cmd_jordan_check(args) -> tuple[dict, str, int]:
         m, point, probes=args.probes, tolerance=args.tolerance
     )
     result = {
-        "point": _scalar(verdict.point),
+        "point": str(verdict.point),
         "verdict": verdict.verdict,
         "profile_at_point": (
             _profile_dict(verdict.profile_at_point)
             if verdict.profile_at_point is not None
             else None
         ),
-        "probe_points": [_scalar(p) for p in verdict.probe_points],
+        "probe_points": [str(p) for p in verdict.probe_points],
         "probe_profiles": [_profile_dict(p) for p in verdict.probe_profiles],
         "candidate_points": [
-            _scalar(c.exact) for c in verdict.candidates.points if c.exact is not None
+            str(c.exact) for c in verdict.candidates.points if c.exact is not None
         ],
     }
     code = 1 if verdict.verdict == "unstable" else 0
@@ -391,7 +392,7 @@ def cmd_winding(args) -> tuple[dict, str, int]:
 def cmd_clutching(args) -> tuple[dict, str, int]:
     try:
         report = rigidity_mod.clutching_invertibility(args.epsilon, args.grid)
-    except (rigidity_mod.RigidityError, ValueError) as exc:
+    except (rigidity_mod.RigidityError, ValueError, ZeroDivisionError) as exc:
         raise InputError(str(exc)) from exc
     result = {
         "epsilon": str(report.epsilon),

@@ -325,12 +325,9 @@ class InstabilityCandidates:
         """Exact membership in the candidate locus."""
         return any(not q.evaluate([point]) for q in self.defining_polynomials if q)
 
-    def exact_points(self) -> list[GaussianRational]:
-        return [c.exact for c in self.points if c.exact is not None]
-
 
 def _resultant(a: list, b: list, one, zero):
-    """Resultant via the Sylvester matrix determinant (coefficients in a field)."""
+    """Resultant via the Sylvester matrix determinant (coefficients in a domain)."""
     m = len(a) - 1
     n = len(b) - 1
     if m < 0 or n < 0:
@@ -363,7 +360,6 @@ def jordan_instability_candidates(a: PolyMatrix) -> InstabilityCandidates:
         raise JordanError("candidates require a univariate family")
     vs = a.variables
     one = RationalFunction.constant(vs, GR_ONE)
-    zero = RationalFunction.constant(vs, GR_ZERO)
 
     defining: list[Poly] = []
 
@@ -372,14 +368,16 @@ def jordan_instability_candidates(a: PolyMatrix) -> InstabilityCandidates:
     deriv = [char[i] * i for i in range(1, len(char))]
     g = _u_gcd_monic(char, deriv)
     squarefree, _ = _u_divmod(char, g)
+    # the squarefree part of a monic polynomial over Q(i)[z] lies in Q(i)[z][x]
+    # (Gauss's lemma), so as_poly cannot raise and the resultant stays in Q(i)[z]
+    squarefree = [c.as_poly() for c in squarefree]
     sq_deriv = [squarefree[i] * i for i in range(1, len(squarefree))]
-    disc = _resultant(squarefree, sq_deriv, one, zero)
-    if disc and disc.numerator.total_degree() > 0:
-        defining.append(disc.numerator)
+    disc = _resultant(squarefree, sq_deriv, Poly.constant(vs, GR_ONE), Poly.zero(vs))
+    if disc.total_degree() > 0:
+        defining.append(disc)
 
     # (b) commutant-jump locus
-    system = sylvester_matrix(a, a)
-    factors = invariant_factors(system.M)
+    factors = invariant_factors(sylvester_matrix(a, a))
     if factors:
         last = factors[-1]
         if last.total_degree() > 0:
@@ -606,8 +604,7 @@ def _certify_commutant_conjugation(a: PolyMatrix, pt: GaussianRational, h: FuncM
     n = a.rows
     one = RationalFunction.constant(vs, GR_ONE)
     zero = RationalFunction.constant(vs, GR_ZERO)
-    system = sylvester_matrix(a, a)
-    generic_kernel = linalg.nullspace(system.M.to_func().entries, one, zero)
+    generic_kernel = linalg.nullspace(sylvester_matrix(a, a).to_func().entries, one, zero)
     target = commutant_basis_at(a, pt)
     h_inv_rows = linalg.invert([list(r) for r in h.entries], one, zero)
     if h_inv_rows is None:

@@ -121,8 +121,7 @@ def _witness_search(a0: ConstMatrix, b0: ConstMatrix, seed: int):
         return linalg.identity(n, GR_ONE, GR_ZERO), None
     pa = PolyMatrix.from_scalars(a0)
     pb = PolyMatrix.from_scalars(b0)
-    system = sylvester_matrix(pa, pb)
-    m_at = system.M.evaluate([])
+    m_at = sylvester_matrix(pa, pb).evaluate([])
     kernel = linalg.nullspace(m_at, GR_ONE, GR_ZERO)
     rng = random.Random(seed)
     for _ in range(WITNESS_RETRIES):
@@ -141,11 +140,11 @@ def wasow_check(a: PolyMatrix, b: PolyMatrix, point: GaussianRational) -> WasowR
     if len(a.variables) != 1:
         raise SimilarityError("wasow_check requires univariate families")
     pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
-    system = sylvester_matrix(a, b)
+    m = sylvester_matrix(a, b)
     n2 = a.rows * a.rows
-    m_at = system.M.evaluate([pt])
+    m_at = m.evaluate([pt])
     dim_at = n2 - linalg.rank(m_at)
-    fact = local_smith(system.M, pt)
+    fact = local_smith(m, pt)
     dim_generic = n2 - fact.generic_rank
     constant = all(k == 0 for k in fact.exponents)
     return WasowReport(
@@ -179,8 +178,7 @@ def local_similarity(
     if lhs != rhs:
         raise SimilarityError("Phi does not intertwine at the point")
 
-    system = sylvester_matrix(a, b)
-    proj = kernel_projection(system.M, pt)
+    proj = kernel_projection(sylvester_matrix(a, b), pt)
     vs = a.variables
     zero = RationalFunction.constant(vs, GR_ZERO)
     phi_vec = [RationalFunction.constant(vs, x) for x in vec(phi)]

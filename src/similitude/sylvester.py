@@ -35,24 +35,6 @@ class SylvesterError(ValueError):
 
 
 @dataclass(frozen=True)
-class SylvesterSystem:
-    """Representation matrix of the intertwiner operator for a pair (A, B).
-
-    A and B are polynomial families; either may also carry rational-function
-    entries (FuncMatrix), in which case M is a FuncMatrix as well.
-    """
-
-    A: object
-    B: object
-    M: object
-    vec_convention: str = "column-major"
-
-    @property
-    def n(self) -> int:
-        return self.A.rows
-
-
-@dataclass(frozen=True)
 class CommutantBasis:
     """Exact basis of {Theta : A(point) Theta = Theta A(point)}."""
 
@@ -78,8 +60,12 @@ def unvec(vector: Sequence, n: int) -> list[list]:
     return [[vector[j * n + i] for j in range(n)] for i in range(n)]
 
 
-def sylvester_matrix(a, b) -> SylvesterSystem:
-    """Build M = I (x) A - B^T (x) I for square A, B of equal size."""
+def sylvester_matrix(a, b) -> PolyMatrix:
+    """Build M = I (x) A - B^T (x) I for square A, B of equal size.
+
+    Either family may carry rational-function entries (FuncMatrix), in which
+    case M is a FuncMatrix as well.
+    """
     if a.rows != a.cols or b.rows != b.cols:
         raise SylvesterError("A and B must be square")
     if a.rows != b.rows:
@@ -87,29 +73,25 @@ def sylvester_matrix(a, b) -> SylvesterSystem:
     if a.variables != b.variables:
         raise AlgebraError("A and B must share one variable list")
     eye = PolyMatrix.identity(a.rows, a.variables)
-    m = eye.kron(a) - b.transpose().kron(eye)
-    return SylvesterSystem(A=a, B=b, M=m)
+    return eye.kron(a) - b.transpose().kron(eye)
 
 
 def intertwiner_dim_at(a: PolyMatrix, b: PolyMatrix, point: GaussianRational) -> int:
     """dim {Theta : Theta B(point) = A(point) Theta}, by exact elimination."""
-    system = sylvester_matrix(a, b)
     pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
-    m_at = system.M.evaluate([pt] * len(a.variables))
+    m_at = sylvester_matrix(a, b).evaluate([pt] * len(a.variables))
     return a.rows * a.rows - linalg.rank(m_at)
 
 
 def generic_intertwiner_dim(a: PolyMatrix, b: PolyMatrix) -> int:
     """Kernel dimension of the intertwiner over the function field."""
-    system = sylvester_matrix(a, b)
-    return a.rows * a.rows - generic_rank(system.M)
+    return a.rows * a.rows - generic_rank(sylvester_matrix(a, b))
 
 
 def commutant_basis_at(a: PolyMatrix, point: GaussianRational) -> CommutantBasis:
     """Basis of the commutant of A(point) via the exact Sylvester nullspace."""
     pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
-    system = sylvester_matrix(a, a)
-    m_at = system.M.evaluate([pt] * len(a.variables))
+    m_at = sylvester_matrix(a, a).evaluate([pt] * len(a.variables))
     kernel = linalg.nullspace(m_at, GR_ONE, GR_ZERO)
     n = a.rows
     basis = tuple(unvec(v, n) for v in kernel)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from similitude.cli import run
 
 EX45 = {"variables": ["z"], "matrix": [["z", "1"], ["0", "0"]]}
@@ -87,6 +89,45 @@ class TestExitCodes:
         assert code == 2
         assert report is None
         assert "cusp" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["smith", "--matrix", "{a}", "--point", "1/0"],
+            ["smith", "--matrix", "{a}", "--point=1/0+1i"],
+            ["smith", "--matrix", "{bad}", "--point", "0"],
+            ["rigidity", "--ell", "0", "--relation", "AHeqHB", "--variety", "lines:1/0"],
+            ["clutching", "--epsilon", "1/0", "--grid", "4"],
+        ],
+    )
+    def test_zero_denominator_is_two(self, tmp_path, capsys, argv):
+        a = write(tmp_path, "a.json", EX45)
+        bad = write(tmp_path, "bad.json", {"variables": ["z"], "matrix": [["z", "1/0"]]})
+        code, report, err = invoke(capsys, [x.format(a=a, bad=bad) for x in argv])
+        assert (code, report) == (2, None)
+        assert err.startswith("similitude:")
+
+    def test_non_string_matrix_entry_is_two(self, tmp_path, capsys):
+        bad = write(tmp_path, "bad.json", {"variables": ["z"], "matrix": [[1, "z"]]})
+        code, report, err = invoke(capsys, ["smith", "--matrix", bad, "--point", "0"])
+        assert (code, report) == (2, None)
+        assert "string" in err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"samples": 5},
+            {"samples": [["x", 0]]},
+            {"samples": [[0, None]]},
+            {"samples": [[float("nan"), 0]]},
+            {"samples": [[10**400, 0]]},
+        ],
+    )
+    def test_malformed_curve_is_two(self, tmp_path, capsys, payload):
+        curve = write(tmp_path, "curve.json", payload)
+        code, report, err = invoke(capsys, ["winding", "--curve", curve])
+        assert (code, report) == (2, None)
+        assert "sample" in err
 
     def test_unknown_subcommand_is_two(self, capsys):
         assert run(["frobnicate"]) == 2

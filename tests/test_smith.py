@@ -190,3 +190,80 @@ class TestInvariantFactors:
             for a, b in zip(factors, factors[1:]):
                 _, rem = poly_divmod_univariate(b, a)
                 assert not rem
+
+
+def rand_unimodular(rng, n):
+    """Product of 2n elementary matrices I + c x^k e_ij (i != j): determinant 1."""
+    u = PolyMatrix.identity(n, ("x",))
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        grid = [[Poly.constant(("x",), int(r == c)) for c in range(n)] for r in range(n)]
+        c = g(rng.randint(-2, 2), rng.randint(-1, 1))
+        grid[i][j] = Poly.monomial(("x",), (rng.randint(0, 1),), c)
+        u = u * PolyMatrix(grid)
+    return u
+
+
+def rand_smith_product(rng, rows, cols):
+    """U D V with a divisibility chain on the diagonal of D, possibly rank-deficient."""
+    grid = [[Poly.zero(("x",)) for _ in range(cols)] for _ in range(rows)]
+    acc = Poly.constant(("x",), GR_ONE)
+    for k in range(rng.randint(0, min(rows, cols))):
+        acc = acc * Poly.parse(rng.choice(["1", "x", "x-1", "x+1i", "x^2+1"]), ["x"])
+        grid[k][k] = acc * g(rng.randint(1, 3), rng.randint(-1, 1))
+    return rand_unimodular(rng, rows) * PolyMatrix(grid) * rand_unimodular(rng, cols)
+
+
+def rand_pencil(rng, n):
+    """x I - A0 for A0 similar to an upper triangular matrix with repeated eigenvalues."""
+    t = [[g(rng.choice([0, 0, 1, 2])) if c >= r else GR_ZERO for c in range(n)] for r in range(n)]
+    for r in range(1, n):
+        if rng.random() < 0.6:
+            t[r][r] = t[r - 1][r - 1]
+    p = rand_unimodular(rng, n).evaluate([GR_ZERO])
+    p_inv = linalg.invert(p, GR_ONE, GR_ZERO)
+    a0 = linalg.mat_mul(linalg.mat_mul(p, t, GR_ZERO), p_inv, GR_ZERO)
+    x = Poly.variable(("x",), "x")
+    return PolyMatrix([[x * int(r == c) - a0[r][c] for c in range(n)] for r in range(n)])
+
+
+class TestInvariantFactorsAgainstSympy:
+    """Differential oracle: sympy's Smith normal form over QQ_I[x].
+
+    sympy lists min(rows, cols) factors, with zeros for the rank defect and
+    not necessarily monic; ours lists the nonzero ones, monic.
+    """
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.domains import QQ_I
+        from sympy.polys.matrices import DomainMatrix
+        from sympy.polys.matrices.normalforms import invariant_factors as sympy_factors
+
+        ring = QQ_I[sympy.Symbol("x")]
+
+        def to_qqi(c):
+            return QQ_I.from_sympy(sympy.Rational(str(c.re)) + sympy.I * sympy.Rational(str(c.im)))
+
+        def to_ring(p):
+            return ring.ring.from_dict({e: to_qqi(c) for e, c in p.terms.items()})
+
+        rng = random.Random(53)
+        deficient = chains = 0
+        for case in range(42):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            if case % 3 == 0:
+                m = PolyMatrix(
+                    [[rand_poly(rng, rng.randint(-1, 1)) for _ in range(cols)] for _ in range(rows)]
+                )
+            elif case % 3 == 1:
+                m = rand_smith_product(rng, rows, cols)
+            else:
+                m = rand_pencil(rng, rows)
+            grid = DomainMatrix([[to_ring(p) for p in row] for row in m.entries], (m.rows, m.cols), ring)
+            expected = [f.monic() for f in sympy_factors(grid) if f]
+            deficient += len(expected) < min(m.rows, m.cols)
+            chains += sum(f.degree() > 0 for f in expected) >= 2
+            assert [to_ring(p) for p in invariant_factors(m)] == expected, m.to_strings()
+        # the seed covers rank defects and chains of two or more nonconstant factors
+        assert deficient >= 5 and chains >= 5
