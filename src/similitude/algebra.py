@@ -742,6 +742,18 @@ def _u_mul(a: list, b: list) -> list:
     return out
 
 
+def _u_deflate(a: list, root) -> tuple[list, object]:
+    """Synthetic division of nonempty a by (t - root): (quotient, a(root))."""
+    acc = a[-1]
+    q = [acc]
+    for c in reversed(a[:-1]):
+        acc = acc * root + c
+        q.append(acc)
+    remainder = q.pop()
+    q.reverse()
+    return q, remainder
+
+
 def poly_gcd_univariate(a: Poly, b: Poly) -> Poly:
     """Monic gcd of univariate polynomials over Q(i)."""
     if a.variables != b.variables or len(a.variables) != 1:
@@ -922,11 +934,6 @@ class RationalFunction:
             raise AlgebraError("denominator vanishes at the evaluation point")
         return self.numerator.evaluate(point) / d
 
-    def substitute(self, bindings: Mapping[str, Poly]) -> "RationalFunction":
-        return RationalFunction(
-            self.numerator.substitute(bindings), self.denominator.substitute(bindings)
-        )
-
     def __str__(self) -> str:
         if self.is_polynomial():
             return format_polynomial(self.as_poly())
@@ -1074,9 +1081,6 @@ class PolyMatrix:
 
     def evaluate(self, point: Sequence[GaussianRational]) -> list[list[GaussianRational]]:
         return [[p.evaluate(point) for p in row] for row in self.entries]
-
-    def substitute(self, bindings: Mapping[str, Poly]) -> "PolyMatrix":
-        return self.map(lambda p: p.substitute(bindings))
 
     def to_func(self) -> "FuncMatrix":
         """The same matrix with RationalFunction entries."""

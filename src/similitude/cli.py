@@ -102,11 +102,11 @@ def load_curve_file(path: str) -> list[complex]:
     return out
 
 
-def parse_point(text: str) -> GaussianRational:
+def parse_point(text: str, what: str = "point") -> GaussianRational:
     try:
         return parse_gaussian_rational(text)
     except AlgebraError as exc:
-        raise InputError(f"bad point {text!r}: {exc}") from exc
+        raise InputError(f"bad {what} {text!r}: {exc}") from exc
 
 
 def _profile_dict(profile: jordan_mod.JordanProfile) -> dict:
@@ -390,10 +390,10 @@ def cmd_winding(args) -> tuple[dict, str, int]:
 
 
 def cmd_clutching(args) -> tuple[dict, str, int]:
-    try:
-        report = rigidity_mod.clutching_invertibility(args.epsilon, args.grid)
-    except (rigidity_mod.RigidityError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(str(exc)) from exc
+    eps = parse_point(args.epsilon, "epsilon")
+    if eps.im:
+        raise InputError(f"bad epsilon {args.epsilon!r}: must be real")
+    report = rigidity_mod.clutching_invertibility(eps.re, args.grid)
     result = {
         "epsilon": str(report.epsilon),
         "grid": report.grid,

@@ -38,6 +38,7 @@ from .algebra import (
     Poly,
     PolyMatrix,
     RationalFunction,
+    _u_deflate,
     _u_divmod,
     _u_gcd_monic,
     _u_mul,
@@ -91,7 +92,7 @@ def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]]
             if c in seen:
                 cand = None
                 break
-            if not _poly_at(work, c):
+            if not _u_deflate(work, c)[1]:
                 cand = c
                 break
         if cand is None:
@@ -99,7 +100,7 @@ def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]]
         seen.add(cand)
         mult = 0
         while len(work) > 1:
-            quotient, remainder = _deflate(work, cand)
+            quotient, remainder = _u_deflate(work, cand)
             if remainder:
                 break
             work = quotient
@@ -109,24 +110,6 @@ def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]]
     roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
     cofactor = Poly.from_coefficients(p.variables, work)
     return roots, cofactor
-
-
-def _poly_at(coeffs: list[GaussianRational], x: GaussianRational) -> GaussianRational:
-    acc = GR_ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(coeffs: list[GaussianRational], root: GaussianRational):
-    """Synthetic division by (t - root): returns (quotient, remainder)."""
-    acc = GR_ZERO
-    out = [GR_ZERO] * (len(coeffs) - 1)
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = acc * root + coeffs[i]
-        out[i - 1] = acc
-    remainder = acc * root + coeffs[0]
-    return out, remainder
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +122,8 @@ def char_poly_coeffs(a: PolyMatrix) -> list[Poly]:
     Entries are polynomials in the family parameters; the recurrence divides
     only by integers, so everything stays exact.
     """
+    if a.rows != a.cols:
+        raise JordanError(f"Jordan data needs a square family, got {a.rows}x{a.cols}")
     n = a.rows
     vs = a.variables
     eye = PolyMatrix.identity(n, vs)
@@ -446,9 +431,7 @@ def stability_report(
 ) -> StabilityReport:
     """Verdicts for several query points against one shared candidate locus."""
     cands = jordan_instability_candidates(a)
-    verdicts = tuple(
-        is_jordan_stable(a, p, probes=probes, tolerance=tolerance) for p in points
-    )
+    verdicts = tuple(_stability_verdict(a, p, cands, probes, tolerance) for p in points)
     return StabilityReport(candidate_points=cands.points, verdicts=verdicts)
 
 
@@ -475,8 +458,17 @@ def is_jordan_stable(
     nearby offsets; a difference refutes stability, agreement leaves the point
     undetermined (a finite probe cannot quantify over a neighborhood).
     """
+    return _stability_verdict(a, point, jordan_instability_candidates(a), probes, tolerance)
+
+
+def _stability_verdict(
+    a: PolyMatrix,
+    point: GaussianRational,
+    cands: InstabilityCandidates,
+    probes: int,
+    tolerance: float,
+) -> StabilityVerdict:
     pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
-    cands = jordan_instability_candidates(a)
     if not cands.contains(pt):
         return StabilityVerdict(
             point=pt,

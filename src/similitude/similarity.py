@@ -31,9 +31,8 @@ from .algebra import (
     GR_ZERO,
     Poly,
     PolyMatrix,
-    RationalFunction,
 )
-from .smith import invariant_factors, kernel_projection, local_smith
+from .smith import SmithError, holomorphic_kernel_section, invariant_factors, local_smith
 from .sylvester import ConstMatrix, sylvester_matrix, unvec, vec
 
 WITNESS_RETRIES = 32
@@ -178,16 +177,10 @@ def local_similarity(
     if lhs != rhs:
         raise SimilarityError("Phi does not intertwine at the point")
 
-    proj = kernel_projection(sylvester_matrix(a, b), pt)
-    vs = a.variables
-    zero = RationalFunction.constant(vs, GR_ZERO)
-    phi_vec = [RationalFunction.constant(vs, x) for x in vec(phi)]
-    h_vec = linalg.mat_vec([list(row) for row in proj.P.entries], phi_vec, zero)
-    h = FuncMatrix(unvec(h_vec, n))
-
-    at_point = h.evaluate([pt])
-    if at_point != phi:
+    try:
+        h_vec = holomorphic_kernel_section(sylvester_matrix(a, b), pt, vec(phi))
+    except SmithError as exc:
         raise SimilarityError(
             "construction fails: P(point) vec(Phi) differs from vec(Phi)"
-        )
-    return LocalSimilarity(point=pt, H=h, seed=phi)
+        ) from exc
+    return LocalSimilarity(point=pt, H=FuncMatrix(unvec(h_vec, n)), seed=phi)

@@ -4,7 +4,9 @@ local_smith writes M(z) = E(z) * diag((z-xi)^k1, ..., (z-xi)^kr, 0, ...) * F(z)
 with E, F invertible at xi and entries in the local ring at xi (rational
 functions whose denominators do not vanish there).  The exponents are the
 local invariant exponents: their prefix sums equal the (z-xi)-adic valuations
-of the gcds of k x k minors, which tests verify independently.
+of the gcds of k x k minors, which tests verify independently.  It works at xi
+itself, with no change of variables: an entry's valuation, and its unit part,
+come from repeated synthetic division of its numerator by (z - xi).
 
 kernel_projection turns the factorization into the holomorphic idempotent
 P = F^-1 * diag(0, I) * F whose image agrees with ker M(z) away from xi and is
@@ -20,7 +22,7 @@ and rank-drop loci.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 from . import linalg
@@ -32,6 +34,7 @@ from .algebra import (
     Poly,
     PolyMatrix,
     RationalFunction,
+    _u_deflate,
     poly_divmod_univariate,
 )
 
@@ -82,18 +85,22 @@ class KernelProjection:
         return all(k == 0 for k in self.exponents)
 
 
-def _unit_part(f: RationalFunction, valuation: int) -> RationalFunction:
-    """f / z^valuation for univariate f with that exact vanishing order at 0."""
-    coeffs = f.numerator.coefficients()
-    num = Poly.from_coefficients(f.variables, coeffs[valuation:])
-    return RationalFunction(num, f.denominator)
+def _order_at(f: RationalFunction, pt: GaussianRational) -> tuple[int, list] | None:
+    """Vanishing order k of f at pt and the numerator coefficients over (z-pt)^k.
 
-
-def _valuation(f: RationalFunction) -> int | None:
-    """Vanishing order at 0, or None for the zero function."""
+    None for the zero function.  The denominator does not vanish at pt, so
+    repeated synthetic division of the numerator finds the order.
+    """
     if not f:
         return None
-    return f.numerator.valuation()
+    coeffs = f.numerator.coefficients()
+    k = 0
+    while True:
+        quotient, remainder = _u_deflate(coeffs, pt)
+        if remainder:
+            return k, coeffs
+        coeffs = quotient
+        k += 1
 
 
 def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
@@ -112,25 +119,24 @@ def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
     m = m.to_func()
     if not m.defined_at([pt]):
         raise SmithError("matrix entries must lie in the local ring at the point")
-    z_shift = Poly.variable(vs, vs[0]) + Poly.constant(vs, pt)
-    shifted = m.substitute({vs[0]: z_shift}) if pt else m
 
-    n, cols = shifted.rows, shifted.cols
-    work = [list(row) for row in shifted.entries]
+    n, cols = m.rows, m.cols
+    work = [list(row) for row in m.entries]
     e = [list(row) for row in FuncMatrix.identity(n, vs).entries]
     f = [list(row) for row in FuncMatrix.identity(cols, vs).entries]
 
     exponents: list[int] = []
     for k in range(min(n, cols)):
         best = None
-        for i in range(k, n):
-            for j in range(k, cols):
-                v = _valuation(work[i][j])
-                if v is not None and (best is None or v < best[0]):
-                    best = (v, i, j)
+        for i, j in product(range(k, n), range(k, cols)):
+            order = _order_at(work[i][j], pt)
+            if order is not None and (best is None or order[0] < best[0][0]):
+                best = (order, i, j)
+                if order[0] == 0:
+                    break
         if best is None:
             break
-        kappa, pi, pj = best
+        (kappa, unit_coeffs), pi, pj = best
         if pi != k:
             work[k], work[pi] = work[pi], work[k]
             for row in e:
@@ -140,7 +146,7 @@ def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
                 row[k], row[pj] = row[pj], row[k]
             f[k], f[pj] = f[pj], f[k]
 
-        unit = _unit_part(work[k][k], kappa)
+        unit = RationalFunction(Poly.from_coefficients(vs, unit_coeffs), work[k][k].denominator)
         inv_unit = unit.inverse()
         for j in range(k, cols):
             work[k][j] = work[k][j] * inv_unit
@@ -167,11 +173,6 @@ def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
     if any(a > b for a, b in zip(exponents, exponents[1:])):
         raise AssertionError("local Smith exponents came out decreasing")
 
-    if pt:
-        z = Poly.variable(vs, vs[0])
-        back = {vs[0]: z - Poly.constant(vs, pt)}
-        e = [[entry.substitute(back) for entry in row] for row in e]
-        f = [[entry.substitute(back) for entry in row] for row in f]
     return SmithFactorization(
         point=pt,
         E=FuncMatrix(e),
@@ -187,15 +188,11 @@ def kernel_projection(m: PolyMatrix, point: GaussianRational) -> KernelProjectio
     cols = m.cols
     r = fact.generic_rank
     vs = m.variables
-    inv = linalg.invert(
-        [list(row) for row in fact.F.entries],
-        RationalFunction.constant(vs, GR_ONE),
-        RationalFunction.constant(vs, GR_ZERO),
-    )
-    if inv is None:
-        raise AssertionError("Smith factor F must be invertible over the function field")
     one = RationalFunction.constant(vs, GR_ONE)
     zero = RationalFunction.constant(vs, GR_ZERO)
+    inv = linalg.invert([list(row) for row in fact.F.entries], one, zero)
+    if inv is None:
+        raise AssertionError("Smith factor F must be invertible over the function field")
     selector = FuncMatrix(
         [[one if (i == j and i >= r) else zero for j in range(cols)] for i in range(cols)]
     )

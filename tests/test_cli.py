@@ -129,6 +129,24 @@ class TestExitCodes:
         assert (code, report) == (2, None)
         assert "sample" in err
 
+    @pytest.mark.parametrize(
+        "epsilon,message",
+        [("1/0", "zero denominator"), ("0.125", "malformed"), ("1+1i", "real")],
+    )
+    def test_epsilon_outside_the_grammar_is_two(self, capsys, epsilon, message):
+        code, report, err = invoke(capsys, ["clutching", "--epsilon", epsilon, "--grid", "4"])
+        assert (code, report) == (2, None)
+        assert err.startswith(f"similitude: bad epsilon {epsilon!r}") and message in err
+
+    @pytest.mark.parametrize(
+        "argv", [["jordan", "candidates"], ["jordan", "check", "--point", "0"]]
+    )
+    def test_non_square_jordan_family_is_two(self, tmp_path, capsys, argv):
+        wide = write(tmp_path, "wide.json", {"variables": ["z"], "matrix": [["z", "1"]]})
+        code, report, err = invoke(capsys, argv + ["--matrix", wide])
+        assert (code, report) == (2, None)
+        assert "square" in err and "1x2" in err
+
     def test_unknown_subcommand_is_two(self, capsys):
         assert run(["frobnicate"]) == 2
 
@@ -245,6 +263,8 @@ class TestSubcommands:
         code, report, _ = invoke(capsys, ["clutching", "--epsilon", "1/8", "--grid", "32"])
         assert code == 0
         assert report["verdict"] == "bounded"
+        assert report["result"]["epsilon"] == "1/8"
+        assert report["result"]["min_re_det_exact"] == "550513183/1073741824"
 
     def test_verify_paper_enumerates_checks(self, capsys):
         code, report, _ = invoke(capsys, ["verify-paper", "--ell", "0"])

@@ -41,6 +41,9 @@ PAIR_PHI = [["1", "-1"], ["0", "1"]]
 JUMP_A = [["0", "z"], ["0", "0"]]
 JUMP_B = [["0", "z^2"], ["0", "0"]]
 JUMP_PHI = [["1", "0"], ["0", "0"]]
+# Phi intertwines A(0) = B(0) = 0, but every holomorphic H with A H = H B has
+# H(0) upper triangular, so the kernel projection cannot fix Phi at 0
+UNCERTIFIED_PHI = [["0", "0"], ["1", "0"]]
 FAMILY_3X3 = [["z", "1", "0"], ["0", "z^2", "1"], ["1", "0", "0"]]
 POINTWISE_A = [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "2i"]]
 POINTWISE_B = [["2i", "0", "0"], ["1", "1", "1"], ["0", "0", "1"]]
@@ -77,6 +80,10 @@ CASES = {
     "local-similarity-jump": (
         ["local-similarity", "--a", "@a.json", "--b", "@b.json", "--point", "0", "--phi", "@phi.json"],
         {"a.json": _matrix(JUMP_A), "b.json": _matrix(JUMP_B), "phi.json": _matrix(JUMP_PHI, ())},
+    ),
+    "local-similarity-not-certified": (
+        ["local-similarity", "--a", "@a.json", "--b", "@a.json", "--point", "0", "--phi", "@phi.json"],
+        {"a.json": _matrix(JUMP_A), "phi.json": _matrix(UNCERTIFIED_PHI, ())},
     ),
     "commutant": (
         ["commutant", "--matrix", "@m.json", "--point", "0"],

@@ -237,6 +237,23 @@ class TestStabilityVerdicts:
             if key not in candidate_keys:
                 assert verdict.verdict != "unstable"
 
+    def test_report_computes_the_locus_once(self, monkeypatch):
+        import similitude.jordan as jordan
+
+        points = [g(0), g(3), g(0, 1)]
+        singly = [is_jordan_stable(EX45, p) for p in points]
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return jordan_instability_candidates(a)
+
+        monkeypatch.setattr(jordan, "jordan_instability_candidates", counted)
+        rep = jordan.stability_report(EX45, points)
+        assert len(calls) == 1
+        assert [v.verdict for v in rep.verdicts] == [v.verdict for v in singly]
+        assert [v.candidates for v in rep.verdicts] == [v.candidates for v in singly]
+
 
 class TestStableNormalization:
     def test_model_family_accepts_identity_like_output(self):

@@ -12,6 +12,8 @@ from similitude.algebra import (
     GaussianRational,
     Poly,
     PolyMatrix,
+    RationalFunction,
+    rat,
 )
 from similitude.smith import (
     SmithError,
@@ -80,6 +82,124 @@ class TestLocalSmith:
             assert all(a <= b for a, b in zip(fact.exponents, fact.exponents[1:]))
             for k in range(1, fact.generic_rank + 1):
                 assert sum(fact.exponents[:k]) == minor_gcd_valuation(m, xi, k)
+
+
+def _shift(f, z_new):
+    """f(z_new) for a univariate RationalFunction f, by Poly.substitute."""
+    (v,) = f.variables
+    return RationalFunction(
+        f.numerator.substitute({v: z_new}), f.denominator.substitute({v: z_new})
+    )
+
+
+def _smith_at_zero(m):
+    """Local Smith factorization at 0 by z-adic valuations (the reference loop)."""
+    vs = m.variables
+    n, cols = m.rows, m.cols
+    work = [list(row) for row in m.entries]
+    e = [list(row) for row in FuncMatrix.identity(n, vs).entries]
+    f = [list(row) for row in FuncMatrix.identity(cols, vs).entries]
+    exponents = []
+    for k in range(min(n, cols)):
+        cands = [
+            (work[i][j].numerator.valuation(), i, j)
+            for i in range(k, n)
+            for j in range(k, cols)
+            if work[i][j]
+        ]
+        if not cands:
+            break
+        kappa, pi, pj = min(cands)
+        work[k], work[pi] = work[pi], work[k]
+        for row in e:
+            row[k], row[pi] = row[pi], row[k]
+        for row in work:
+            row[k], row[pj] = row[pj], row[k]
+        f[k], f[pj] = f[pj], f[k]
+        piv = work[k][k]
+        unit = RationalFunction(
+            Poly.from_coefficients(vs, piv.numerator.coefficients()[kappa:]), piv.denominator
+        )
+        inv_unit = unit.inverse()
+        work[k] = work[k][:k] + [x * inv_unit for x in work[k][k:]]
+        for r in range(n):
+            e[r][k] = e[r][k] * unit
+        pivot_inv = work[k][k].inverse()
+        for i in range(k + 1, n):
+            if work[i][k]:
+                c = work[i][k] * pivot_inv
+                work[i] = work[i][:k] + [x - c * y for x, y in zip(work[i][k:], work[k][k:])]
+                for r in range(n):
+                    e[r][k] = e[r][k] + c * e[r][i]
+        for j in range(k + 1, cols):
+            if work[k][j]:
+                c = work[k][j] * pivot_inv
+                for i in range(n):
+                    work[i][j] = work[i][j] - c * work[i][k]
+                f[k] = [x + c * y for x, y in zip(f[k], f[j])]
+        exponents.append(kappa)
+    return tuple(exponents), FuncMatrix(e), FuncMatrix(f)
+
+
+def _smith_by_change_of_variables(m, xi):
+    """Factor M(z + xi) at 0, then map E and F back by z -> z - xi."""
+    vs = m.variables
+    z = Poly.variable(vs, vs[0])
+    forward = z + Poly.constant(vs, xi)
+    back = z - Poly.constant(vs, xi)
+    exponents, e, f = _smith_at_zero(m.to_func().map(lambda x: _shift(x, forward)))
+    return exponents, e.map(lambda x: _shift(x, back)), f.map(lambda x: _shift(x, back))
+
+
+class TestLocalSmithAtThePoint:
+    """local_smith at xi equals factoring M(z + xi) at 0 and shifting E, F back.
+
+    The reference keeps the earlier change-of-variables algorithm, so the
+    factorization at the point itself must agree with it entry for entry.
+    """
+
+    POINTS = [g(1), g(-1), g(2), g(0, 1), g(1, 1), g(rat(1, 2))]
+
+    def _family(self, rng, xi, rational):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        z = Poly.variable(("z",), "z")
+        local = z - Poly.constant(("z",), xi)
+        dens = [Poly.parse(d, ["z"]) for d in ("1", "z+3", "z^2+5", "2*z-7")]
+        grid = []
+        for _ in range(rows):
+            row = []
+            for _ in range(cols):
+                f = RationalFunction(rand_poly(rng, rng.randint(0, 2)) * local ** rng.randint(0, 2))
+                if rational and rng.random() < 0.5:
+                    f = f * RationalFunction(Poly.constant(("z",), GR_ONE), rng.choice(dens))
+                row.append(f)
+            grid.append(row)
+        return FuncMatrix(grid)
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_matches_change_of_variables(self, rational):
+        rng = random.Random(71 + rational)
+        jumps = 0
+        for xi in self.POINTS:
+            for _ in range(3):
+                m = self._family(rng, xi, rational)
+                if not rational:
+                    m = PolyMatrix([[f.as_poly() for f in row] for row in m.entries])
+                fact = local_smith(m, xi)
+                exponents, e, f = _smith_by_change_of_variables(m, xi)
+                assert fact.exponents == exponents
+                assert fact.E == e
+                assert fact.F == f
+                jumps += any(fact.exponents)
+        assert jumps >= 3
+
+    def test_pole_at_point_is_rejected(self):
+        m = FuncMatrix(
+            [[RationalFunction(Poly.parse("z", ["z"]), Poly.parse("2*z-1", ["z"]))]]
+        )
+        assert local_smith(m, g(1)).exponents == (0,)
+        with pytest.raises(SmithError, match="local ring"):
+            local_smith(m, g(rat(1, 2)))
 
 
 class TestKernelProjection:
