@@ -729,6 +729,15 @@ def _u_gcd_monic(a: list, b: list) -> list:
     return [c * inv for c in a]
 
 
+def _u_derivative(a: list) -> list:
+    return [a[i] * i for i in range(1, len(a))]
+
+
+def _u_squarefree(a: list) -> list:
+    """a / gcd(a, a') for nonempty a: the squarefree part, with a's leading coefficient."""
+    return _u_divmod(a, _u_gcd_monic(a, _u_derivative(a)))[0]
+
+
 def _u_mul(a: list, b: list) -> list:
     if not a or not b:
         return []

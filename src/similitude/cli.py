@@ -197,7 +197,11 @@ def cmd_local_similarity(args) -> tuple[dict, str, int]:
 def cmd_pointwise(args) -> tuple[dict, str, int]:
     a0 = load_constant_matrix(args.a)
     b0 = load_constant_matrix(args.b)
-    seed = int(os.environ.get("SIMILITUDE_SEED", "0"))
+    raw_seed = os.environ.get("SIMILITUDE_SEED", "0")
+    try:
+        seed = int(raw_seed)
+    except ValueError as exc:
+        raise InputError(f"bad SIMILITUDE_SEED {raw_seed!r}: expected an integer") from exc
     verdict = similarity_mod.pointwise_similar(
         a0, b0, want_witness=args.witness, seed=seed
     )

@@ -39,9 +39,9 @@ from .algebra import (
     PolyMatrix,
     RationalFunction,
     _u_deflate,
-    _u_divmod,
-    _u_gcd_monic,
+    _u_derivative,
     _u_mul,
+    _u_squarefree,
     rat,
 )
 from .similarity import local_similarity, pointwise_similar
@@ -78,9 +78,7 @@ def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]]
     lead_inv = coeffs[-1].inverse()
     work = [c * lead_inv for c in coeffs]
 
-    deriv = [work[i] * i for i in range(1, len(work))]
-    g = _u_gcd_monic(work, deriv)
-    squarefree, _ = _u_divmod(work, g)
+    squarefree = _u_squarefree(work)
 
     numeric = np.roots([c.to_complex() for c in reversed(squarefree)]) if len(squarefree) > 1 else []
     roots: list[tuple[GaussianRational, int]] = []
@@ -350,14 +348,12 @@ def jordan_instability_candidates(a: PolyMatrix) -> InstabilityCandidates:
 
     # (a) branching locus
     char = [RationalFunction(c) for c in reversed(char_poly_coeffs(a))] + [one]
-    deriv = [char[i] * i for i in range(1, len(char))]
-    g = _u_gcd_monic(char, deriv)
-    squarefree, _ = _u_divmod(char, g)
     # the squarefree part of a monic polynomial over Q(i)[z] lies in Q(i)[z][x]
     # (Gauss's lemma), so as_poly cannot raise and the resultant stays in Q(i)[z]
-    squarefree = [c.as_poly() for c in squarefree]
-    sq_deriv = [squarefree[i] * i for i in range(1, len(squarefree))]
-    disc = _resultant(squarefree, sq_deriv, Poly.constant(vs, GR_ONE), Poly.zero(vs))
+    squarefree = [c.as_poly() for c in _u_squarefree(char)]
+    disc = _resultant(
+        squarefree, _u_derivative(squarefree), Poly.constant(vs, GR_ONE), Poly.zero(vs)
+    )
     if disc.total_degree() > 0:
         defining.append(disc)
 

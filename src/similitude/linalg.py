@@ -7,13 +7,13 @@ Callers own copies: every function here copies its input first.
 are all exact, so they need only an exact `/`: they work over the fields
 Q(i) (GaussianRational) and Q(i)(z) (RationalFunction) and over the rings
 Q(i)[z, ...] (Poly), where `/` is exact division.  `nullspace`,
-`projected_nullspace`, `solve`, `invert` and `reduced_basis` need a reduced
-row echelon form and hence a field; `_echelon` computes it touching only the
-nonzero entries of each pivot row, so sparse systems cost what their fill-in
-costs.  `projected_nullspace` reads the projection of the kernel onto the
-last columns straight from that form, without a kernel basis of the whole
-matrix.  There is never roundoff; pivots are topmost-then-leftmost nonzero
-entries, so output is deterministic.
+`projected_nullspace`, `solve`, `left_divide` (`invert` is its b = I case)
+and `reduced_basis` need a reduced row echelon form and hence a field;
+`_echelon` computes it touching only the nonzero entries of each pivot row, so
+sparse systems cost what their fill-in costs.  `projected_nullspace` reads the
+projection of the kernel onto the last columns straight from that form,
+without a kernel basis of the whole matrix.  There is never roundoff; pivots
+are topmost-then-leftmost nonzero entries, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -180,16 +180,18 @@ def det(m: Sequence[Sequence], one, zero):
     return -last if swaps % 2 else last
 
 
+def left_divide(m: Sequence[Sequence], b: Sequence[Sequence]) -> list[list] | None:
+    """m^-1 b, the right block of the reduced echelon form of [m | b]; None if m is singular."""
+    n = len(m)
+    if any(len(row) != n for row in m) or len(b) != n:
+        raise ValueError("left division requires a square matrix and as many rows in b")
+    work = [list(row) + list(rhs) for row, rhs in zip(m, b)]
+    return [row[n:] for row in work] if _echelon(work) == list(range(n)) else None
+
+
 def invert(m: Sequence[Sequence], one, zero) -> list[list] | None:
     """Exact inverse, or None when singular."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("inverse requires a square matrix")
-    work = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(m)]
-    pivots = _echelon(work)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in work]
+    return left_divide(m, identity(len(m), one, zero))
 
 
 def reduced_basis(vectors: Sequence[Sequence]) -> list[list]:

@@ -7,8 +7,8 @@ sampling of the intertwiner kernel.
 
 wasow_check operationalizes the constancy criterion: the kernel dimension of
 the intertwiner representation matrix is constant near a point exactly when
-all its local Smith exponents there vanish, which is decidable for polynomial
-families.
+all its local Smith exponents there vanish.  For polynomial families these are
+the valuations at the point of its invariant factors over Q(i)[z].
 
 local_similarity builds the holomorphic solution H of A H = H B with
 H(point) = Phi by projecting vec(Phi) through the kernel-bundle idempotent.
@@ -32,7 +32,7 @@ from .algebra import (
     Poly,
     PolyMatrix,
 )
-from .smith import SmithError, holomorphic_kernel_section, invariant_factors, local_smith
+from .smith import SmithError, _order_at, holomorphic_kernel_section, invariant_factors
 from .sylvester import ConstMatrix, sylvester_matrix, unvec, vec
 
 WITNESS_RETRIES = 32
@@ -141,17 +141,17 @@ def wasow_check(a: PolyMatrix, b: PolyMatrix, point: GaussianRational) -> WasowR
     pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
     m = sylvester_matrix(a, b)
     n2 = a.rows * a.rows
-    m_at = m.evaluate([pt])
-    dim_at = n2 - linalg.rank(m_at)
-    fact = local_smith(m, pt)
-    dim_generic = n2 - fact.generic_rank
-    constant = all(k == 0 for k in fact.exponents)
+    dim_at = n2 - linalg.rank(m.evaluate([pt]))
+    exponents = tuple(_order_at(s, pt)[0] for s in invariant_factors(m))
+    # M = U diag(s) V with U, V unimodular, so rank M(pt) counts the s_i(pt) != 0
+    if dim_at != n2 - exponents.count(0):
+        raise AssertionError("rank at the point disagrees with the invariant factors")
     return WasowReport(
         point=pt,
         dim_at_point=dim_at,
-        dim_generic=dim_generic,
-        constant_near_point=constant,
-        smith_exponents=fact.exponents,
+        dim_generic=n2 - len(exponents),
+        constant_near_point=not any(exponents),
+        smith_exponents=exponents,
     )
 
 
@@ -170,6 +170,9 @@ def local_similarity(
         raise SimilarityError("local_similarity requires univariate families")
     pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
     n = a.rows
+    if len(phi) != n or any(len(row) != n for row in phi):
+        shape = f"{len(phi)}x{len(phi[0]) if phi else 0}"
+        raise SimilarityError(f"Phi must be {n}x{n} like the families, got {shape}")
     a_at = a.evaluate([pt])
     b_at = b.evaluate([pt])
     lhs = linalg.mat_mul(a_at, phi, GR_ZERO)

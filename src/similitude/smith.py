@@ -8,15 +8,16 @@ of the gcds of k x k minors, which tests verify independently.  It works at xi
 itself, with no change of variables: an entry's valuation, and its unit part,
 come from repeated synthetic division of its numerator by (z - xi).
 
-kernel_projection turns the factorization into the holomorphic idempotent
-P = F^-1 * diag(0, I) * F whose image agrees with ker M(z) away from xi and is
-contained in it at xi; when all exponents vanish the agreement includes xi and
-holomorphic_kernel_section extends any kernel vector at xi to an exact
-polynomial-family kernel section.
+kernel_projection reads the holomorphic idempotent P = F^-1 * diag(0, I) * F
+from one echelon form of [F | diag(0, I) * F]; its image agrees with ker M(z)
+away from xi and is contained in it at xi; when all exponents vanish the
+agreement includes xi and holomorphic_kernel_section extends any kernel vector
+at xi to an exact polynomial-family kernel section.
 
 invariant_factors is the global Smith form over Q(i)[x] (Euclidean pivoting
-with the divisibility chain enforced); it serves the pointwise similarity test
-and rank-drop loci.
+with the divisibility chain enforced); it serves the pointwise similarity test,
+rank-drop loci and the Wasow test, whose local exponents at xi are the
+(x-xi)-adic valuations of the invariant factors (the Smith form localizes).
 """
 
 from __future__ import annotations
@@ -85,15 +86,15 @@ class KernelProjection:
         return all(k == 0 for k in self.exponents)
 
 
-def _order_at(f: RationalFunction, pt: GaussianRational) -> tuple[int, list] | None:
-    """Vanishing order k of f at pt and the numerator coefficients over (z-pt)^k.
+def _order_at(p: Poly, pt: GaussianRational) -> tuple[int, list] | None:
+    """Vanishing order k of a univariate p at pt and the coefficients of p / (z-pt)^k.
 
-    None for the zero function.  The denominator does not vanish at pt, so
-    repeated synthetic division of the numerator finds the order.
+    None for the zero polynomial.  Found by repeated synthetic division; a
+    rational function in the local ring at pt has its numerator's order.
     """
-    if not f:
+    if not p:
         return None
-    coeffs = f.numerator.coefficients()
+    coeffs = p.coefficients()
     k = 0
     while True:
         quotient, remainder = _u_deflate(coeffs, pt)
@@ -129,7 +130,7 @@ def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
     for k in range(min(n, cols)):
         best = None
         for i, j in product(range(k, n), range(k, cols)):
-            order = _order_at(work[i][j], pt)
+            order = _order_at(work[i][j].numerator, pt)
             if order is not None and (best is None or order[0] < best[0][0]):
                 best = (order, i, j)
                 if order[0] == 0:
@@ -185,19 +186,12 @@ def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
 def kernel_projection(m: PolyMatrix, point: GaussianRational) -> KernelProjection:
     """The idempotent P = F^-1 diag(0_r, I_{m-r}) F from the local factorization."""
     fact = local_smith(m, point)
-    cols = m.cols
-    r = fact.generic_rank
-    vs = m.variables
-    one = RationalFunction.constant(vs, GR_ONE)
-    zero = RationalFunction.constant(vs, GR_ZERO)
-    inv = linalg.invert([list(row) for row in fact.F.entries], one, zero)
-    if inv is None:
+    f = fact.F.entries
+    zero_row = [RationalFunction.constant(m.variables, GR_ZERO)] * m.cols
+    p = linalg.left_divide(f, [zero_row] * fact.generic_rank + list(f[fact.generic_rank:]))
+    if p is None:
         raise AssertionError("Smith factor F must be invertible over the function field")
-    selector = FuncMatrix(
-        [[one if (i == j and i >= r) else zero for j in range(cols)] for i in range(cols)]
-    )
-    p = FuncMatrix(inv) * selector * fact.F
-    return KernelProjection(point=fact.point, P=p, exponents=fact.exponents)
+    return KernelProjection(point=fact.point, P=FuncMatrix(p), exponents=fact.exponents)
 
 
 def holomorphic_kernel_section(
@@ -242,8 +236,8 @@ def invariant_factors(m: PolyMatrix) -> list[Poly]:
     fold non-divisible submatrix entries into the pivot row until the
     divisibility chain holds.
     """
-    if len(m.variables) != 1:
-        raise SmithError("invariant_factors requires a univariate matrix")
+    if len(m.variables) != 1 or isinstance(m, FuncMatrix):
+        raise SmithError("invariant_factors requires a univariate polynomial matrix")
     work = [list(row) for row in m.entries]
     n, cols = m.rows, m.cols
     factors: list[Poly] = []

@@ -147,6 +147,25 @@ class TestExitCodes:
         assert (code, report) == (2, None)
         assert "square" in err and "1x2" in err
 
+    @pytest.mark.parametrize(
+        "grid,shape", [([["1"]], "1x1"), ([["1", "0", "0"], ["0", "1", "0"]], "2x3")]
+    )
+    def test_phi_of_the_wrong_shape_is_two(self, tmp_path, capsys, grid, shape):
+        a = write(tmp_path, "a.json", PAIR_A)
+        phi = write(tmp_path, "phi.json", {"variables": [], "matrix": grid})
+        code, report, err = invoke(
+            capsys, ["local-similarity", "--a", a, "--b", a, "--point", "0", "--phi", phi]
+        )
+        assert (code, report) == (2, None)
+        assert err.startswith("similitude: Phi must be 2x2") and shape in err
+
+    def test_non_integer_seed_is_two(self, tmp_path, capsys, monkeypatch):
+        a = write(tmp_path, "a.json", NILP)
+        monkeypatch.setenv("SIMILITUDE_SEED", "x")
+        code, report, err = invoke(capsys, ["pointwise", "--a", a, "--b", a, "--witness"])
+        assert (code, report) == (2, None)
+        assert err.startswith("similitude: bad SIMILITUDE_SEED 'x'")
+
     def test_unknown_subcommand_is_two(self, capsys):
         assert run(["frobnicate"]) == 2
 

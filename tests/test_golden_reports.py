@@ -44,6 +44,9 @@ JUMP_PHI = [["1", "0"], ["0", "0"]]
 # Phi intertwines A(0) = B(0) = 0, but every holomorphic H with A H = H B has
 # H(0) upper triangular, so the kernel projection cannot fix Phi at 0
 UNCERTIFIED_PHI = [["0", "0"], ["1", "0"]]
+# local Smith exponents of mixed sizes at 0: six nonzero invariant factors,
+# four of them units there and two vanishing to order 3
+MIXED = [["z", "1", "0"], ["0", "z^2", "0"], ["0", "0", "0"]]
 FAMILY_3X3 = [["z", "1", "0"], ["0", "z^2", "1"], ["1", "0", "0"]]
 POINTWISE_A = [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "2i"]]
 POINTWISE_B = [["2i", "0", "0"], ["1", "1", "1"], ["0", "0", "1"]]
@@ -76,6 +79,10 @@ CASES = {
     "wasow-jump": (
         ["wasow", "--a", "@a.json", "--b", "@b.json", "--point", "0"],
         {"a.json": _matrix(JUMP_A), "b.json": _matrix(JUMP_B)},
+    ),
+    "wasow-mixed-exponents": (
+        ["wasow", "--a", "@a.json", "--b", "@a.json", "--point", "0"],
+        {"a.json": _matrix(MIXED)},
     ),
     "local-similarity-jump": (
         ["local-similarity", "--a", "@a.json", "--b", "@b.json", "--point", "0", "--phi", "@phi.json"],

@@ -5,13 +5,22 @@ import random
 import pytest
 
 import similitude.linalg as linalg
-from similitude.algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, PolyMatrix
+from similitude.algebra import (
+    GR_ONE,
+    GR_ZERO,
+    GaussianRational,
+    Poly,
+    PolyMatrix,
+    RationalFunction,
+)
 from similitude.similarity import (
     SimilarityError,
     local_similarity,
     pointwise_similar,
     wasow_check,
 )
+from similitude.smith import local_smith
+from similitude.sylvester import sylvester_matrix
 
 g = GaussianRational
 EYE2 = [[GR_ONE, GR_ZERO], [GR_ZERO, GR_ONE]]
@@ -137,6 +146,49 @@ class TestWasowCheck:
             assert report.constant_near_point == (
                 report.dim_at_point == report.dim_generic
             )
+
+    def test_exponents_match_local_smith(self):
+        # wasow_check reads them from the invariant factors, local_smith from a
+        # factorization at the point; on even cases A(pt) is scalar, so the
+        # commutant dimension jumps there
+        rng = random.Random(97)
+        z = Poly.variable(("z",), "z")
+        jumps = 0
+        for case in range(12):
+            pt = g(rng.choice([0, 1, -1]), rng.choice([0, 1]))
+            c = g(rng.randint(-2, 2))
+            a = PolyMatrix(
+                [
+                    [
+                        Poly.constant(("z",), c if i == j or case % 2 else GR_ZERO)
+                        + (z - pt) * g(rng.randint(-2, 2))
+                        + (z - pt) ** 2 * g(rng.randint(-2, 2))
+                        for j in range(2)
+                    ]
+                    for i in range(2)
+                ]
+            )
+            b = a if rng.random() < 0.5 else a.transpose()
+            report = wasow_check(a, b, pt)
+            assert report.smith_exponents == local_smith(sylvester_matrix(a, b), pt).exponents
+            jumps += not report.constant_near_point
+        assert jumps >= 4
+
+    def test_builds_no_rational_function(self, monkeypatch):
+        calls = []
+        original = RationalFunction.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RationalFunction, "__init__", counting)
+        jump = PolyMatrix.from_strings([["0", "z"], ["0", "0"]], ["z"])
+        for a, b, pt in ((EX45, EX45, GR_ZERO), (jump, jump, GR_ZERO), (EX45, EX45, g(1, 1))):
+            wasow_check(a, b, pt)
+        assert not calls
+        local_smith(sylvester_matrix(jump, jump), GR_ZERO)
+        assert calls  # the patch does see the local factorization
 
 
 class TestLocalSimilarity:

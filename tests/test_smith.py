@@ -17,6 +17,7 @@ from similitude.algebra import (
 )
 from similitude.smith import (
     SmithError,
+    _order_at,
     holomorphic_kernel_section,
     invariant_factors,
     kernel_projection,
@@ -345,6 +346,37 @@ def rand_pencil(rng, n):
     a0 = linalg.mat_mul(linalg.mat_mul(p, t, GR_ZERO), p_inv, GR_ZERO)
     x = Poly.variable(("x",), "x")
     return PolyMatrix([[x * int(r == c) - a0[r][c] for c in range(n)] for r in range(n)])
+
+
+class TestExponentsFromInvariantFactors:
+    """The local Smith exponents at xi are the (x-xi)-adic valuations of the invariant factors.
+
+    Families U diag(c (x-xi)^k (x-2)^j) V with U, V unimodular have the local
+    exponents sorted(k) at xi, since x-2 is a unit there; the minor-gcd
+    valuations are the independent oracle for their prefix sums.
+    """
+
+    def test_valuations_match_local_smith_and_minor_gcds(self):
+        rng = random.Random(89)
+        x = Poly.variable(("x",), "x")
+        unit = Poly.parse("x-2", ["x"])
+        points = [g(0), g(1), g(-1, 1), g(rat(1, 2))]
+        jumps = 0
+        for case in range(44):
+            xi = points[case % len(points)]
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            grid = [[Poly.zero(("x",)) for _ in range(cols)] for _ in range(rows)]
+            ks = [rng.choice([0, 1, 1, 2, 3]) for _ in range(rng.randint(1, min(rows, cols)))]
+            for i, k in enumerate(ks):
+                c = g(rng.randint(1, 3), rng.randint(-1, 1))
+                grid[i][i] = (x - Poly.constant(("x",), xi)) ** k * unit ** rng.randint(0, 1) * c
+            m = rand_unimodular(rng, rows) * PolyMatrix(grid) * rand_unimodular(rng, cols)
+            valuations = tuple(_order_at(s, xi)[0] for s in invariant_factors(m))
+            assert valuations == tuple(sorted(ks)) == local_smith(m, xi).exponents, m.to_strings()
+            for j in range(1, len(ks) + 1):
+                assert sum(valuations[:j]) == minor_gcd_valuation(m, xi, j)
+            jumps += any(valuations)
+        assert jumps >= 30
 
 
 class TestInvariantFactorsAgainstSympy:
