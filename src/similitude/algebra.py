@@ -629,8 +629,17 @@ def format_polynomial(p: Poly) -> str:
 
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Poly:
-    """Parse the polynomial grammar over a declared variable list."""
+    """Parse the polynomial grammar over a declared variable list.
+
+    Each name must be an identifier other than `i` (the imaginary unit) and
+    appear once, or the grammar could not read it back.
+    """
     vs = tuple(variables)
+    for name in vs:
+        if not name.isidentifier() or name == "i":
+            raise AlgebraError(f"variable {name!r} must be an identifier other than 'i'")
+    if len(set(vs)) != len(vs):
+        raise AlgebraError(f"variables {list(vs)} repeat a name")
     sc = _Scanner(text)
     result = Poly.zero(vs)
     first = True
@@ -656,22 +665,18 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Poly:
         first = False
         coeff = _scan_coefficient(sc, sign)
         expo = [0] * len(vs)
-        saw_factor = False
         if coeff is None:
             coeff = GaussianRational(sign, 0)
             name = sc.take_name()
             if name is None:
                 raise AlgebraError(f"expected coefficient or variable at {sc.pos} in {text!r}")
             _apply_factor(sc, name, expo, vs, text)
-            saw_factor = True
         while sc.peek() == "*":
             sc.take()
             name = sc.take_name()
             if name is None:
                 raise AlgebraError(f"expected variable after '*' at {sc.pos} in {text!r}")
             _apply_factor(sc, name, expo, vs, text)
-            saw_factor = True
-        del saw_factor
         result = result + Poly.monomial(vs, expo, coeff)
     return result
 

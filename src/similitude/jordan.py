@@ -24,6 +24,7 @@ exactly verified eigenvalue functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -205,6 +206,7 @@ def segre_at(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> JordanProfile:
     """Jordan profile of A(point) (or of a constant matrix when point is None)."""
+    _check_settings(tolerance)
     if isinstance(a, PolyMatrix):
         if point is None:
             raise JordanError("a family needs an evaluation point")
@@ -426,9 +428,18 @@ def stability_report(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> StabilityReport:
     """Verdicts for several query points against one shared candidate locus."""
+    _check_settings(tolerance, probes)
     cands = jordan_instability_candidates(a)
     verdicts = tuple(_stability_verdict(a, p, cands, probes, tolerance) for p in points)
     return StabilityReport(candidate_points=cands.points, verdicts=verdicts)
+
+
+def _check_settings(tolerance: float, probes: int = 1) -> None:
+    """Reject a tolerance that is not finite and positive, or fewer than one probe."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise JordanError(f"tolerance must be finite and greater than 0, got {tolerance}")
+    if probes < 1:
+        raise JordanError(f"probes must be at least 1, got {probes}")
 
 
 def _probe_offsets(count: int) -> list[GaussianRational]:
@@ -454,6 +465,7 @@ def is_jordan_stable(
     nearby offsets; a difference refutes stability, agreement leaves the point
     undetermined (a finite probe cannot quantify over a neighborhood).
     """
+    _check_settings(tolerance, probes)
     return _stability_verdict(a, point, jordan_instability_candidates(a), probes, tolerance)
 
 
@@ -479,7 +491,7 @@ def _stability_verdict(
     except JordanError:
         base = segre_at(a, pt, mode="numeric", tolerance=tolerance)
     probe_pts = []
-    for delta in _probe_offsets(max(1, probes)):
+    for delta in _probe_offsets(probes):
         candidate = pt + delta
         shrink = 0
         while cands.contains(candidate) and shrink < 8:

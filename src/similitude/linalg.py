@@ -8,56 +8,71 @@ are all exact, so they need only an exact `/`: they work over the fields
 Q(i) (GaussianRational) and Q(i)(z) (RationalFunction) and over the rings
 Q(i)[z, ...] (Poly), where `/` is exact division.  `nullspace`,
 `projected_nullspace`, `solve`, `left_divide` (`invert` is its b = I case)
-and `reduced_basis` need a reduced row echelon form and hence a field;
-`_echelon` computes it touching only the nonzero entries of each pivot row, so
-sparse systems cost what their fill-in costs.  `projected_nullspace` reads the
-projection of the kernel onto the last columns straight from that form,
-without a kernel basis of the whole matrix.  There is never roundoff; pivots
-are topmost-then-leftmost nonzero entries, so output is deterministic.
+and `reduced_basis` need a field: they read their answers from `_rref`, the
+reduced row echelon form of sparse {column: entry} rows, which touches only
+stored nonzeros.  Dense inputs become sparse rows on entry; callers of
+`projected_nullspace` pass sparse rows.  There is never roundoff, and a
+matrix has exactly one reduced row echelon form, so output is deterministic.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 def _copy(m: Sequence[Sequence]) -> list[list]:
     return [list(row) for row in m]
 
 
-def _echelon(work: list[list]) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot column list.
+def _sparse(m: Sequence[Sequence]) -> list[dict]:
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
 
-    Only the pivot row's nonzero columns are divided and subtracted: a
-    skipped update would be 0 / p or x - f * 0.
+
+def _subtract(row: dict, f, other: Mapping) -> None:
+    """row -= f * other in place, deleting the entries that cancel."""
+    for j, x in other.items():
+        y = row.get(j)
+        y = -(f * x) if y is None else y - f * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+
+
+def _rref(rows: Iterable[Mapping]) -> list[tuple[int, dict]]:
+    """Reduced row echelon form of sparse rows, as (pivot column, row) pairs by pivot.
+
+    Rows are taken one at a time.  Each is reduced by the pivot rows found so
+    far; one pass suffices, because every pivot row is zero in the other
+    pivot columns.  What is left is scaled to a leading one and subtracted
+    from the earlier rows that are nonzero in its pivot column.  Stored rows
+    hold nonzero entries only; zero values in the input are dropped.
     """
-    rows = len(work)
-    cols = len(work[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if work[i][c]), None)
-        if pivot_row is None:
+    pivots: dict[int, dict] = {}
+    for given in rows:
+        row = {j: x for j, x in given.items() if x}
+        for c in [c for c in row if c in pivots]:
+            _subtract(row, row[c], pivots[c])
+        if not row:
             continue
-        if pivot_row != r:
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-        row_r = work[r]
-        inv = row_r[c]
-        nz = [j for j in range(c, cols) if row_r[j]]
-        for j in nz:
-            row_r[j] = row_r[j] / inv
-        for i in range(rows):
-            row_i = work[i]
-            f = row_i[c]
-            if f and i != r:
-                for j in nz:
-                    row_i[j] = row_i[j] - f * row_r[j]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
+        p = min(row)
+        inv = row[p]
+        row = {j: x / inv for j, x in row.items()}
+        for other in pivots.values():
+            f = other.get(p)
+            if f is not None:
+                _subtract(other, f, row)
+        pivots[p] = row
+    return sorted(pivots.items())
+
+
+def _dense(form: list[tuple[int, dict]], start: int, stop: int) -> list[list]:
+    """Columns start..stop-1 of a reduced form's rows; the zero is a leading one minus itself."""
+    if not form:
+        return []
+    pc, row = form[0]
+    zero = row[pc] - row[pc]
+    return [[row.get(j, zero) for j in range(start, stop)] for _, row in form]
 
 
 def _bareiss(work: list[list]) -> tuple[int, object, int]:
@@ -100,19 +115,18 @@ def rank(m: Sequence[Sequence]) -> int:
     return _bareiss(_copy(m))[0]
 
 
-def _kernel(rref: Sequence[Sequence], pivots: Sequence[int], cols: int, one, zero) -> list[list]:
+def _kernel(form: list[tuple[int, dict]], cols: int, one, zero) -> list[list]:
     """Kernel basis read from a reduced row echelon form, one vector per free column."""
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(cols):
-        if fc in pivot_set:
-            continue
-        vec = [zero] * cols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        basis.append(vec)
-    return basis
+    free = {c: [zero] * cols for c in range(cols)}
+    for pc, _ in form:
+        del free[pc]
+    for c, vec in free.items():
+        vec[c] = one
+    for pc, row in form:
+        for j, x in row.items():
+            if j != pc:
+                free[j][pc] = -x
+    return list(free.values())
 
 
 def nullspace(m: Sequence[Sequence], one, zero) -> list[list]:
@@ -121,49 +135,42 @@ def nullspace(m: Sequence[Sequence], one, zero) -> list[list]:
     Each basis vector has `one` in its free coordinate, in increasing column
     order, so the result is deterministic.
     """
-    work = _copy(m)
-    cols = len(work[0]) if work else 0
-    return _kernel(work, _echelon(work), cols, one, zero)
+    cols = len(m[0]) if m else 0
+    return _kernel(_rref(_sparse(m)), cols, one, zero)
 
 
-def projected_nullspace(m: Sequence[Sequence], k: int, one, zero) -> tuple[int, list[list]]:
-    """(rank of m, `reduced_basis` of its kernel projected onto the last k columns).
+def projected_nullspace(rows: Iterable[Mapping], cols: int, k: int, one, zero) -> tuple[int, list]:
+    """(rank, `reduced_basis` of the kernel projected onto the last k columns).
 
-    In the reduced row echelon form, a row whose pivot lies before the last k
-    columns can be solved for its pivot whatever the other coordinates are.
-    So the projection is the kernel of the rows that pivot in the last k
-    columns; those rows are zero on every earlier column and already reduced.
-    No kernel vector of m itself is built.  An empty m constrains nothing.
+    `rows` are the sparse rows of a matrix with `cols` columns (a column may
+    appear in no row).  In the reduced row echelon form, a row whose pivot
+    lies before the last k columns can be solved for its pivot whatever the
+    other coordinates are.  So the projection is the kernel of the rows that
+    pivot in the last k columns; those rows are zero on every earlier column
+    and already reduced.  No kernel vector of the whole matrix is built, and
+    an empty row list constrains nothing.
     """
-    work = _copy(m)
-    cols = len(work[0]) if work else k
     if not 0 <= k <= cols:
         raise ValueError("k must lie between 0 and the number of columns")
     start = cols - k
-    pivots = _echelon(work)
-    first = bisect_left(pivots, start)
-    block = [row[start:] for row in work[first:len(pivots)]]
-    kernel = _kernel(block, [pc - start for pc in pivots[first:]], k, one, zero)
-    return len(pivots), reduced_basis(kernel)
+    form = _rref(rows)
+    block = [(pc - start, {j - start: x for j, x in r.items()}) for pc, r in form if pc >= start]
+    return len(form), reduced_basis(_kernel(block, k, one, zero))
 
 
 def solve(m: Sequence[Sequence], rhs: Sequence, zero) -> list | None:
     """One solution of m x = rhs, or None if inconsistent.
 
-    Free coordinates are set to zero.
+    Free coordinates are set to zero.  The system is inconsistent exactly
+    when the reduced form of [m | rhs] has a pivot in the last column.
     """
-    work = [list(row) + [b] for row, b in zip(m, rhs)]
     cols = len(m[0]) if m else 0
-    pivots = _echelon(work)
-    if pivots and pivots[-1] == cols:
+    form = _rref(_sparse([list(row) + [b] for row, b in zip(m, rhs)]))
+    if form and form[-1][0] == cols:
         return None
-    # rows below the last pivot must have zero RHS
-    for r in range(len(pivots), len(work)):
-        if work[r][cols]:
-            return None
     x = [zero] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = work[r][cols]
+    for pc, row in form:
+        x[pc] = row.get(cols, zero)
     return x
 
 
@@ -185,8 +192,10 @@ def left_divide(m: Sequence[Sequence], b: Sequence[Sequence]) -> list[list] | No
     n = len(m)
     if any(len(row) != n for row in m) or len(b) != n:
         raise ValueError("left division requires a square matrix and as many rows in b")
-    work = [list(row) + list(rhs) for row, rhs in zip(m, b)]
-    return [row[n:] for row in work] if _echelon(work) == list(range(n)) else None
+    form = _rref(_sparse([list(row) + list(rhs) for row, rhs in zip(m, b)]))
+    if [pc for pc, _ in form] != list(range(n)):
+        return None
+    return _dense(form, n, n + (len(b[0]) if b else 0))
 
 
 def invert(m: Sequence[Sequence], one, zero) -> list[list] | None:
@@ -196,11 +205,7 @@ def invert(m: Sequence[Sequence], one, zero) -> list[list] | None:
 
 def reduced_basis(vectors: Sequence[Sequence]) -> list[list]:
     """Canonical basis of the span of the given vectors (nonzero RREF rows)."""
-    if not vectors:
-        return []
-    work = _copy(vectors)
-    _echelon(work)
-    return [row for row in work if any(row)]
+    return _dense(_rref(_sparse(vectors)), 0, len(vectors[0]) if vectors else 0)
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero) -> list[list]:

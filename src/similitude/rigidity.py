@@ -15,12 +15,13 @@ jet_rigidity decides what truncated power-series solutions of a matrix
 relation can look like at the origin.  The unknown n x n jet H is assembled
 into an exact linear system on its Taylor coefficients; restriction to a
 variety (full plane, the cusp z^p = w^q via z -> t^q, w -> t^p, or a union of
-lines w = t_j z) is a re-keying of monomials.  The H(0) unknowns are numbered
-last, so one reduced echelon form of the system yields both the jet nullity
-and, from its last block, the admissible values of H(0), without a kernel
-basis of the whole jet.  Every retained equation up to the truncation order is
-a complete constraint on a true holomorphic solution, so a trivial projected
-solution space is a proof that H(0) is forced.
+lines w = t_j z) is a re-keying of monomials.  Each equation is a sparse row
+({column: coefficient}) and goes to linalg's sparse reduced echelon form as
+it is.  The H(0) unknowns are numbered last, so that one form yields both the
+jet nullity and, from its last block, the admissible values of H(0), without
+a kernel basis of the whole jet.  Every retained equation up to the
+truncation order is a complete constraint on a true holomorphic solution, so
+a trivial projected solution space is a proof that H(0) is forced.
 
 index_sets enumerates the exponent-collision sets of the cusp comparison
 argument, winding_number certifies discrete curve indices, and
@@ -398,21 +399,9 @@ def jet_rigidity(
                     contribute(entry_rc, s, c, b.entries[r][s], -1)
 
     width = len(col_index)
-    matrix = []
-    for key in sorted(rows):
-        data = rows[key]
-        if not data:
-            continue
-        row = [GR_ZERO] * width
-        filled = False
-        for col, coeff in data.items():
-            if coeff:
-                row[col] = coeff
-                filled = True
-        if filled:
-            matrix.append(row)
-
-    rank, basis = linalg.projected_nullspace(matrix, n * n, GR_ONE, GR_ZERO)
+    rank, basis = linalg.projected_nullspace(
+        [rows[key] for key in sorted(rows)], width, n * n, GR_ONE, GR_ZERO
+    )
     return JetRigidityResult(
         relation=relation,
         variety=variety,

@@ -279,3 +279,10 @@ class TestGrammar:
         with pytest.raises(AlgebraError):
             parse_polynomial("z+1/0", ["z"])
         assert parse_gaussian_rational("0/5") == GR_ZERO
+
+    @pytest.mark.parametrize("variables", [["i"], ["2"], ["z", "z"], [""], ["z", "w-1"]])
+    def test_unreadable_variable_names_are_grammar_errors(self, variables):
+        with pytest.raises(AlgebraError, match="variable"):
+            Poly.parse("1", variables)
+        with pytest.raises(AlgebraError, match="variable"):
+            PolyMatrix.from_strings([["i*i"]], variables)

@@ -82,6 +82,12 @@ class TestExitCodes:
         code, _, err = invoke(capsys, ["smith", "--matrix", bad, "--point", "0"])
         assert code == 2 and err
 
+    def test_imaginary_unit_as_variable_is_two(self, tmp_path, capsys):
+        bad = write(tmp_path, "bad.json", {"variables": ["i"], "matrix": [["i"]]})
+        code, report, err = invoke(capsys, ["smith", "--matrix", bad, "--point", "0"])
+        assert (code, report) == (2, None)
+        assert "'i'" in err
+
     def test_bad_variety_is_two(self, capsys):
         code, report, err = invoke(
             capsys, ["rigidity", "--ell", "0", "--relation", "AHeqHB", "--variety", "cusp:a,b"]
@@ -176,6 +182,25 @@ class TestExitCodes:
         )
         assert code == 1
         assert report["verdict"] == "unstable"
+
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("--tolerance", "nan"),
+            ("--tolerance", "inf"),
+            ("--tolerance", "0"),
+            ("--tolerance", "-1"),
+            ("--probes", "0"),
+            ("--probes", "-3"),
+        ],
+    )
+    def test_jordan_check_nonsense_settings_are_two(self, tmp_path, capsys, option, value):
+        a = write(tmp_path, "a.json", {"variables": ["z"], "matrix": [["0", "1"], ["z", "0"]]})
+        code, report, err = invoke(
+            capsys, ["jordan", "check", "--matrix", a, "--point", "0", f"{option}={value}"]
+        )
+        assert (code, report) == (2, None)
+        assert err.startswith("similitude: ") and option[2:] in err
 
     def test_jordan_check_stable_is_zero(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", EX45)

@@ -254,6 +254,21 @@ class TestStabilityVerdicts:
         assert [v.verdict for v in rep.verdicts] == [v.verdict for v in singly]
         assert [v.candidates for v in rep.verdicts] == [v.candidates for v in singly]
 
+    @pytest.mark.parametrize(
+        "probes,tolerance",
+        [(4, float("nan")), (4, float("inf")), (4, 0.0), (4, -1.0), (0, 1e-9), (-3, 1e-9)],
+    )
+    def test_nonsense_settings_raise(self, probes, tolerance):
+        from similitude.jordan import stability_report
+
+        with pytest.raises(JordanError):
+            is_jordan_stable(EX45, GR_ZERO, probes=probes, tolerance=tolerance)
+        with pytest.raises(JordanError):
+            stability_report(EX45, [GR_ZERO], probes=probes, tolerance=tolerance)
+        if probes > 0:
+            with pytest.raises(JordanError, match="tolerance"):
+                segre_at(EX45, GR_ZERO, mode="numeric", tolerance=tolerance)
+
 
 class TestStableNormalization:
     def test_model_family_accepts_identity_like_output(self):

@@ -239,6 +239,59 @@ class TestSparseReducedForms:
             else:
                 assert qqi_rows(inverse) == oracle.inv().to_list()
 
+    def test_row_order_does_not_matter(self):
+        # a matrix has one reduced row echelon form, whatever order its rows come in
+        for rng, m in self.instances(505):
+            order = list(range(len(m)))
+            rng.shuffle(order)
+            shuffled = [m[i] for i in order]
+            rhs = [rand_scalar(rng, 0.5) for _ in m]
+            assert linalg.reduced_basis(shuffled) == linalg.reduced_basis(m)
+            assert linalg.nullspace(shuffled, GR_ONE, GR_ZERO) == linalg.nullspace(m, GR_ONE, GR_ZERO)
+            assert linalg.solve(shuffled, [rhs[i] for i in order], GR_ZERO) == linalg.solve(m, rhs, GR_ZERO)
+
+    def test_rows_that_cancel_exactly(self):
+        z = GR_ZERO
+        # the second row reduces to (0, 0, 1): column 1 cancels and must not become a pivot
+        m = [[GR_ONE, GR_ONE, z], [GR_ONE, GR_ONE, GR_ONE], [g(2), g(2), GR_ONE]]
+        assert linalg.reduced_basis(m) == [[GR_ONE, GR_ONE, z], [z, z, GR_ONE]]
+        assert linalg.nullspace(m, GR_ONE, z) == [[-GR_ONE, GR_ONE, z]]
+        assert linalg.solve(m, [GR_ONE, g(3), g(4)], z) == [GR_ONE, z, g(2)]
+        assert linalg.solve(m, [GR_ONE, g(3), g(5)], z) is None
+
+    def test_rational_function_rows_that_cancel(self):
+        rng = random.Random(506)
+        one = RationalFunction.constant(Z, GR_ONE)
+        zero = RationalFunction.constant(Z, GR_ZERO)
+
+        def entry(rng):
+            return RationalFunction(rand_poly(rng, 1), rand_poly(rng, 1, 0.0) or one.numerator)
+
+        for _ in range(15):
+            cols = rng.randint(2, 4)
+            a, b = [entry(rng) for _ in range(cols)], [entry(rng) for _ in range(cols)]
+            f, h = entry(rng), entry(rng)
+            # the third row is f a + h b, so its reduction cancels to nothing
+            m = [a, b, [f * x + h * y for x, y in zip(a, b)]]
+            rank = linalg.rank(m)
+            assert rank <= 2
+            assert len(linalg.reduced_basis(m)) == rank
+            basis = linalg.nullspace(m, one, zero)
+            assert len(basis) == cols - rank
+            assert all(not any(linalg.mat_vec(m, v, zero)) for v in basis)
+            x0 = [entry(rng) for _ in range(cols)]
+            rhs = linalg.mat_vec(m, x0, zero)
+            assert linalg.mat_vec(m, linalg.solve(m, rhs, zero), zero) == rhs
+            square = [[entry(rng) for _ in range(cols)] for _ in range(cols)]
+            inverse = linalg.invert(square, one, zero)
+            if linalg.det(square, one, zero):
+                assert linalg.mat_mul(square, inverse, zero) == linalg.identity(cols, one, zero)
+            else:
+                assert inverse is None
+            if cols >= 3:
+                square[2] = [x + y for x, y in zip(square[0], square[1])]
+                assert linalg.invert(square, one, zero) is None
+
 
 SCALARS = st.sampled_from([GR_ZERO] * 7 + [GR_ONE, g(-2), g(0, 1), g(1, -1) / 3, g(5, 2)])
 
@@ -253,6 +306,13 @@ def matrix_and_k(draw):
     return m, draw(st.integers(0, cols))
 
 
+def projected(m, k, one, zero):
+    """projected_nullspace of a dense matrix; with no rows, the width is k."""
+    cols = len(m[0]) if m else k
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    return linalg.projected_nullspace(rows, cols, k, one, zero)
+
+
 class TestProjectedNullspace:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(matrix_and_k())
@@ -260,25 +320,49 @@ class TestProjectedNullspace:
         m, k = case
         cols = len(m[0]) if m else 0
         full = linalg.nullspace(m, GR_ONE, GR_ZERO)
-        rank, basis = linalg.projected_nullspace(m, k, GR_ONE, GR_ZERO)
+        rank, basis = projected(m, k, GR_ONE, GR_ZERO)
         assert rank == cols - len(full)
         assert basis == linalg.reduced_basis([v[cols - k:] for v in full])
 
+    def test_explicit_zero_entries_are_ignored(self):
+        rng = random.Random(507)
+        for _ in range(100):
+            cols = rng.randint(1, 8)
+            m = sparse_qi(rng, rng.randint(1, 6), cols)
+            k = rng.randint(0, cols)
+            # every entry stored, zeros included, as an assembly that cancels leaves them
+            dense_rows = [dict(enumerate(row)) for row in m]
+            assert linalg.projected_nullspace(dense_rows, cols, k, GR_ONE, GR_ZERO) == projected(
+                m, k, GR_ONE, GR_ZERO
+            )
+
+    def test_column_in_no_row_is_free(self):
+        one, z = GR_ONE, GR_ZERO
+        # x0 + x1 = 0 on three columns: x1 and the unused x2 are both free
+        assert linalg.projected_nullspace([{0: one, 1: one}], 3, 2, one, z) == (
+            1,
+            linalg.identity(2, one, z),
+        )
+        assert linalg.projected_nullspace([{0: one, 1: one}], 3, 3, one, z) == (
+            1,
+            [[one, -one, z], [z, z, one]],
+        )
+
     def test_edge_cases(self):
         z, one = GR_ZERO, GR_ONE
-        assert linalg.projected_nullspace([], 0, one, z) == (0, [])
+        assert projected([], 0, one, z) == (0, [])
         # no equations: every value of the projected coordinates is admissible
-        assert linalg.projected_nullspace([], 2, one, z) == (0, linalg.identity(2, one, z))
-        assert linalg.projected_nullspace([[z, z, z], [z, z, z]], 3, one, z) == (
+        assert projected([], 2, one, z) == (0, linalg.identity(2, one, z))
+        assert projected([[z, z, z], [z, z, z]], 3, one, z) == (
             0,
             linalg.identity(3, one, z),
         )
         m = [[one, z, g(2)], [z, z, z], [z, one, one]]
-        assert linalg.projected_nullspace(m, 0, one, z) == (2, [])
+        assert projected(m, 0, one, z) == (2, [])
         # the kernel is spanned by (-2, -1, 1)
-        assert linalg.projected_nullspace(m, 3, one, z) == (2, [[one, one / 2, -one / 2]])
+        assert projected(m, 3, one, z) == (2, [[one, one / 2, -one / 2]])
         # x0 is solved for whatever x2 is; x1 + x2 = 0 ties x1 to x2
-        assert linalg.projected_nullspace(m, 2, one, z) == (2, [[one, -one]])
-        assert linalg.projected_nullspace(m, 1, one, z) == (2, [[one]])
+        assert projected(m, 2, one, z) == (2, [[one, -one]])
+        assert projected(m, 1, one, z) == (2, [[one]])
         with pytest.raises(ValueError):
-            linalg.projected_nullspace(m, 4, one, z)
+            projected(m, 4, one, z)
