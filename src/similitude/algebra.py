@@ -24,6 +24,9 @@ CLI:
     monomial    := coefficient ("*" VAR ("^" INT)?)* | SIGN? VAR ("^" INT)? ("*" VAR ("^" INT)?)*
     polynomial  := monomial (("+"|"-") monomial)*
 
+A variable's exponent in one monomial (the sum over its factors) is at most
+MAX_EXPONENT.
+
 Canonical printing emits variables in declared order and terms in descending
 graded-lexicographic order with no zero terms; under that ordering a constant
 term can only appear last, which keeps the coefficient grammar unambiguous
@@ -51,6 +54,10 @@ def rat(value, denominator=None) -> "_mpq":
 
 _R0 = rat(0)
 _R1 = rat(1)
+
+# largest exponent of one variable in a parsed monomial: a dense coefficient
+# list of a univariate polynomial has degree + 1 entries
+MAX_EXPONENT = 256
 
 
 class AlgebraError(ValueError):
@@ -690,8 +697,12 @@ def _apply_factor(sc: _Scanner, name: str, expo: list, vs: tuple, text: str):
         n = sc.take_int()
         if n is None:
             raise AlgebraError(f"expected integer exponent at {sc.pos} in {text!r}")
-        power = int(n)
-    expo[vs.index(name)] += power
+        # a digit string longer than the cap's is over it (and may be too long for int)
+        power = int(n) if len(n.lstrip("0")) <= len(str(MAX_EXPONENT)) else MAX_EXPONENT + 1
+    idx = vs.index(name)
+    expo[idx] += power
+    if expo[idx] > MAX_EXPONENT:
+        raise AlgebraError(f"exponent of {name} exceeds {MAX_EXPONENT} in {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -788,13 +799,35 @@ def poly_divmod_univariate(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 # Rational functions
 
 
+def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """(num/g, den/g) for g the monic gcd of univariate num != 0 and den."""
+    if den.total_degree():
+        g = poly_gcd_univariate(num, den)
+        if g.total_degree():
+            return poly_divmod_univariate(num, g)[0], poly_divmod_univariate(den, g)[0]
+    return num, den
+
+
+def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """(num, den) scaled so den's graded-lex leading coefficient is 1."""
+    lead = den.terms[max(den.terms, key=_grlex_key)]
+    if lead == GR_ONE:
+        return num, den
+    inv = lead.inverse()
+    return num.map_coefficients(lambda c: c * inv), den.map_coefficients(lambda c: c * inv)
+
+
 class RationalFunction:
     """Quotient of two polynomials over the same variable list.
 
-    Univariate quotients are kept fully reduced (gcd a unit) with a monic
-    denominator, so the representation is canonical there.  Multivariate
-    quotients are normalized only up to the denominator's leading coefficient;
-    equality always falls back to exact cross-multiplication.
+    Univariate quotients are canonical: numerator and denominator are coprime,
+    the denominator is monic, and zero is 0/1.  Arithmetic keeps that form by
+    Henrici's rules (Knuth, TAOCP vol. 2, 4.5.1): a sum takes the gcd of the
+    denominators and then of that gcd with the new numerator, a product
+    cancels each numerator against the other denominator, and an inverse or
+    power needs no gcd at all.  Multivariate quotients are normalized only up
+    to the denominator's leading coefficient; equality always falls back to
+    exact cross-multiplication.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -810,24 +843,16 @@ class RationalFunction:
         if not num:
             den = Poly.constant(num.variables, GR_ONE)
         elif len(num.variables) == 1:
-            g = poly_gcd_univariate(num, den)
-            if g.total_degree() > 0:
-                num, _ = poly_divmod_univariate(num, g)
-                den, _ = poly_divmod_univariate(den, g)
-            lead = den.coefficients()[-1]
-            if lead != GR_ONE:
-                inv = lead.inverse()
-                num = num.map_coefficients(lambda c: c * inv)
-                den = den.map_coefficients(lambda c: c * inv)
-        else:
-            lead_expo = max(den.terms, key=_grlex_key)
-            lead = den.terms[lead_expo]
-            if lead != GR_ONE:
-                inv = lead.inverse()
-                num = num.map_coefficients(lambda c: c * inv)
-                den = den.map_coefficients(lambda c: c * inv)
-        self.numerator = num
-        self.denominator = den
+            num, den = _cancel(num, den)
+        self.numerator, self.denominator = _monic(num, den)
+
+    @classmethod
+    def _raw(cls, num: Poly, den: Poly) -> "RationalFunction":
+        """num/den from a pair already in normal form; zero gets denominator 1."""
+        out = object.__new__(cls)
+        out.numerator = num
+        out.denominator = den if num else Poly.constant(num.variables, GR_ONE)
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -850,14 +875,34 @@ class RationalFunction:
             return RationalFunction.constant(self.variables, other)
         return NotImplemented
 
+    def _add(self, n2: Poly, d2: Poly) -> "RationalFunction":
+        """self + n2/d2, where n2/d2 is in normal form."""
+        n1, d1 = self.numerator, self.denominator
+        if len(n1.variables) != 1:
+            return RationalFunction(n1 * d2 + n2 * d1, d1 * d2)
+        if not d1.total_degree() and not d2.total_degree():
+            return RationalFunction._raw(n1 + n2, d1)
+        if not d1.total_degree() or not d2.total_degree():
+            return RationalFunction._raw(n1 * d2 + n2 * d1, d1 * d2)
+        g = poly_gcd_univariate(d1, d2)
+        if not g.total_degree():
+            return RationalFunction._raw(n1 * d2 + n2 * d1, d1 * d2)
+        d1, _ = poly_divmod_univariate(d1, g)
+        t = n1 * poly_divmod_univariate(d2, g)[0] + n2 * d1
+        if not t:
+            return RationalFunction._raw(t, d2)
+        # t is coprime to d1/g and d2/g, so only g can share a factor with it
+        g2 = poly_gcd_univariate(t, g)
+        if g2.total_degree():
+            t, _ = poly_divmod_univariate(t, g2)
+            d2, _ = poly_divmod_univariate(d2, g2)
+        return RationalFunction._raw(t, d1 * d2)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RationalFunction(
-            self.numerator * o.denominator + o.numerator * self.denominator,
-            self.denominator * o.denominator,
-        )
+        return self._add(o.numerator, o.denominator)
 
     __radd__ = __add__
 
@@ -865,10 +910,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RationalFunction(
-            self.numerator * o.denominator - o.numerator * self.denominator,
-            self.denominator * o.denominator,
-        )
+        return self._add(-o.numerator, o.denominator)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -877,25 +919,27 @@ class RationalFunction:
         return o - self
 
     def __neg__(self):
-        out = object.__new__(RationalFunction)
-        out.numerator = -self.numerator
-        out.denominator = self.denominator
-        return out
+        return RationalFunction._raw(-self.numerator, self.denominator)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RationalFunction(
-            self.numerator * o.numerator, self.denominator * o.denominator
-        )
+        n1, d1, n2, d2 = self.numerator, self.denominator, o.numerator, o.denominator
+        if len(n1.variables) != 1:
+            return RationalFunction(n1 * n2, d1 * d2)
+        if not n1 or not n2:
+            return RationalFunction._raw(n1 * n2, d1)
+        n1, d2 = _cancel(n1, d2)
+        n2, d1 = _cancel(n2, d1)
+        return RationalFunction._raw(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RationalFunction":
         if not self.numerator:
             raise ZeroDivisionError("inverse of zero rational function")
-        return RationalFunction(self.denominator, self.numerator)
+        return RationalFunction._raw(*_monic(self.denominator, self.numerator))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -912,7 +956,8 @@ class RationalFunction:
     def __pow__(self, exponent: int) -> "RationalFunction":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        return RationalFunction(self.numerator**exponent, self.denominator**exponent)
+        # coprime parts stay coprime, and a power of a monic leading term is monic
+        return RationalFunction._raw(self.numerator**exponent, self.denominator**exponent)
 
     # -- predicates -----------------------------------------------------------
 

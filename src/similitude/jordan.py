@@ -51,6 +51,8 @@ from .sylvester import ConstMatrix, commutant_basis_at, sylvester_matrix, unvec
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_PROBES = 4
+# each probe is one more numeric Jordan profile of the family
+MAX_PROBES = 64
 
 
 class JordanError(ValueError):
@@ -435,11 +437,11 @@ def stability_report(
 
 
 def _check_settings(tolerance: float, probes: int = 1) -> None:
-    """Reject a tolerance that is not finite and positive, or fewer than one probe."""
+    """Reject a tolerance that is not finite and positive, or a probe count outside 1..MAX_PROBES."""
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise JordanError(f"tolerance must be finite and greater than 0, got {tolerance}")
-    if probes < 1:
-        raise JordanError(f"probes must be at least 1, got {probes}")
+    if not 1 <= probes <= MAX_PROBES:
+        raise JordanError(f"probes must be between 1 and {MAX_PROBES}, got {probes}")
 
 
 def _probe_offsets(count: int) -> list[GaussianRational]:

@@ -51,6 +51,15 @@ from .algebra import (
 FAMILY_VARS = ("z", "w")
 CONJ_VARS = ("z", "w", "u", "v")
 
+# Input caps, checked before any work.  MAX_ORDER admits the default order
+# (ell+3)(p+q) of every cusp with p <= 30 and ell <= 4 (at most 413).  On a
+# 2-CPU Xeon with the Fraction backend the full plane at order 256 takes about
+# 110 s and verify-paper at ell = 32 about 85 s; the clutching grid costs one
+# exact evaluation per height.
+MAX_ELL = 32
+MAX_ORDER = 512
+MAX_GRID = 4096
+
 
 class RigidityError(ValueError):
     """Raised for invalid varieties, orders and curve data."""
@@ -76,9 +85,13 @@ class CounterexampleFamily:
         return self.S.entries[0][1]
 
 
+def _check_ell(ell: int) -> None:
+    if not 0 <= ell <= MAX_ELL:
+        raise RigidityError(f"ell must be between 0 and {MAX_ELL}, got {ell}")
+
+
 def build_family(ell: int) -> CounterexampleFamily:
-    if ell < 0:
-        raise RigidityError("ell must be nonnegative")
+    _check_ell(ell)
     z = Poly.variable(FAMILY_VARS, "z")
     w = Poly.variable(FAMILY_VARS, "w")
     zero = Poly.zero(FAMILY_VARS)
@@ -97,8 +110,7 @@ def build_family(ell: int) -> CounterexampleFamily:
 
 def verify_division_identity(ell: int) -> bool:
     """c_z z^(3+l) + c_w w^(3+l) = z^(2+l) w^(2+l), exactly, conjugates formal."""
-    if ell < 0:
-        raise RigidityError("ell must be nonnegative")
+    _check_ell(ell)
     z, w, u, v = (Poly.variable(CONJ_VARS, name) for name in CONJ_VARS)
     lhs = u * w ** (2 + ell) * z ** (3 + ell) + v * z ** (2 + ell) * w ** (3 + ell)
     rhs = z ** (2 + ell) * w ** (2 + ell) * (z * u + w * v)
@@ -327,8 +339,8 @@ def jet_rigidity(
     monomial constraint up to the order, eliminates exactly and reads the H(0)
     projection from the last echelon block (`linalg.projected_nullspace`).
     """
-    if order < 1:
-        raise RigidityError("order must be at least 1")
+    if not 1 <= order <= MAX_ORDER:
+        raise RigidityError(f"order must be between 1 and {MAX_ORDER}, got {order}")
     if relation not in RELATIONS:
         raise RigidityError(f"unknown relation {relation!r}")
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
@@ -479,8 +491,7 @@ def index_sets(p: int, q: int, ell: int) -> IndexSets:
     """
     if p < 1 or q < 1:
         raise RigidityError("p and q must be positive")
-    if ell < 0:
-        raise RigidityError("ell must be nonnegative")
+    _check_ell(ell)
     t_a = (ell + 3) * q
     t_b = (ell + 3) * p
     t_c = (ell + 2) * (p + q)
@@ -615,8 +626,8 @@ def clutching_invertibility(epsilon, grid_density: int) -> ClutchingReport:
     eps = rat(epsilon)
     if not (0 < eps < rat(1, 4)):
         raise RigidityError("epsilon must satisfy 0 < epsilon < 1/4")
-    if grid_density < 2:
-        raise RigidityError("grid density must be at least 2")
+    if not 2 <= grid_density <= MAX_GRID:
+        raise RigidityError(f"grid density must be between 2 and {MAX_GRID}, got {grid_density}")
 
     n = grid_density
     min_det = None

@@ -1,8 +1,11 @@
 """Algebra layer: exact scalars, polynomials, rational functions, matrices."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from similitude.algebra import (
     AlgebraError,
@@ -17,13 +20,17 @@ from similitude.algebra import (
     _u_divmod,
     _u_gcd_monic,
     _u_mul,
+    format_gaussian_rational,
     format_polynomial,
     generic_rank,
     parse_gaussian_rational,
     parse_polynomial,
+    poly_gcd_univariate,
 )
 
 g = GaussianRational
+# negative, zero and non-integer parts
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 
 
 def rand_scalar(rng, span=6):
@@ -177,6 +184,103 @@ def rand_rf(rng):
     return RationalFunction(num, z + rng.randint(1, 3))
 
 
+Z = Poly.variable(("z",), "z")
+# roots of the linear factors shared between operands, so that denominators
+# are coprime, equal or share some factors, and numerators cancel some
+HENRICI_ROOTS = [g(0), g(1), g(-2), g(0, 1), g(1, -1), g(1, 2) / 3]
+
+
+def factor_product(rng, count):
+    p = Poly.constant(("z",), rand_scalar(rng, 3) or GR_ONE)
+    for _ in range(count):
+        p = p * (Z - rng.choice(HENRICI_ROOTS))
+    return p
+
+
+def rand_quotient(rng):
+    """A canonical quotient: zero, constant denominator, or products of shared factors."""
+    den = factor_product(rng, rng.randint(0, 3))
+    kind = rng.randrange(8)
+    if kind == 0:
+        return RationalFunction(Poly.zero(("z",)), den)
+    if kind == 1:
+        return RationalFunction(rand_poly(rng, ("z",), 3), den)
+    return RationalFunction(factor_product(rng, rng.randint(0, 3)), den)
+
+
+def same_terms(f, h):
+    """Structural equality of the stored parts (== would cross-multiply)."""
+    return f.numerator.terms == h.numerator.terms and f.denominator.terms == h.denominator.terms
+
+
+def is_canonical(f):
+    n, d = f.numerator, f.denominator
+    one = {(0,): GR_ONE}
+    if not n:
+        return d.terms == one
+    return poly_gcd_univariate(n, d).terms == one and d.coefficients()[-1] == GR_ONE
+
+
+class TestHenriciArithmetic:
+    """Arithmetic on reduced operands equals normalizing the unreduced result."""
+
+    def pairs(self):
+        rf = RationalFunction
+        one = Poly.constant(("z",), 1)
+        d1, d2 = (Z - 1) * (Z + 2), (Z - 1) * (Z - GR_I)
+        fixed = [
+            (rf(one, d1), rf(Z, d2)),  # denominators share the factor z - 1
+            (rf(Z, Z - 1), rf(-one, Z - 1)),  # equal denominators, sum 1
+            (rf(Z - 1, Z + 2), rf(Z + 2, Z - 1)),  # each numerator cancels the other denominator
+            (rf(Z * 3, one), rf(Z * Z - 2, one)),  # constant denominators
+            (rf(Z, d1), rf(Z, d1)),  # difference 0
+            (rf(Z + 2, d2), rf(-(Z + 2), d2)),  # sum 0
+        ]
+        rng = random.Random(29)
+        return fixed + [(rand_quotient(rng), rand_quotient(rng)) for _ in range(120)]
+
+    def test_agrees_with_the_normalizing_constructor(self):
+        rf = RationalFunction
+        for a, b in self.pairs():
+            n1, d1, n2, d2 = a.numerator, a.denominator, b.numerator, b.denominator
+            assert is_canonical(a) and is_canonical(b)
+            expected = [
+                (a + b, rf(n1 * d2 + n2 * d1, d1 * d2)),
+                (a - b, rf(n1 * d2 - n2 * d1, d1 * d2)),
+                (a * b, rf(n1 * n2, d1 * d2)),
+                (-a, rf(-n1, d1)),
+            ]
+            expected += [(a**k, rf(n1**k, d1**k)) for k in range(4)]
+            if b:
+                expected += [
+                    (a / b, rf(n1 * d2, d1 * n2)),
+                    (b.inverse(), rf(d2, n2)),
+                    (b**-2, rf(d2 * d2, n2 * n2)),
+                ]
+            for got, want in expected:
+                assert same_terms(got, want), (a, b, got, want)
+                assert is_canonical(got), (a, b, got)
+
+    def test_zero_has_denominator_one(self):
+        a = RationalFunction(Z, (Z - 1) * (Z + 2))
+        for zero in (a - a, a + (-a), a * 0, 0 * a, RationalFunction(Poly.zero(("z",)), Z)):
+            assert not zero and zero.denominator.terms == {(0,): GR_ONE}
+
+    def test_multivariate_keeps_the_unreduced_quotient(self):
+        vs = ("x", "y")
+        x, y = Poly.variable(vs, "x"), Poly.variable(vs, "y")
+        a, b = RationalFunction(x, x + y), RationalFunction(y * 2, x * 2 + y * 2)
+        got = [str(f) for f in (a + b, a - b, a * b, a / b, b.inverse(), b**2)]
+        assert got == [
+            "(x^2+2*x*y+y^2)/(x^2+2*x*y+y^2)",
+            "(x^2-y^2)/(x^2+2*x*y+y^2)",
+            "(x*y)/(x^2+2*x*y+y^2)",
+            "(x^2+x*y)/(x*y+y^2)",
+            "(x+y)/(y)",
+            "(y^2)/(x^2+2*x*y+y^2)",
+        ]
+
+
 class TestUnivariateToolkit:
     @pytest.mark.parametrize("field", [GaussianRational, RationalFunction])
     def test_divmod_gcd_mul(self, field):
@@ -279,6 +383,23 @@ class TestGrammar:
         with pytest.raises(AlgebraError):
             parse_polynomial("z+1/0", ["z"])
         assert parse_gaussian_rational("0/5") == GR_ZERO
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.builds(GaussianRational, RATIONALS, RATIONALS))
+    @example(g(0, Fraction(-1, 2)))
+    @example(g(Fraction(-3, 2), 0))
+    @example(GR_ZERO)
+    def test_gaussian_rational_round_trip(self, x):
+        assert parse_gaussian_rational(format_gaussian_rational(x)) == x
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_polynomial_round_trip(self, data):
+        vs = ("z", "w", "x")[: data.draw(st.integers(1, 3))]
+        coeffs = st.builds(GaussianRational, RATIONALS, RATIONALS)
+        terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * len(vs)), coeffs, max_size=5))
+        p = Poly(vs, terms)
+        assert parse_polynomial(format_polynomial(p), vs) == p
 
     @pytest.mark.parametrize("variables", [["i"], ["2"], ["z", "z"], [""], ["z", "w-1"]])
     def test_unreadable_variable_names_are_grammar_errors(self, variables):

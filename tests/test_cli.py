@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+import similitude.algebra as algebra
+import similitude.jordan as jordan_mod
+import similitude.rigidity as rigidity_mod
 from similitude.cli import run
 
 EX45 = {"variables": ["z"], "matrix": [["z", "1"], ["0", "0"]]}
@@ -219,6 +222,63 @@ class TestExitCodes:
         code, report, _ = invoke(capsys, ["pointwise", "--a", a, "--b", b, "--witness"])
         assert code == 0
         assert report["result"]["witness"] is not None
+
+
+class TestInputCaps:
+    """Each cap admits its own value and turns the next one into exit 2.
+
+    The caps are shrunk for the test, so no large input is ever run.
+    """
+
+    RIGID = ["rigidity", "--relation", "AHeqHB", "--variety", "full"]
+
+    def check(self, capsys, argv, word):
+        code, report, err = invoke(capsys, argv)
+        assert (code, report) == (2, None)
+        assert err.startswith("similitude: ") and word in err
+
+    def test_order(self, capsys, monkeypatch):
+        monkeypatch.setattr(rigidity_mod, "MAX_ORDER", 4)
+        assert run(self.RIGID + ["--ell", "0", "--order", "4"]) != 2
+        capsys.readouterr()
+        self.check(capsys, self.RIGID + ["--ell", "0", "--order", "5"], "order")
+        # a default order over the cap is refused the same way: (0+3)(5+4) = 27
+        self.check(capsys, ["rigidity", "--ell", "0", "--relation", "AHeqHB",
+                            "--variety", "cusp:5,4"], "order")
+
+    def test_ell(self, capsys, monkeypatch):
+        monkeypatch.setattr(rigidity_mod, "MAX_ELL", 1)
+        assert run(self.RIGID + ["--ell", "1", "--order", "2"]) != 2
+        capsys.readouterr()
+        self.check(capsys, self.RIGID + ["--ell", "2", "--order", "2"], "ell")
+        self.check(capsys, ["verify-paper", "--ell", "2"], "ell")
+
+    def test_grid(self, capsys, monkeypatch):
+        monkeypatch.setattr(rigidity_mod, "MAX_GRID", 4)
+        assert run(["clutching", "--epsilon", "1/8", "--grid", "4"]) != 2
+        capsys.readouterr()
+        self.check(capsys, ["clutching", "--epsilon", "1/8", "--grid", "5"], "grid")
+
+    def test_probes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(jordan_mod, "MAX_PROBES", 2)
+        a = write(tmp_path, "a.json", EX45)
+        argv = ["jordan", "check", "--matrix", a, "--point", "3", "--probes"]
+        assert run(argv + ["2"]) != 2
+        capsys.readouterr()
+        self.check(capsys, argv + ["3"], "probes")
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["z^4", "z^2*z^2", "z^0004", "z^1" + "0" * 5000],
+        ids=["over", "summed", "leading-zeros", "5001-digits"],
+    )
+    def test_exponent(self, tmp_path, capsys, monkeypatch, entry):
+        monkeypatch.setattr(algebra, "MAX_EXPONENT", 3)
+        ok = write(tmp_path, "ok.json", {"variables": ["z"], "matrix": [["z^3", "z*z^0002"]]})
+        assert run(["smith", "--matrix", ok, "--point", "0"]) != 2
+        capsys.readouterr()
+        big = write(tmp_path, "big.json", {"variables": ["z"], "matrix": [[entry, "1"]]})
+        self.check(capsys, ["smith", "--matrix", big, "--point", "0"], "exponent")
 
 
 class TestSubcommands:

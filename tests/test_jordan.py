@@ -1,6 +1,7 @@
 """Jordan profiles, instability candidates, stability verdicts, normalization."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -159,6 +160,48 @@ class TestSegreAt:
                         count * max(0, size - k) for size, count in ev.blocks
                     ) + (n - ev.multiplicity)
                     assert ranks[k] == expect
+
+    def test_block_sizes_match_sympy_jordan_form(self):
+        sympy = pytest.importorskip("sympy")
+
+        pool = [g(0), g(1), g(-2), g(0, 1), g(1, -1), g(1, 2) / 2]
+        rng = random.Random(89)
+        for trial in range(18):
+            n = 2 + trial % 3  # 2x2 to 4x4
+            sizes = []
+            while sum(sizes) < n:
+                sizes.append(rng.randint(1, n - sum(sizes)))
+            # eigenvalues repeat across blocks about half the time
+            lams = [rng.choice(pool[:2] if rng.random() < 0.5 else pool) for _ in sizes]
+            j = block_diag([jordan_block(size, lam) for size, lam in zip(sizes, lams)])
+            p = linalg.identity(n, GR_ONE, GR_ZERO)  # unimodular over the integers
+            for _ in range(2 * n):
+                r, c = rng.sample(range(n), 2)
+                k = rng.choice([-2, -1, 1, 2])
+                p = [[p[i][col] + (k * p[c][col] if i == r else GR_ZERO) for col in range(n)]
+                     for i in range(n)]
+            pinv = linalg.invert(p, GR_ONE, GR_ZERO)
+            a0 = linalg.mat_mul(p, linalg.mat_mul(j, pinv, GR_ZERO), GR_ZERO)
+
+            ours = {}
+            for ev in segre_at(a0).eigenvalues:
+                ours[(ev.value.re, ev.value.im)] = sorted(
+                    size for size, count in ev.blocks for _ in range(count)
+                )
+            oracle = sympy.Matrix(
+                [[sympy.Rational(str(x.re)) + sympy.I * sympy.Rational(str(x.im)) for x in row]
+                 for row in a0]
+            ).jordan_form(calc_transform=False)
+            theirs, i = {}, 0
+            while i < n:
+                start = i
+                while i + 1 < n and oracle[i, i + 1] == 1:
+                    i += 1
+                i += 1
+                lam = oracle[start, start]
+                key = (Fraction(str(sympy.re(lam))), Fraction(str(sympy.im(lam))))
+                theirs.setdefault(key, []).append(i - start)
+            assert ours == {k: sorted(v) for k, v in theirs.items()}, (sizes, lams)
 
     def test_frobenius_cross_check(self):
         for pt in (GR_ZERO, GR_ONE, g(2, 1)):
