@@ -51,6 +51,7 @@ from .rigidity import (
     winding_number,
 )
 from .similarity import (
+    ConstructionError,
     LocalSimilarity,
     SimilarityError,
     WasowReport,

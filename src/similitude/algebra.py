@@ -25,7 +25,7 @@ CLI:
     polynomial  := monomial (("+"|"-") monomial)*
 
 A variable's exponent in one monomial (the sum over its factors) is at most
-MAX_EXPONENT.
+MAX_EXPONENT, and an INT has at most MAX_DIGITS digits.
 
 Canonical printing emits variables in declared order and terms in descending
 graded-lexicographic order with no zero terms; under that ordering a constant
@@ -58,6 +58,9 @@ _R1 = rat(1)
 # largest exponent of one variable in a parsed monomial: a dense coefficient
 # list of a univariate polynomial has degree + 1 entries
 MAX_EXPONENT = 256
+# longest digit string of one integer in the text grammar; Python refuses to
+# convert a string of more than 4300 digits to an int
+MAX_DIGITS = 4096
 
 
 class AlgebraError(ValueError):
@@ -215,11 +218,16 @@ class _Scanner:
         self.skip_ws()
         return self.pos >= len(self.text)
 
-    def take_int(self) -> str | None:
+    def take_int(self, what: str = "number") -> str | None:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # isdecimal, not isdigit: int() refuses digits such as a superscript 2
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
+        if self.pos - start > MAX_DIGITS:
+            raise AlgebraError(
+                f"{what} of {self.pos - start} digits at {start} exceeds {MAX_DIGITS} digits"
+            )
         return self.text[start:self.pos] if self.pos > start else None
 
     def take_rat(self) -> str | None:
@@ -694,11 +702,10 @@ def _apply_factor(sc: _Scanner, name: str, expo: list, vs: tuple, text: str):
     power = 1
     if sc.peek() == "^":
         sc.take()
-        n = sc.take_int()
+        n = sc.take_int("exponent")
         if n is None:
             raise AlgebraError(f"expected integer exponent at {sc.pos} in {text!r}")
-        # a digit string longer than the cap's is over it (and may be too long for int)
-        power = int(n) if len(n.lstrip("0")) <= len(str(MAX_EXPONENT)) else MAX_EXPONENT + 1
+        power = int(n)
     idx = vs.index(name)
     expo[idx] += power
     if expo[idx] > MAX_EXPONENT:
@@ -777,6 +784,17 @@ def _u_deflate(a: list, root) -> tuple[list, object]:
     remainder = q.pop()
     q.reverse()
     return q, remainder
+
+
+def _u_order(a: list, root) -> tuple[int, list]:
+    """Order k of nonempty a at root, and the coefficients of a / (t - root)^k."""
+    k = 0
+    while True:
+        quotient, remainder = _u_deflate(a, root)
+        if remainder:
+            return k, a
+        a = quotient
+        k += 1
 
 
 def poly_gcd_univariate(a: Poly, b: Poly) -> Poly:

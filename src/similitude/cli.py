@@ -51,7 +51,7 @@ def load_matrix_file(path: str) -> PolyMatrix:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past Python's digit limit
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "variables" not in data or "matrix" not in data:
         raise InputError(f"{path}: expected an object with 'variables' and 'matrix'")
@@ -83,7 +83,7 @@ def load_curve_file(path: str) -> list[complex]:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past Python's digit limit
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "samples" not in data:
         raise InputError(f"{path}: expected an object with 'samples'")
@@ -182,10 +182,8 @@ def cmd_local_similarity(args) -> tuple[dict, str, int]:
     phi = load_constant_matrix(args.phi)
     try:
         sim = similarity_mod.local_similarity(a, b, point, phi)
-    except similarity_mod.SimilarityError as exc:
-        if "construction fails" in str(exc):
-            return {"error": str(exc)}, "not-certified", 1
-        raise InputError(str(exc)) from exc
+    except similarity_mod.ConstructionError as exc:
+        return {"error": str(exc)}, "not-certified", 1
     result = {
         "point": str(sim.point),
         "H": sim.H.to_strings(),

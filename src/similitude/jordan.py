@@ -1,10 +1,13 @@
 """Jordan structure of matrix families: profiles, stability loci, normalization.
 
-segre_at recovers the per-eigenvalue Jordan block multisets of A(point) from
+segre_at recovers the per-eigenvalue Jordan block multisets of A(point).
+Exact mode reads them from the elementary divisors: with s_1 | ... | s_n the
+invariant factors of tI - A(point), the blocks of an eigenvalue lambda are its
+nonzero orders in the s_j (Gantmacher, The Theory of Matrices, vol. 1,
+ch. VI), and s_n must split over Q(i).  Numeric mode clusters floating
+eigenvalues within a tolerance, reports cluster radii, and counts blocks from
 the rank sequence of powers: with r_k = rank (A - lambda I)^k and r_0 = n, the
-number of blocks of size k is r_{k-1} - 2 r_k + r_{k+1}.  Exact mode needs the
-characteristic polynomial to split over Q(i); numeric mode clusters floating
-eigenvalues within a tolerance and reports cluster radii.
+number of blocks of size k is r_{k-1} - 2 r_k + r_{k+1}.
 
 jordan_instability_candidates returns a finite superset of the points where a
 univariate family can fail to be Jordan stable: (a) the roots of the
@@ -25,6 +28,7 @@ exactly verified eigenvalue functions.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,10 +46,11 @@ from .algebra import (
     _u_deflate,
     _u_derivative,
     _u_mul,
+    _u_order,
     _u_squarefree,
     rat,
 )
-from .similarity import local_similarity, pointwise_similar
+from .similarity import characteristic_pencil, local_similarity, pointwise_similar
 from .smith import invariant_factors
 from .sylvester import ConstMatrix, commutant_basis_at, sylvester_matrix, unvec
 
@@ -71,9 +76,11 @@ def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]]
     """All roots of a univariate p lying in Q(i), with multiplicities.
 
     Numeric root candidates (of the squarefree part) are snapped to nearby
-    Gaussian rationals of growing denominator and accepted only when they
-    satisfy p exactly; multiplicities come from exact deflation.  Returns the
-    roots and the (monic) cofactor with no Q(i) roots of small height.
+    Gaussian rationals of growing denominator.  A snap is accepted only when
+    it lies within half the distance from its approximation to the nearest
+    other approximation, and when it satisfies p exactly; multiplicities come
+    from exact deflation.  Returns the roots and the (monic) cofactor with no
+    Q(i) roots of small height.
     """
     if len(p.variables) != 1 or not p:
         raise JordanError("root extraction requires a nonzero univariate polynomial")
@@ -85,29 +92,16 @@ def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]]
 
     numeric = np.roots([c.to_complex() for c in reversed(squarefree)]) if len(squarefree) > 1 else []
     roots: list[tuple[GaussianRational, int]] = []
-    seen: set = set()
-    for approx in numeric:
-        cand = None
+    for idx, approx in enumerate(numeric):
+        # every other root lies next to its own approximation, at least
+        # 2 * reach from this one, so a snap within reach cannot be one of them
+        reach = min((abs(approx - x) for j, x in enumerate(numeric) if j != idx), default=math.inf) / 2
         for bound in (1, 10, 100, 10**4, 10**6, 10**9, 10**12):
             c = GaussianRational(_rationalize(approx.real, bound), _rationalize(approx.imag, bound))
-            if c in seen:
-                cand = None
+            if abs(c.to_complex() - approx) < reach and not _u_deflate(work, c)[1]:
+                mult, work = _u_order(work, c)
+                roots.append((c, mult))
                 break
-            if not _u_deflate(work, c)[1]:
-                cand = c
-                break
-        if cand is None:
-            continue
-        seen.add(cand)
-        mult = 0
-        while len(work) > 1:
-            quotient, remainder = _u_deflate(work, cand)
-            if remainder:
-                break
-            work = quotient
-            mult += 1
-        if mult:
-            roots.append((cand, mult))
     roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
     cofactor = Poly.from_coefficients(p.variables, work)
     return roots, cofactor
@@ -139,12 +133,6 @@ def char_poly_coeffs(a: PolyMatrix) -> list[Poly]:
         c = trace.map_coefficients(lambda x: x * GaussianRational(rat(-1, k)))
         coeffs.append(c)
     return coeffs
-
-
-def char_poly_at(a0: ConstMatrix) -> Poly:
-    """det(tI - A0) as a univariate polynomial over Q(i)."""
-    coeffs = [c.constant_value() for c in reversed(char_poly_coeffs(PolyMatrix.from_scalars(a0)))]
-    return Poly.from_coefficients(("t",), coeffs + [GR_ONE])
 
 
 # ---------------------------------------------------------------------------
@@ -225,28 +213,24 @@ def segre_at(
 
 
 def _segre_exact(a0: ConstMatrix, n: int) -> JordanProfile:
-    char = char_poly_at(a0)
-    roots, cofactor = gaussian_rational_roots(char)
-    if sum(m for _, m in roots) != n or cofactor.total_degree() > 0:
+    # the elementary divisors: an eigenvalue's block sizes are its orders in
+    # the invariant factors s_1 | ... | s_n of tI - A0, and s_n has every root
+    factors = invariant_factors(characteristic_pencil(a0))
+    roots, cofactor = gaussian_rational_roots(factors[-1])
+    if cofactor.total_degree() > 0:
         raise JordanError("characteristic polynomial does not split over Q(i)")
     out = []
-    for value, mult in roots:
-        shifted = [
-            [a0[i][j] - (value if i == j else GR_ZERO) for j in range(n)]
-            for i in range(n)
-        ]
-        ranks = [n]
-        power = linalg.identity(n, GR_ONE, GR_ZERO)
-        k = 0
-        while True:
-            k += 1
-            power = linalg.mat_mul(power, shifted, GR_ZERO)
-            ranks.append(linalg.rank(power))
-            if ranks[-1] == ranks[-2] or k > n:
-                break
+    for value, _ in roots:
+        sizes = [k for k in (_u_order(s.coefficients(), value)[0] for s in factors) if k]
         out.append(
-            EigenvalueBlocks(value=value, multiplicity=mult, blocks=_blocks_from_ranks(ranks))
+            EigenvalueBlocks(
+                value=value,
+                multiplicity=sum(sizes),
+                blocks=tuple(sorted(Counter(sizes).items())),
+            )
         )
+    if sum(ev.multiplicity for ev in out) != n:
+        raise AssertionError("multiplicities do not add up to the matrix size")
     return JordanProfile(size=n, eigenvalues=tuple(out), mode="exact")
 
 

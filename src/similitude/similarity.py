@@ -42,6 +42,10 @@ class SimilarityError(ValueError):
     """Raised for shape and precondition violations."""
 
 
+class ConstructionError(SimilarityError):
+    """Raised when local_similarity cannot certify H(point) = Phi."""
+
+
 @dataclass(frozen=True)
 class PointwiseVerdict:
     similar: bool
@@ -183,7 +187,7 @@ def local_similarity(
     try:
         h_vec = holomorphic_kernel_section(sylvester_matrix(a, b), pt, vec(phi))
     except SmithError as exc:
-        raise SimilarityError(
+        raise ConstructionError(
             "construction fails: P(point) vec(Phi) differs from vec(Phi)"
         ) from exc
     return LocalSimilarity(point=pt, H=FuncMatrix(unvec(h_vec, n)), seed=phi)

@@ -35,7 +35,7 @@ from .algebra import (
     Poly,
     PolyMatrix,
     RationalFunction,
-    _u_deflate,
+    _u_order,
     poly_divmod_univariate,
 )
 
@@ -89,19 +89,10 @@ class KernelProjection:
 def _order_at(p: Poly, pt: GaussianRational) -> tuple[int, list] | None:
     """Vanishing order k of a univariate p at pt and the coefficients of p / (z-pt)^k.
 
-    None for the zero polynomial.  Found by repeated synthetic division; a
-    rational function in the local ring at pt has its numerator's order.
+    None for the zero polynomial.  A rational function in the local ring at pt
+    has its numerator's order.
     """
-    if not p:
-        return None
-    coeffs = p.coefficients()
-    k = 0
-    while True:
-        quotient, remainder = _u_deflate(coeffs, pt)
-        if remainder:
-            return k, coeffs
-        coeffs = quotient
-        k += 1
+    return _u_order(p.coefficients(), pt) if p else None
 
 
 def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:

@@ -5,8 +5,9 @@ M = I_n (x) A - B^T (x) I_n, so M vec(Theta) = vec(A Theta - Theta B) holds
 identically in the family parameter.  Kernel dimensions of M at a point and
 over the function field drive the similarity criteria; the nullspace at a
 point gives commutant bases; and path_to_identity realizes the connectivity
-of the invertible commutant by an explicit piecewise path, certified sample
-by sample with exact arithmetic.
+of the invertible commutant by an explicit piecewise path, whose invertibility
+between samples rests on an exact Sturm count and whose samples are checked
+with exact arithmetic.
 """
 
 from __future__ import annotations
@@ -14,15 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import linalg
 from .algebra import (
     AlgebraError,
     GaussianRational,
     GR_ONE,
     GR_ZERO,
+    Poly,
     PolyMatrix,
+    _u_derivative,
+    _u_divmod,
+    _u_gcd_monic,
+    _u_trim,
     generic_rank,
     rat,
 )
@@ -110,21 +114,35 @@ def _commutes(phi: ConstMatrix, theta: ConstMatrix) -> bool:
     )
 
 
-def _norm_bound(theta: ConstMatrix):
-    """Rational upper bound for the operator norm (max absolute row sum)."""
-    best = rat(0)
-    for row in theta:
-        total = rat(0)
-        for x in row:
-            total += abs(x.re) + abs(x.im)
-        if total > best:
-            best = total
-    return best
+def _sign_changes(values: list[GaussianRational]) -> int:
+    signs = [v.re > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _segment_point(start: GaussianRational, end: GaussianRational, frac) -> GaussianRational:
-    t = GaussianRational(frac)
-    return start + (end - start) * t
+def _ray_blocked(theta: ConstMatrix, mu: GaussianRational) -> bool:
+    """Whether det(Theta + s mu I) vanishes at some real s > 0, for invertible Theta.
+
+    The real roots of p(s) = det(Theta + s mu I) are those of
+    g = gcd(Re p, Im p), the real and imaginary parts taken coefficientwise.
+    Sturm's theorem counts the distinct roots of g in (0, inf) as the drop in
+    sign changes along its Sturm chain from s = 0 to s = inf; g(0) != 0
+    because p(0) = det Theta.
+    """
+    vs = ("s",)
+    ray = Poly.monomial(vs, (1,), mu)
+    grid = [
+        [Poly.constant(vs, x) + (ray if i == j else 0) for j, x in enumerate(row)]
+        for i, row in enumerate(theta)
+    ]
+    p = linalg.det(grid, Poly.constant(vs, GR_ONE), Poly.zero(vs)).coefficients()
+    g = _u_gcd_monic(
+        _u_trim([GaussianRational(c.re) for c in p]), _u_trim([GaussianRational(c.im) for c in p])
+    )
+    chain = [g, _u_derivative(g)]
+    while chain[-1]:
+        chain.append([-c for c in _u_divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+    return _sign_changes([c[0] for c in chain]) > _sign_changes([c[-1] for c in chain])
 
 
 def path_to_identity(
@@ -132,13 +150,14 @@ def path_to_identity(
 ) -> list[ConstMatrix]:
     """Sampled path from Theta to I inside the invertible commutant of Phi.
 
-    Three segments over t in [0, 3]: first Theta + lambda(t) I with lambda
-    running 0 -> 1 + rho along a rectangle that dodges the eigenvalues of
-    -Theta (rho is a rational bound for ||Theta||), then (2 - t) Theta +
-    (1 + rho) I, then the scalar ramp down to I.  Eigenvalues are located
-    numerically only to pick the rectangle height; every emitted sample is
-    re-certified exactly (commutes with Phi, determinant nonzero), so the
-    numeric step cannot corrupt the result.
+    Two straight segments over t in [0, 2]: (1 - t) Theta + t mu I, then the
+    scalar (2 - t) mu + (t - 1).  A point of the first segment is singular
+    exactly when -s mu is an eigenvalue of Theta for some s > 0, so mu is the
+    first of 1 + k i (k = 0..n) whose ray _ray_blocked clears; one exists,
+    since each eigenvalue lies on at most one of these n + 1 rays.  The
+    scalar has real part 1, so the second segment is invertible too.  Every
+    sample is a polynomial in Theta and is still re-checked exactly: it
+    commutes with Phi and its determinant is nonzero.
     """
     n = len(theta)
     if steps < 1:
@@ -148,72 +167,27 @@ def path_to_identity(
     if not linalg.det(theta, GR_ONE, GR_ZERO):
         raise SylvesterError("Theta is not invertible")
 
-    rho = _norm_bound(theta)
-    lam_end = GaussianRational(1 + rho)
-
-    eigs = np.linalg.eigvals(
-        np.array([[x.to_complex() for x in row] for row in theta])
-    )
-    bad = [-e for e in eigs]
-
-    for height in (rat(1), rat(1, 2), rat(2), rat(1, 3), rat(3), rat(1, 4), rat(5)):
-        samples = _try_rectangle_path(phi, theta, rho, lam_end, height, bad, steps)
-        if samples is not None:
-            return samples
-    raise SylvesterError("could not certify an eigenvalue-avoiding path")
-
-
-def _try_rectangle_path(phi, theta, rho, lam_end, height, bad_eigs, steps):
-    n = len(theta)
-    beta = GaussianRational(0, height)
-    corners = [GaussianRational(0), beta, lam_end + beta, lam_end]
-
-    # quick numeric screen of the rectangle against the bad eigenvalue set
-    pts = [c.to_complex() for c in corners]
-    for b in bad_eigs:
-        for (p, q) in zip(pts, pts[1:]):
-            if _segment_distance(p, q, b) < 1e-9:
-                return None
-
-    def lam(frac3):
-        # frac3 in [0, 1] along the three rectangle legs, equal thirds
-        if frac3 <= rat(1, 3):
-            return _segment_point(corners[0], corners[1], frac3 * 3)
-        if frac3 <= rat(2, 3):
-            return _segment_point(corners[1], corners[2], (frac3 - rat(1, 3)) * 3)
-        return _segment_point(corners[2], corners[3], (frac3 - rat(2, 3)) * 3)
+    for k in range(n + 1):
+        mu = GaussianRational(1, k)
+        if not _ray_blocked(theta, mu):
+            break
+    else:
+        raise AssertionError("an eigenvalue lies on two rays -s(1 + k i)")
 
     samples = []
     for k in range(steps + 1):
-        t = rat(3) * rat(k, steps)
-        if t <= 1:
-            l = lam(t)
+        t = GaussianRational(rat(2 * k, steps))
+        if 2 * k <= steps:
             g = [
-                [theta[i][j] + (l if i == j else GR_ZERO) for j in range(n)]
-                for i in range(n)
-            ]
-        elif t <= 2:
-            s = GaussianRational(2 - t)
-            g = [
-                [theta[i][j] * s + ((GR_ONE + GaussianRational(rho)) if i == j else GR_ZERO) for j in range(n)]
-                for i in range(n)
+                [x * (GR_ONE - t) + (mu * t if i == j else GR_ZERO) for j, x in enumerate(row)]
+                for i, row in enumerate(theta)
             ]
         else:
-            s = GR_ONE + GaussianRational((rat(3) - t) * rho)
+            s = mu * (2 - t) + (t - 1)
             g = [[s if i == j else GR_ZERO for j in range(n)] for i in range(n)]
         if not linalg.det(g, GR_ONE, GR_ZERO):
-            return None
+            raise AssertionError("path sample is singular")
         if not _commutes(phi, g):
             raise AssertionError("path sample stopped commuting with Phi")
         samples.append(g)
     return samples
-
-
-def _segment_distance(p: complex, q: complex, x: complex) -> float:
-    d = q - p
-    denom = abs(d) ** 2
-    if denom == 0.0:
-        return abs(x - p)
-    t = ((x - p) * d.conjugate()).real / denom
-    t = min(1.0, max(0.0, t))
-    return abs(x - (p + t * d))

@@ -17,9 +17,11 @@ from similitude.algebra import (
     Poly,
     PolyMatrix,
     RationalFunction,
+    _u_deflate,
     _u_divmod,
     _u_gcd_monic,
     _u_mul,
+    _u_order,
     format_gaussian_rational,
     format_polynomial,
     generic_rank,
@@ -313,6 +315,23 @@ class TestUnivariateToolkit:
             assert (shifted, rest) == (t, [])
             assert all(type(c) is field for c in a + b + q + r + g + shifted)
         assert _u_mul([], a) == [] and _u_mul(a, []) == []
+
+    @pytest.mark.parametrize("field", [GaussianRational, RationalFunction])
+    def test_order_at_a_root(self, field):
+        rng = random.Random(23)
+        draw = (lambda: rand_scalar(rng, 3)) if field is GaussianRational else (lambda: rand_rf(rng))
+        for _ in range(6):
+            root = draw()
+            cofactor = [draw() for _ in range(rng.randint(1, 3))]
+            while not cofactor[-1] or not _u_deflate(cofactor, root)[1]:
+                cofactor[-1] = draw()
+            k = rng.randint(0, 3)
+            a = cofactor
+            for _ in range(k):
+                a = _u_mul(a, [-root, root / root])
+            order, rest = _u_order(a, root)
+            assert (order, rest) == (k, cofactor)
+            assert all(type(c) is field for c in rest)
 
 
 class TestExactDivision:

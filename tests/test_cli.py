@@ -1,6 +1,7 @@
 """CLI surface: file formats, report schema, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -205,6 +206,19 @@ class TestExitCodes:
         assert (code, report) == (2, None)
         assert err.startswith("similitude: ") and option[2:] in err
 
+    def test_jordan_check_profile_is_exact_for_eigenvalues_half_apart(self, tmp_path, capsys):
+        # at 0 the eigenvalues are 0 and 1/2, and the coarsest snap of 1/2 is 0
+        a = write(tmp_path, "a.json", {"variables": ["z"],
+                                       "matrix": [["0", "z", "0"], ["0", "0", "0"], ["0", "0", "1/2"]]})
+        code, report, _ = invoke(capsys, ["jordan", "check", "--matrix", a, "--point", "0"])
+        assert (code, report["verdict"]) == (1, "unstable")
+        profile = report["result"]["profile_at_point"]
+        assert profile["mode"] == "exact"
+        assert [(e["value"], e["blocks"]) for e in profile["eigenvalues"]] == [
+            ("0", [[1, 2]]),
+            ("1/2", [[1, 1]]),
+        ]
+
     def test_jordan_check_stable_is_zero(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", EX45)
         code, report, _ = invoke(
@@ -279,6 +293,46 @@ class TestInputCaps:
         capsys.readouterr()
         big = write(tmp_path, "big.json", {"variables": ["z"], "matrix": [[entry, "1"]]})
         self.check(capsys, ["smith", "--matrix", big, "--point", "0"], "exponent")
+
+
+    @pytest.mark.parametrize("where", ["entry", "point"])
+    def test_digits(self, tmp_path, capsys, monkeypatch, where):
+        assert algebra.MAX_DIGITS < sys.int_info.default_max_str_digits
+        monkeypatch.setattr(algebra, "MAX_DIGITS", 3)
+        ok = write(tmp_path, "ok.json", {"variables": ["z"], "matrix": [["999/100*z", "1"]]})
+        assert run(["smith", "--matrix", ok, "--point", "100"]) != 2
+        capsys.readouterr()
+        big = write(tmp_path, "big.json", {"variables": ["z"], "matrix": [["z", "1000"]]})
+        argv = {
+            "entry": ["smith", "--matrix", big, "--point", "0"],
+            "point": ["smith", "--matrix", ok, "--point", "1/1000"],
+        }[where]
+        self.check(capsys, argv, "digits")
+
+    HUGE = "1" + "0" * sys.int_info.default_max_str_digits
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("smith", ('{"variables": ["z"], "matrix": [["z"]], "note": ' + HUGE + "}").encode()),
+            ("winding", ('{"samples": [[' + HUGE + ", 0]]}").encode()),
+            ("smith", b'\xff{"variables": ["z"], "matrix": [["z"]]}'),
+        ],
+        ids=["matrix-integer-past-the-limit", "curve-integer-past-the-limit", "not-utf-8"],
+    )
+    def test_json_the_decoder_refuses(self, tmp_path, capsys, command, payload):
+        path = tmp_path / "in.json"
+        path.write_bytes(payload)
+        flag = "--matrix" if command == "smith" else "--curve"
+        argv = [command, flag, str(path)] + (["--point", "0"] if command == "smith" else [])
+        self.check(capsys, argv, "not valid JSON")
+
+    @pytest.mark.parametrize("entry", ["z^\u00b2", "\u00b2*z"], ids=["exponent", "coefficient"])
+    def test_superscript_digit_is_a_grammar_error(self, tmp_path, capsys, entry):
+        # str.isdigit accepts a superscript 2, which int() refuses
+        bad = write(tmp_path, "bad.json", {"variables": ["z"], "matrix": [[entry]]})
+        code, report, err = invoke(capsys, ["smith", "--matrix", bad, "--point", "0"])
+        assert (code, report) == (2, None) and err.startswith("similitude: ")
 
 
 class TestSubcommands:

@@ -16,7 +16,7 @@ from similitude.algebra import (
 )
 from similitude.jordan import (
     JordanError,
-    char_poly_at,
+    char_poly_coeffs,
     gaussian_rational_roots,
     is_jordan_stable,
     jordan_instability_candidates,
@@ -77,6 +77,13 @@ class TestRootExtraction:
         roots, _ = gaussian_rational_roots(p)
         assert [(str(r), m) for r, m in roots] == [("-1i", 1), ("1i", 1)]
 
+    def test_snap_keeps_to_its_own_root(self):
+        # (t - i)(t - 1/2 - i): the coarsest snap of the root 1/2 + i is i
+        p = Poly.parse("t^2-1/2*t-2i*t-1+1/2i", ["t"])
+        roots, cofactor = gaussian_rational_roots(p)
+        assert [(str(r), m) for r, m in roots] == [("1i", 1), ("1/2+1i", 1)]
+        assert cofactor.total_degree() == 0
+
     def test_irrational_cofactor(self):
         p = Poly.parse("z^2-2", ["z"])
         roots, cofactor = gaussian_rational_roots(p)
@@ -98,11 +105,10 @@ class TestCharPoly:
                 [g(rng.randint(-4, 4), rng.randint(-2, 2)) / rng.randint(1, 3) for _ in range(n)]
                 for _ in range(n)
             ]
-            ours = char_poly_at(a0)
-            assert ours.variables == ("t",) and ours.total_degree() == n
+            ours = char_poly_coeffs(PolyMatrix.from_scalars(a0))
             oracle = sympy.Matrix([[to_sympy(x) for x in row] for row in a0])
             expected = oracle.charpoly(sympy.Symbol("t")).all_coeffs()
-            got = [to_sympy(c) for c in reversed(ours.coefficients())]
+            got = [sympy.Integer(1)] + [to_sympy(c.constant_value()) for c in ours]
             assert len(got) == len(expected)
             assert all(sympy.expand(x - y) == 0 for x, y in zip(got, expected))
 
@@ -125,6 +131,17 @@ class TestSegreAt:
         eye = PolyMatrix.identity(3, ("z",))
         profile = segre_at(eye, g(5))
         assert profile.eigenvalues[0].blocks == ((1, 3),)
+
+    def test_eigenvalues_half_apart(self):
+        # J_2(i) + (1/2 + i): the roots the snap once confused
+        a0 = block_diag([jordan_block(2, g(0, 1)), jordan_block(1, g(Fraction(1, 2), 1))])
+        p = rand_unimodular(random.Random(7), 3)
+        a0 = linalg.mat_mul(linalg.mat_mul(p, a0, GR_ZERO), linalg.invert(p, GR_ONE, GR_ZERO), GR_ZERO)
+        profile = segre_at(a0, mode="exact")
+        assert [(str(ev.value), ev.multiplicity, ev.blocks) for ev in profile.eigenvalues] == [
+            ("1i", 2, ((2, 1),)),
+            ("1/2+1i", 1, ((1, 1),)),
+        ]
 
     def test_exact_mode_requires_splitting(self):
         m = PolyMatrix.from_strings([["0", "2"], ["1", "0"]], ["z"])

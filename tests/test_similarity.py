@@ -14,6 +14,7 @@ from similitude.algebra import (
     RationalFunction,
 )
 from similitude.similarity import (
+    ConstructionError,
     SimilarityError,
     local_similarity,
     pointwise_similar,
@@ -219,8 +220,16 @@ class TestLocalSimilarity:
     def test_phi_must_intertwine(self):
         a = PolyMatrix.from_strings([["0", "1"], ["0", "0"]], ["z"])
         b = PolyMatrix.from_strings([["0", "z"], ["0", "0"]], ["z"])
-        with pytest.raises(SimilarityError, match="intertwine"):
+        with pytest.raises(SimilarityError, match="intertwine") as info:
             local_similarity(a, b, GR_ZERO, EYE2)
+        assert not isinstance(info.value, ConstructionError)
+
+    def test_uncertified_seed_is_a_construction_error(self):
+        # Phi intertwines A(0) = 0 with itself, but no holomorphic H extends it
+        a = PolyMatrix.from_strings([["0", "z"], ["0", "0"]], ["z"])
+        phi = [[GR_ZERO, GR_ZERO], [GR_ONE, GR_ZERO]]
+        with pytest.raises(ConstructionError, match="construction fails"):
+            local_similarity(a, a, GR_ZERO, phi)
 
     def test_random_conjugated_families(self):
         rng = random.Random(79)

@@ -1,13 +1,16 @@
 """Intertwiner representation, commutant bases, connectivity paths."""
 
 import random
+import types
 
 import pytest
 
 import similitude.linalg as linalg
+import similitude.sylvester as sylvester_mod
 from similitude.algebra import GR_ONE, GR_ZERO, FuncMatrix, GaussianRational, Poly, PolyMatrix
 from similitude.sylvester import (
     SylvesterError,
+    _ray_blocked,
     commutant_basis_at,
     generic_intertwiner_dim,
     intertwiner_dim_at,
@@ -193,6 +196,22 @@ class TestPathToIdentity:
             assert sample[1][0] == GR_ZERO
             assert sample[0][0] == sample[1][1]
 
+    def test_first_two_directions_blocked(self):
+        # eigenvalue -2 lies on the ray of mu = 1, and -3(1+i) on that of 1 + i
+        theta = conjugate(diagonal([g(-2), g(-3, -3)]))
+        phi = conjugate(diagonal([g(1), g(2)]))
+        path = self._check(phi, theta)
+        mu = g(1, 2)
+        assert path[8] == [[mu, GR_ZERO], [GR_ZERO, mu]]
+
+    def test_random_commutants(self):
+        rng = random.Random(61)
+        for trial in range(12):
+            n = 2 + trial % 3
+            theta = rand_invertible(rng, n)
+            path = path_to_identity(theta, theta, 6)
+            assert path[0] == theta and path[-1] == linalg.identity(n, GR_ONE, GR_ZERO)
+
     def test_rejects_noncommuting(self):
         phi = [[GR_ZERO, GR_ONE], [GR_ZERO, GR_ZERO]]
         theta = [[g(1), g(0)], [g(1), g(1)]]
@@ -207,3 +226,48 @@ class TestPathToIdentity:
         rng = random.Random(59)
         m = rand_const(rng, 3)
         assert unvec(vec(m), 3) == m
+
+
+P3 = [[g(1), g(2), g(0)], [g(1), g(3), g(1)], [g(0), g(1), g(2)]]
+
+
+def diagonal(values):
+    return [[x if i == j else GR_ZERO for j in range(len(values))] for i, x in enumerate(values)]
+
+
+def conjugate(d):
+    """P d P^-1 with P a unimodular integer matrix of the size of d."""
+    n = len(d)
+    p = [row[:n] for row in P3[:n]]
+    return linalg.mat_mul(linalg.mat_mul(p, d, GR_ZERO), linalg.invert(p, GR_ONE, GR_ZERO), GR_ZERO)
+
+
+class TestRayPredicate:
+    """_ray_blocked(theta, mu) iff -s mu is an eigenvalue of theta for some s > 0."""
+
+    MU = [g(1), g(1, 1), g(1, 2)]
+
+    @pytest.mark.parametrize(
+        "spectrum, blocked",
+        [
+            ([g(-2), g(5)], [True, False, False]),
+            ([g(-3, -3), g(5)], [False, True, False]),
+            ([g(-2), g(-3, -3)], [True, True, False]),
+            # the opposite ray, s < 0, blocks nothing
+            ([g(2), g(3, 3)], [False, False, False]),
+            ([g(-1, -2), g(1, 7), g(4)], [False, False, True]),
+        ],
+    )
+    def test_known_spectra(self, spectrum, blocked):
+        theta = conjugate(diagonal(spectrum))
+        assert [_ray_blocked(theta, mu) for mu in self.MU] == blocked
+
+    def test_repeated_eigenvalue_in_a_jordan_block(self):
+        block = [[g(-2), GR_ONE, GR_ZERO], [GR_ZERO, g(-2), GR_ZERO], [GR_ZERO, GR_ZERO, g(-2)]]
+        theta = conjugate(block)
+        assert [_ray_blocked(theta, mu) for mu in self.MU] == [True, False, False]
+
+
+def test_module_holds_no_numpy():
+    modules = [v for v in vars(sylvester_mod).values() if isinstance(v, types.ModuleType)]
+    assert modules and not any(m.__name__.split(".")[0] == "numpy" for m in modules)
