@@ -4,7 +4,7 @@ Every computation in this package bottoms out here.  The layers are:
 
   GaussianRational   a + b*i with exact rational a, b (the ground field)
   Poly               sparse multivariate polynomial: exponent tuple -> coefficient
-  RationalFunction   quotient of two Poly over the same variable list
+  RationalFunction   quotient of two Poly in one shared variable
   PolyMatrix         dense rectangular matrix, generic over its entries
   FuncMatrix         PolyMatrix whose entry ring is RationalFunction
 
@@ -35,6 +35,7 @@ under greedy parsing.
 
 from __future__ import annotations
 
+import sys
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -184,14 +185,23 @@ GR_I = GaussianRational(0, 1)
 
 
 def format_gaussian_rational(value: GaussianRational) -> str:
-    """Canonical string: '0', '3/2', '1i', '-2i', '3/2+1/2i', '1-2i'."""
+    """Canonical string: '0', '3/2', '1i', '-2i', '3/2+1/2i', '1-2i'.
+
+    AlgebraError for an integer past Python's limit on converting int to text.
+    """
     re, im = value.re, value.im
-    if im == 0:
-        return str(re)
-    if re == 0:
-        return str(im) + "i"
-    sign = "+" if im > 0 else "-"
-    return str(re) + sign + str(abs(im)) + "i"
+    try:
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return str(im) + "i"
+        sign = "+" if im > 0 else "-"
+        return str(re) + sign + str(abs(im)) + "i"
+    except ValueError:
+        raise AlgebraError(
+            f"a result has an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "Python's limit for printing one"
+        ) from None
 
 
 class _Scanner:
@@ -479,14 +489,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, name: str) -> int:
-        if name not in self.variables:
-            raise AlgebraError(f"unknown variable {name!r}")
-        idx = self.variables.index(name)
-        if not self.terms:
-            return -1
-        return max(e[idx] for e in self.terms)
 
     def constant_coefficient(self) -> GaussianRational:
         return self.terms.get((0,) * len(self.variables), GR_ZERO)
@@ -827,8 +829,8 @@ def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 
 def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """(num, den) scaled so den's graded-lex leading coefficient is 1."""
-    lead = den.terms[max(den.terms, key=_grlex_key)]
+    """(num, den) scaled so den's leading coefficient is 1."""
+    lead = den.terms[max(den.terms)]
     if lead == GR_ONE:
         return num, den
     inv = lead.inverse()
@@ -836,16 +838,14 @@ def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 
 class RationalFunction:
-    """Quotient of two polynomials over the same variable list.
+    """Quotient of two polynomials in one shared variable.
 
-    Univariate quotients are canonical: numerator and denominator are coprime,
-    the denominator is monic, and zero is 0/1.  Arithmetic keeps that form by
-    Henrici's rules (Knuth, TAOCP vol. 2, 4.5.1): a sum takes the gcd of the
-    denominators and then of that gcd with the new numerator, a product
-    cancels each numerator against the other denominator, and an inverse or
-    power needs no gcd at all.  Multivariate quotients are normalized only up
-    to the denominator's leading coefficient; equality always falls back to
-    exact cross-multiplication.
+    The form is canonical: numerator and denominator are coprime, the
+    denominator is monic, and zero is 0/1, so equality compares the parts.
+    Arithmetic keeps that form by Henrici's rules (Knuth, TAOCP vol. 2,
+    4.5.1): a sum takes the gcd of the denominators and then of that gcd with
+    the new numerator, a product cancels each numerator against the other
+    denominator, and an inverse or power needs no gcd at all.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -853,16 +853,14 @@ class RationalFunction:
     def __init__(self, numerator: Poly, denominator: Poly | None = None):
         if denominator is None:
             denominator = Poly.constant(numerator.variables, GR_ONE)
-        if numerator.variables != denominator.variables:
-            raise AlgebraError("numerator and denominator variable lists differ")
+        if len(numerator.variables) != 1 or numerator.variables != denominator.variables:
+            raise AlgebraError("numerator and denominator must share one variable")
         if not denominator:
             raise AlgebraError("zero denominator")
-        num, den = numerator, denominator
-        if not num:
-            den = Poly.constant(num.variables, GR_ONE)
-        elif len(num.variables) == 1:
-            num, den = _cancel(num, den)
-        self.numerator, self.denominator = _monic(num, den)
+        if not numerator:
+            self.numerator, self.denominator = numerator, Poly.constant(numerator.variables, GR_ONE)
+        else:
+            self.numerator, self.denominator = _monic(*_cancel(numerator, denominator))
 
     @classmethod
     def _raw(cls, num: Poly, den: Poly) -> "RationalFunction":
@@ -896,8 +894,6 @@ class RationalFunction:
     def _add(self, n2: Poly, d2: Poly) -> "RationalFunction":
         """self + n2/d2, where n2/d2 is in normal form."""
         n1, d1 = self.numerator, self.denominator
-        if len(n1.variables) != 1:
-            return RationalFunction(n1 * d2 + n2 * d1, d1 * d2)
         if not d1.total_degree() and not d2.total_degree():
             return RationalFunction._raw(n1 + n2, d1)
         if not d1.total_degree() or not d2.total_degree():
@@ -944,8 +940,6 @@ class RationalFunction:
         if o is NotImplemented:
             return o
         n1, d1, n2, d2 = self.numerator, self.denominator, o.numerator, o.denominator
-        if len(n1.variables) != 1:
-            return RationalFunction(n1 * n2, d1 * d2)
         if not n1 or not n2:
             return RationalFunction._raw(n1 * n2, d1)
         n1, d2 = _cancel(n1, d2)
@@ -986,7 +980,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self.numerator * o.denominator == o.numerator * self.denominator
+        return self.numerator == o.numerator and self.denominator == o.denominator
 
     def __hash__(self):
         raise TypeError("RationalFunction is not hashable")
@@ -997,8 +991,7 @@ class RationalFunction:
     def as_poly(self) -> Poly:
         if not self.is_polynomial():
             raise AlgebraError("rational function has a nontrivial denominator")
-        c = self.denominator.constant_value().inverse()
-        return self.numerator.map_coefficients(lambda x: x * c)
+        return self.numerator
 
     # -- evaluation ------------------------------------------------------------
 

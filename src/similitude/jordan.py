@@ -432,9 +432,9 @@ def _probe_offsets(count: int) -> list[GaussianRational]:
     """Rational approximations of (1/1000) * k-th roots of unity."""
     out = []
     for k in range(count):
-        angle = 2.0 * np.pi * k / count
-        re = rat(Fraction(np.cos(angle) / 1000.0).limit_denominator(10**7))
-        im = rat(Fraction(np.sin(angle) / 1000.0).limit_denominator(10**7))
+        angle = 2.0 * math.pi * k / count
+        re = rat(Fraction(math.cos(angle) / 1000.0).limit_denominator(10**7))
+        im = rat(Fraction(math.sin(angle) / 1000.0).limit_denominator(10**7))
         out.append(GaussianRational(re, im))
     return out
 

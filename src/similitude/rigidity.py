@@ -7,9 +7,10 @@ conjugates (u, v):
     B = [[0, z^(3+l)], [w^(3+l), z^(2+l) w^(2+l)]]
     S = [[1, c_w], [-c_z, 1]],  c_z = u w^(2+l)/(zu+wv),  c_w = v z^(2+l)/(zu+wv)
 
-S conjugates B to A with limited smoothness; the division identity
-c_z z^(3+l) + c_w w^(3+l) = z^(2+l) w^(2+l) is an exact polynomial statement
-once conjugates are formal variables.
+S conjugates B to A with limited smoothness.  It is kept as one polynomial
+matrix over one denominator, (zu+wv) S, so the division identity
+c_z z^(3+l) + c_w w^(3+l) = z^(2+l) w^(2+l) and S B = A S are exact
+polynomial statements once conjugates are formal variables.
 
 jet_rigidity decides what truncated power-series solutions of a matrix
 relation can look like at the origin.  The unknown n x n jet H is assembled
@@ -37,13 +38,11 @@ from typing import Sequence
 
 from . import linalg
 from .algebra import (
-    FuncMatrix,
     GaussianRational,
     GR_ONE,
     GR_ZERO,
     Poly,
     PolyMatrix,
-    RationalFunction,
     parse_gaussian_rational,
     rat,
 )
@@ -71,18 +70,13 @@ class RigidityError(ValueError):
 
 @dataclass(frozen=True)
 class CounterexampleFamily:
+    """A, B over FAMILY_VARS; S = S_cleared / denominator over CONJ_VARS."""
+
     ell: int
     A: PolyMatrix
     B: PolyMatrix
-    S: FuncMatrix
-
-    @property
-    def c_z(self) -> RationalFunction:
-        return -self.S.entries[1][0]
-
-    @property
-    def c_w(self) -> RationalFunction:
-        return self.S.entries[0][1]
+    S_cleared: PolyMatrix
+    denominator: Poly
 
 
 def _check_ell(ell: int) -> None:
@@ -101,11 +95,8 @@ def build_family(ell: int) -> CounterexampleFamily:
 
     z4, w4, u4, v4 = (Poly.variable(CONJ_VARS, name) for name in CONJ_VARS)
     denom = z4 * u4 + w4 * v4
-    c_z = RationalFunction(u4 * w4 ** (2 + ell), denom)
-    c_w = RationalFunction(v4 * z4 ** (2 + ell), denom)
-    one = RationalFunction.constant(CONJ_VARS, GR_ONE)
-    s = FuncMatrix([[one, c_w], [-c_z, one]])
-    return CounterexampleFamily(ell=ell, A=a, B=b, S=s)
+    s_cleared = PolyMatrix([[denom, v4 * z4 ** (2 + ell)], [-(u4 * w4 ** (2 + ell)), denom]])
+    return CounterexampleFamily(ell=ell, A=a, B=b, S_cleared=s_cleared, denominator=denom)
 
 
 def verify_division_identity(ell: int) -> bool:
@@ -139,15 +130,7 @@ def verify_smooth_similarity(ell: int, grid_points: int = 100) -> SmoothSimilari
     class.
     """
     fam = build_family(ell)
-    z, w, u, v = (Poly.variable(CONJ_VARS, name) for name in CONJ_VARS)
-    denom = z * u + w * v
-    one = Poly.constant(CONJ_VARS, GR_ONE)
-    s_cleared = PolyMatrix(
-        [
-            [denom, v * z ** (2 + ell)],
-            [-(u * w ** (2 + ell)), denom],
-        ]
-    )
+    s_cleared = fam.S_cleared
     a4 = fam.A.map(lambda p: p.with_variables(CONJ_VARS))
     b4 = fam.B.map(lambda p: p.with_variables(CONJ_VARS))
     exact = (s_cleared * b4 - a4 * s_cleared).is_zero()
@@ -169,8 +152,8 @@ def verify_smooth_similarity(ell: int, grid_points: int = 100) -> SmoothSimilari
             min_det = min(min_det, detval)
             count += 1
 
-    gap_cz = fam.c_z.numerator.total_degree() - fam.c_z.denominator.total_degree()
-    gap_cw = fam.c_w.numerator.total_degree() - fam.c_w.denominator.total_degree()
+    gap_cz = s_cleared.entries[1][0].total_degree() - fam.denominator.total_degree()
+    gap_cw = s_cleared.entries[0][1].total_degree() - fam.denominator.total_degree()
     if gap_cz != gap_cw:
         raise AssertionError("c_z and c_w degree gaps differ")
     return SmoothSimilarityReport(

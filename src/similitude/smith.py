@@ -15,9 +15,10 @@ agreement includes xi and holomorphic_kernel_section extends any kernel vector
 at xi to an exact polynomial-family kernel section.
 
 invariant_factors is the global Smith form over Q(i)[x] (Euclidean pivoting
-with the divisibility chain enforced); it serves the pointwise similarity test,
-rank-drop loci and the Wasow test, whose local exponents at xi are the
-(x-xi)-adic valuations of the invariant factors (the Smith form localizes).
+to a diagonal, then gcd/lcm pairs for the divisibility chain); it serves the
+pointwise similarity test, rank-drop loci and the Wasow test, whose local
+exponents at xi are the (x-xi)-adic valuations of the invariant factors (the
+Smith form localizes).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .algebra import (
     RationalFunction,
     _u_order,
     poly_divmod_univariate,
+    poly_gcd_univariate,
 )
 
 
@@ -222,20 +224,24 @@ def holomorphic_kernel_section(
 def invariant_factors(m: PolyMatrix) -> list[Poly]:
     """Monic invariant factors s_1 | s_2 | ... of a univariate polynomial matrix.
 
-    Classical Smith reduction over the Euclidean domain Q(i)[x]: pivot on a
-    minimal-degree entry, reduce row and column by polynomial division, and
-    fold non-divisible submatrix entries into the pivot row until the
-    divisibility chain holds.
+    Euclidean reduction over Q(i)[x] to a diagonal: pivot on a minimal-degree
+    entry, reduce its row and column by polynomial division, and re-pivot
+    while a remainder is left.  The diagonal fixes the factors, since
+    diag(a, b) is equivalent to diag(gcd(a, b), lcm(a, b)) (the elementary
+    divisors of a diagonal matrix are those of its entries; Gantmacher,
+    vol. 1, ch. VI), so one gcd/lcm pass over the pairs i < j sorts every
+    prime's exponents into the divisibility chain.
     """
     if len(m.variables) != 1 or isinstance(m, FuncMatrix):
         raise SmithError("invariant_factors requires a univariate polynomial matrix")
     work = [list(row) for row in m.entries]
     n, cols = m.rows, m.cols
-    factors: list[Poly] = []
+    diagonal: list[Poly] = []
     for k in range(min(n, cols)):
         if not _move_min_degree_pivot(work, k, n, cols):
             break
-        while True:
+        dirty = True
+        while dirty:
             dirty = False
             for i in range(k + 1, n):
                 if work[i][k]:
@@ -253,28 +259,16 @@ def invariant_factors(m: PolyMatrix) -> list[Poly]:
                         dirty = True
             if dirty:
                 _move_min_degree_pivot(work, k, n, cols)
-                continue
-            offender = None
-            for i in range(k + 1, n):
-                for j in range(k + 1, cols):
-                    if work[i][j]:
-                        _, r = poly_divmod_univariate(work[i][j], work[k][k])
-                        if r:
-                            offender = i
-                            break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(k, cols):
-                work[k][j] = work[k][j] + work[offender][j]
-        pivot = work[k][k]
-        lead = pivot.coefficients()[-1]
-        if lead != GR_ONE:
-            inv = lead.inverse()
-            pivot = pivot.map_coefficients(lambda c: c * inv)
-        factors.append(pivot)
-    return factors
+        diagonal.append(work[k][k])
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            g = poly_gcd_univariate(diagonal[i], diagonal[j])
+            diagonal[j] = poly_divmod_univariate(diagonal[i], g)[0] * diagonal[j]
+            diagonal[i] = g
+    for k, d in enumerate(diagonal):
+        inv = d.coefficients()[-1].inverse()
+        diagonal[k] = d.map_coefficients(lambda c: c * inv)
+    return diagonal
 
 
 def _move_min_degree_pivot(work: list[list[Poly]], k: int, n: int, cols: int) -> bool:
@@ -283,7 +277,7 @@ def _move_min_degree_pivot(work: list[list[Poly]], k: int, n: int, cols: int) ->
         for j in range(k, cols):
             p = work[i][j]
             if p:
-                d = p.degree_in(p.variables[0])
+                d = p.total_degree()
                 if best is None or d < best[0]:
                     best = (d, i, j)
     if best is None:

@@ -211,7 +211,7 @@ def rand_quotient(rng):
 
 
 def same_terms(f, h):
-    """Structural equality of the stored parts (== would cross-multiply)."""
+    """Structural equality of the stored parts."""
     return f.numerator.terms == h.numerator.terms and f.denominator.terms == h.denominator.terms
 
 
@@ -268,19 +268,21 @@ class TestHenriciArithmetic:
         for zero in (a - a, a + (-a), a * 0, 0 * a, RationalFunction(Poly.zero(("z",)), Z)):
             assert not zero and zero.denominator.terms == {(0,): GR_ONE}
 
-    def test_multivariate_keeps_the_unreduced_quotient(self):
+    def test_equality_agrees_with_cross_multiplication(self):
+        pool = [f for pair in self.pairs() for f in pair]
+        for a in pool[:60]:
+            for b in pool:
+                crossed = a.numerator * b.denominator == b.numerator * a.denominator
+                assert (a == b) == crossed, (a, b)
+
+    def test_only_one_variable(self):
         vs = ("x", "y")
         x, y = Poly.variable(vs, "x"), Poly.variable(vs, "y")
-        a, b = RationalFunction(x, x + y), RationalFunction(y * 2, x * 2 + y * 2)
-        got = [str(f) for f in (a + b, a - b, a * b, a / b, b.inverse(), b**2)]
-        assert got == [
-            "(x^2+2*x*y+y^2)/(x^2+2*x*y+y^2)",
-            "(x^2-y^2)/(x^2+2*x*y+y^2)",
-            "(x*y)/(x^2+2*x*y+y^2)",
-            "(x^2+x*y)/(x*y+y^2)",
-            "(x+y)/(y)",
-            "(y^2)/(x^2+2*x*y+y^2)",
-        ]
+        for num, den in ((x, x + y), (Poly.constant(vs, 1), None), (Poly.constant((), 1), None)):
+            with pytest.raises(AlgebraError, match="one variable"):
+                RationalFunction(num, den)
+        with pytest.raises(AlgebraError, match="one variable"):
+            RationalFunction(Z, Poly.variable(("w",), "w"))
 
 
 class TestUnivariateToolkit:

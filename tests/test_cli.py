@@ -81,6 +81,17 @@ class TestExitCodes:
         assert report is None
         assert "similitude:" in err
 
+    def test_result_integer_too_long_to_print_is_two(self, tmp_path, capsys):
+        # every input integer is under MAX_DIGITS, but the invariant factor
+        # (x - N)^2 holds N^2, past Python's limit for printing an int
+        n = "7" * 3000
+        assert algebra.MAX_DIGITS >= len(n)
+        big = write(tmp_path, "big.json", {"variables": [], "matrix": [[n, "1"], ["0", n]]})
+        code, report, err = invoke(capsys, ["pointwise", "--a", big, "--b", big])
+        assert (code, report) == (2, None)
+        assert err.count("similitude: ") == 1 and err.endswith("\n") and err.count("\n") == 1
+        assert str(sys.get_int_max_str_digits()) in err
+
     def test_bad_polynomial_is_two(self, tmp_path, capsys):
         bad = write(tmp_path, "bad.json", {"variables": ["z"], "matrix": [["z+"]]})
         code, _, err = invoke(capsys, ["smith", "--matrix", bad, "--point", "0"])

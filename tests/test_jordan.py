@@ -314,6 +314,19 @@ class TestStabilityVerdicts:
         assert [v.verdict for v in rep.verdicts] == [v.verdict for v in singly]
         assert [v.candidates for v in rep.verdicts] == [v.candidates for v in singly]
 
+    def test_probe_offsets_match_the_numpy_formula(self):
+        np = pytest.importorskip("numpy")
+        import similitude.jordan as jordan
+
+        for count in range(1, jordan.MAX_PROBES + 1):
+            expected = []
+            for k in range(count):
+                angle = 2.0 * np.pi * k / count
+                re = Fraction(np.cos(angle) / 1000.0).limit_denominator(10**7)
+                im = Fraction(np.sin(angle) / 1000.0).limit_denominator(10**7)
+                expected.append(g(re, im))
+            assert jordan._probe_offsets(count) == expected, count
+
     @pytest.mark.parametrize(
         "probes,tolerance",
         [(4, float("nan")), (4, float("inf")), (4, 0.0), (4, -1.0), (0, 1e-9), (-3, 1e-9)],

@@ -47,9 +47,12 @@ class TestFamily:
 
     def test_c_z_shape(self):
         fam = build_family(0)
-        cz = fam.c_z
-        assert cz.numerator == Poly.parse("u*w^2", ("z", "w", "u", "v"))
-        assert cz.denominator == Poly.parse("z*u+w*v", ("z", "w", "u", "v"))
+        conj = ("z", "w", "u", "v")
+        # c_z = -S[1][0] = u w^2 / (zu + wv), c_w = S[0][1] = v z^2 / (zu + wv)
+        assert fam.S_cleared.entries[1][0] == -Poly.parse("u*w^2", conj)
+        assert fam.S_cleared.entries[0][1] == Poly.parse("v*z^2", conj)
+        assert fam.denominator == Poly.parse("z*u+w*v", conj)
+        assert fam.S_cleared.entries[0][0] == fam.S_cleared.entries[1][1] == fam.denominator
 
 
 class TestDivisionIdentity:

@@ -299,6 +299,23 @@ class TestInvariantFactors:
         assert fj == ["1", "x^2-2*x+1"]
         assert fd == ["x-1", "x-1"]
 
+    @pytest.mark.parametrize(
+        "diagonal, expected",
+        [
+            (["x", "x+1"], ["1", "x^2+x"]),
+            (["x^2", "x"], ["x", "x^2"]),
+            # x(x-1), (x-1)(x+i), 0: gcd x-1, lcm x(x-1)(x+i)
+            (["x^2-x", "x^2-1+1i*x-1i", "0"], ["x-1", "x^3-1+1i*x^2-1i*x"]),
+            (["2*x+2", "x^2-1", "3*x"], ["1", "x+1", "x^3-x"]),
+        ],
+        ids=["coprime", "decreasing", "rank-deficient", "three"],
+    )
+    def test_diagonal_entries_that_do_not_divide(self, diagonal, expected):
+        n = len(diagonal)
+        grid = [[diagonal[i] if i == j else "0" for j in range(n)] for i in range(n)]
+        m = PolyMatrix.from_strings(grid, ["x"])
+        assert [str(p) for p in invariant_factors(m)] == expected
+
     def test_divisibility_chain(self):
         rng = random.Random(37)
         from similitude.algebra import poly_divmod_univariate
