@@ -9,7 +9,6 @@ rationals.
 
 from .algebra import (
     AlgebraError,
-    FuncMatrix,
     GaussianRational,
     GR_I,
     GR_ONE,

@@ -6,7 +6,6 @@ Every computation in this package bottoms out here.  The layers are:
   Poly               sparse multivariate polynomial: exponent tuple -> coefficient
   RationalFunction   quotient of two Poly in one shared variable
   PolyMatrix         dense rectangular matrix, generic over its entries
-  FuncMatrix         PolyMatrix whose entry ring is RationalFunction
 
 Rationals are gmpy2.mpq when available (much faster), with a transparent
 fallback to fractions.Fraction.  Both keep reduced form with positive
@@ -47,9 +46,9 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 
 
 def rat(value, denominator=None) -> "_mpq":
-    """Coerce to the rational backend; rat(a, b) builds the fraction a/b."""
+    """Coerce to the rational backend, sharing a backend rational (it is immutable); rat(a, b) is a/b."""
     if denominator is None:
-        return _mpq(value)
+        return value if type(value) is _mpq else _mpq(value)
     return _mpq(value) / _mpq(denominator)
 
 
@@ -1017,24 +1016,16 @@ class RationalFunction:
 # Matrices over Poly or RationalFunction
 
 
-def _matrix(grid: list[list]) -> "PolyMatrix":
-    """Wrap a grid in the matrix type of its entries."""
-    if isinstance(grid[0][0], RationalFunction):
-        return FuncMatrix(grid)
-    return PolyMatrix(grid)
-
-
 class PolyMatrix:
     """Dense rectangular matrix over one variable list.
 
-    The arithmetic is generic over the entries: Poly here, RationalFunction in
-    the FuncMatrix subclass, which supplies only its entry ring.  A result has
-    the type of its entries, so any product or sum with a FuncMatrix operand
-    is a FuncMatrix.
+    The arithmetic is generic over the entries, Poly or RationalFunction; a
+    sum or product with a RationalFunction operand has RationalFunction
+    entries.  identity, zeros and from_scalars give Poly entries, and
+    to_func lifts them.
     """
 
     __slots__ = ("rows", "cols", "entries")
-    ring = Poly
 
     def __init__(self, entries: Sequence[Sequence]):
         grid = [list(row) for row in entries]
@@ -1062,20 +1053,18 @@ class PolyMatrix:
             [[parse_polynomial(s, variables) for s in row] for row in grid]
         )
 
-    @classmethod
-    def identity(cls, n: int, variables: Sequence[str]) -> "PolyMatrix":
-        one = cls.ring.constant(variables, GR_ONE)
-        zero = cls.ring.constant(variables, GR_ZERO)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+    @staticmethod
+    def identity(n: int, variables: Sequence[str]) -> "PolyMatrix":
+        one, zero = Poly.constant(variables, GR_ONE), Poly.zero(variables)
+        return PolyMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int, variables: Sequence[str]) -> "PolyMatrix":
-        zero = cls.ring.constant(variables, GR_ZERO)
-        return cls([[zero] * cols for _ in range(rows)])
+    @staticmethod
+    def zeros(rows: int, cols: int, variables: Sequence[str]) -> "PolyMatrix":
+        return PolyMatrix([[Poly.zero(variables)] * cols for _ in range(rows)])
 
-    @classmethod
-    def from_scalars(cls, grid: Sequence[Sequence[GaussianRational]], variables: Sequence[str] = ()) -> "PolyMatrix":
-        return cls([[cls.ring.constant(variables, c) for c in row] for row in grid])
+    @staticmethod
+    def from_scalars(grid: Sequence[Sequence[GaussianRational]], variables: Sequence[str] = ()) -> "PolyMatrix":
+        return PolyMatrix([[Poly.constant(variables, c) for c in row] for row in grid])
 
     def __getitem__(self, key):
         i, j = key
@@ -1091,13 +1080,13 @@ class PolyMatrix:
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._shape_check(other)
-        return _matrix(
+        return PolyMatrix(
             [[x + y for x, y in zip(r, s)] for r, s in zip(self.entries, other.entries)]
         )
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._shape_check(other)
-        return _matrix(
+        return PolyMatrix(
             [[x - y for x, y in zip(r, s)] for r, s in zip(self.entries, other.entries)]
         )
 
@@ -1121,7 +1110,7 @@ class PolyMatrix:
                         acc = acc + self.entries[i][k] * other.entries[k][j]
                     row.append(acc)
                 out.append(row)
-            return _matrix(out)
+            return PolyMatrix(out)
         if isinstance(other, (int, GaussianRational, Poly, RationalFunction)):
             return self.map(lambda p: p * other)
         return NotImplemented
@@ -1132,34 +1121,14 @@ class PolyMatrix:
         return NotImplemented
 
     def map(self, fn) -> "PolyMatrix":
-        return _matrix([[fn(p) for p in row] for row in self.entries])
-
-    def transpose(self) -> "PolyMatrix":
-        return _matrix([list(col) for col in zip(*self.entries)])
-
-    def kron(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Kronecker product (self tensor other)."""
-        out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                row = []
-                for j in range(self.cols):
-                    for l in range(other.cols):
-                        row.append(self.entries[i][j] * other.entries[k][l])
-                out.append(row)
-        return _matrix(out)
+        return PolyMatrix([[fn(p) for p in row] for row in self.entries])
 
     def evaluate(self, point: Sequence[GaussianRational]) -> list[list[GaussianRational]]:
         return [[p.evaluate(point) for p in row] for row in self.entries]
 
-    def to_func(self) -> "FuncMatrix":
+    def to_func(self) -> "PolyMatrix":
         """The same matrix with RationalFunction entries."""
-        return FuncMatrix(
-            [
-                [p if isinstance(p, RationalFunction) else RationalFunction(p) for p in row]
-                for row in self.entries
-            ]
-        )
+        return self.map(lambda p: p if isinstance(p, RationalFunction) else RationalFunction(p))
 
     def is_zero(self) -> bool:
         return all(not p for row in self.entries for p in row)
@@ -1169,16 +1138,6 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_strings()})"
-
-
-class FuncMatrix(PolyMatrix):
-    """Dense rectangular matrix of RationalFunction entries."""
-
-    __slots__ = ()
-    ring = RationalFunction
-
-    def defined_at(self, point: Sequence[GaussianRational]) -> bool:
-        return all(f.defined_at(point) for row in self.entries for f in row)
 
 
 def generic_rank(m: PolyMatrix) -> int:
@@ -1199,7 +1158,6 @@ __all__ = [
     "Poly",
     "RationalFunction",
     "PolyMatrix",
-    "FuncMatrix",
     "generic_rank",
     "poly_gcd_univariate",
     "poly_divmod_univariate",

@@ -12,6 +12,7 @@ except for the wall-clock "timings" object.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -95,7 +96,7 @@ def load_curve_file(path: str) -> list[complex]:
         if not (
             isinstance(entry, list)
             and len(entry) == 2
-            and all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max for x in entry)
+            and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in entry)
         ):
             raise InputError(f"{path}: each sample must be a finite numeric pair [re, im]")
         out.append(complex(float(entry[0]), float(entry[1])))
@@ -413,6 +414,7 @@ def cmd_clutching(args) -> tuple[dict, str, int]:
 # Argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="similitude",

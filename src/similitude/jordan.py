@@ -36,7 +36,6 @@ import numpy as np
 
 from . import linalg
 from .algebra import (
-    FuncMatrix,
     GaussianRational,
     GR_ONE,
     GR_ZERO,
@@ -507,7 +506,7 @@ def stable_normalization(
     a: PolyMatrix,
     point: GaussianRational,
     eigenfunctions: list[RationalFunction],
-) -> FuncMatrix:
+) -> PolyMatrix:
     """H with H(z)^-1 Com A(z) H(z) = Com A(point), certified on a basis.
 
     The eigenvalue functions are caller-supplied and verified exactly:
@@ -562,13 +561,13 @@ def stable_normalization(
 
     h = local_similarity(a, j, pt, phi).H
     phi_inv = linalg.invert(phi, GR_ONE, GR_ZERO)
-    result = h * FuncMatrix.from_scalars(phi_inv, vs)
+    result = h * PolyMatrix.from_scalars(phi_inv, vs)
 
     _certify_commutant_conjugation(a, pt, result)
     return result
 
 
-def _model_family(matched, vs, n) -> FuncMatrix:
+def _model_family(matched, vs, n) -> PolyMatrix:
     zero = RationalFunction.constant(vs, GR_ZERO)
     one = RationalFunction.constant(vs, GR_ONE)
     grid = [[zero for _ in range(n)] for _ in range(n)]
@@ -581,10 +580,10 @@ def _model_family(matched, vs, n) -> FuncMatrix:
                 if i + 1 < size:
                     grid[offset + i][offset + i + 1] = one
             offset += size
-    return FuncMatrix(grid)
+    return PolyMatrix(grid)
 
 
-def _certify_commutant_conjugation(a: PolyMatrix, pt: GaussianRational, h: FuncMatrix):
+def _certify_commutant_conjugation(a: PolyMatrix, pt: GaussianRational, h: PolyMatrix):
     """Exact membership of H^-1 C H in Com A(point) for a generic commutant basis C."""
     vs = a.variables
     n = a.rows
@@ -595,7 +594,7 @@ def _certify_commutant_conjugation(a: PolyMatrix, pt: GaussianRational, h: FuncM
     h_inv_rows = linalg.invert([list(r) for r in h.entries], one, zero)
     if h_inv_rows is None:
         raise JordanError("normalization is singular as a function family")
-    h_inv = FuncMatrix(h_inv_rows)
+    h_inv = PolyMatrix(h_inv_rows)
     columns = [
         [RationalFunction.constant(vs, theta[i][jj]) for theta in target.basis]
         for i in range(n)
@@ -603,7 +602,7 @@ def _certify_commutant_conjugation(a: PolyMatrix, pt: GaussianRational, h: FuncM
     ]
     # rows indexed like vec over (i, jj) row-major; consistent with rhs below
     for kernel_vec in generic_kernel:
-        c = FuncMatrix(unvec(kernel_vec, n))
+        c = PolyMatrix(unvec(kernel_vec, n))
         x = h_inv * c * h
         rhs = [x.entries[i][jj] for i in range(n) for jj in range(n)]
         sol = linalg.solve(columns, rhs, zero)

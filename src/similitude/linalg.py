@@ -221,13 +221,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero) -> list[list]:
     return out
 
 
-def mat_sub(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    return [
-        [a[i][j] - b[i][j] for j in range(len(a[0]))]
-        for i in range(len(a))
-    ]
-
-
 def identity(n: int, one, zero) -> list[list]:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import (
-    FuncMatrix,
     GaussianRational,
     GR_ONE,
     GR_ZERO,
@@ -33,7 +32,7 @@ from .algebra import (
     PolyMatrix,
 )
 from .smith import SmithError, _order_at, holomorphic_kernel_section, invariant_factors
-from .sylvester import ConstMatrix, sylvester_matrix, unvec, vec
+from .sylvester import ConstMatrix, _sylvester_entries, sylvester_matrix, unvec, vec
 
 WITNESS_RETRIES = 32
 
@@ -67,7 +66,7 @@ class WasowReport:
 @dataclass(frozen=True)
 class LocalSimilarity:
     point: GaussianRational
-    H: FuncMatrix
+    H: PolyMatrix
     seed: ConstMatrix
 
 
@@ -122,10 +121,7 @@ def _witness_search(a0: ConstMatrix, b0: ConstMatrix, seed: int):
     n = len(a0)
     if a0 == b0:
         return linalg.identity(n, GR_ONE, GR_ZERO), None
-    pa = PolyMatrix.from_scalars(a0)
-    pb = PolyMatrix.from_scalars(b0)
-    m_at = sylvester_matrix(pa, pb).evaluate([])
-    kernel = linalg.nullspace(m_at, GR_ONE, GR_ZERO)
+    kernel = linalg.nullspace(_sylvester_entries(a0, b0), GR_ONE, GR_ZERO)
     rng = random.Random(seed)
     for _ in range(WITNESS_RETRIES):
         combo = [GR_ZERO] * (n * n)
@@ -143,10 +139,9 @@ def wasow_check(a: PolyMatrix, b: PolyMatrix, point: GaussianRational) -> WasowR
     if len(a.variables) != 1:
         raise SimilarityError("wasow_check requires univariate families")
     pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
-    m = sylvester_matrix(a, b)
     n2 = a.rows * a.rows
-    dim_at = n2 - linalg.rank(m.evaluate([pt]))
-    exponents = tuple(_order_at(s, pt)[0] for s in invariant_factors(m))
+    dim_at = n2 - linalg.rank(_sylvester_entries(a.entries, b.entries, pt))
+    exponents = tuple(_order_at(s, pt)[0] for s in invariant_factors(sylvester_matrix(a, b)))
     # M = U diag(s) V with U, V unimodular, so rank M(pt) counts the s_i(pt) != 0
     if dim_at != n2 - exponents.count(0):
         raise AssertionError("rank at the point disagrees with the invariant factors")
@@ -190,4 +185,4 @@ def local_similarity(
         raise ConstructionError(
             "construction fails: P(point) vec(Phi) differs from vec(Phi)"
         ) from exc
-    return LocalSimilarity(point=pt, H=FuncMatrix(unvec(h_vec, n)), seed=phi)
+    return LocalSimilarity(point=pt, H=PolyMatrix(unvec(h_vec, n)), seed=phi)

@@ -29,7 +29,6 @@ from typing import Sequence
 
 from . import linalg
 from .algebra import (
-    FuncMatrix,
     GaussianRational,
     GR_ONE,
     GR_ZERO,
@@ -51,9 +50,9 @@ class SmithFactorization:
     """Local factorization M = E * D * F at `point` with D = diag((z-point)^k)."""
 
     point: GaussianRational
-    E: FuncMatrix
+    E: PolyMatrix
     exponents: tuple[int, ...]
-    F: FuncMatrix
+    F: PolyMatrix
     generic_rank: int
 
     @property
@@ -72,7 +71,7 @@ class SmithFactorization:
             grid[idx][idx] = shift**k
         return PolyMatrix(grid)
 
-    def reconstruct(self) -> FuncMatrix:
+    def reconstruct(self) -> PolyMatrix:
         return self.E * self.diagonal().to_func() * self.F
 
 
@@ -81,7 +80,7 @@ class KernelProjection:
     """Holomorphic idempotent whose image is ker M away from `point`."""
 
     point: GaussianRational
-    P: FuncMatrix
+    P: PolyMatrix
     exponents: tuple[int, ...]
 
     def constant_kernel_dimension(self) -> bool:
@@ -111,13 +110,13 @@ def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
     pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
     vs = m.variables
     m = m.to_func()
-    if not m.defined_at([pt]):
+    if not all(f.defined_at([pt]) for row in m.entries for f in row):
         raise SmithError("matrix entries must lie in the local ring at the point")
 
     n, cols = m.rows, m.cols
     work = [list(row) for row in m.entries]
-    e = [list(row) for row in FuncMatrix.identity(n, vs).entries]
-    f = [list(row) for row in FuncMatrix.identity(cols, vs).entries]
+    e = [list(row) for row in PolyMatrix.identity(n, vs).to_func().entries]
+    f = [list(row) for row in PolyMatrix.identity(cols, vs).to_func().entries]
 
     exponents: list[int] = []
     for k in range(min(n, cols)):
@@ -169,9 +168,9 @@ def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
 
     return SmithFactorization(
         point=pt,
-        E=FuncMatrix(e),
+        E=PolyMatrix(e),
         exponents=tuple(exponents),
-        F=FuncMatrix(f),
+        F=PolyMatrix(f),
         generic_rank=len(exponents),
     )
 
@@ -184,7 +183,7 @@ def kernel_projection(m: PolyMatrix, point: GaussianRational) -> KernelProjectio
     p = linalg.left_divide(f, [zero_row] * fact.generic_rank + list(f[fact.generic_rank:]))
     if p is None:
         raise AssertionError("Smith factor F must be invertible over the function field")
-    return KernelProjection(point=fact.point, P=FuncMatrix(p), exponents=fact.exponents)
+    return KernelProjection(point=fact.point, P=PolyMatrix(p), exponents=fact.exponents)
 
 
 def holomorphic_kernel_section(
@@ -232,7 +231,7 @@ def invariant_factors(m: PolyMatrix) -> list[Poly]:
     vol. 1, ch. VI), so one gcd/lcm pass over the pairs i < j sorts every
     prime's exponents into the divisibility chain.
     """
-    if len(m.variables) != 1 or isinstance(m, FuncMatrix):
+    if len(m.variables) != 1 or any(isinstance(p, RationalFunction) for row in m.entries for p in row):
         raise SmithError("invariant_factors requires a univariate polynomial matrix")
     work = [list(row) for row in m.entries]
     n, cols = m.rows, m.cols

@@ -2,12 +2,13 @@
 
 Under column-major vectorization the operator has representation matrix
 M = I_n (x) A - B^T (x) I_n, so M vec(Theta) = vec(A Theta - Theta B) holds
-identically in the family parameter.  Kernel dimensions of M at a point and
-over the function field drive the similarity criteria; the nullspace at a
-point gives commutant bases; and path_to_identity realizes the connectivity
-of the invertible commutant by an explicit piecewise path, whose invertibility
-between samples rests on an exact Sturm count and whose samples are checked
-with exact arithmetic.
+identically in the family parameter; one builder fills M's entries straight
+from A and B, over the polynomials or at a point.  Kernel dimensions of M at
+a point and over the function field drive the similarity criteria; the
+nullspace at a point gives commutant bases; and path_to_identity realizes
+the connectivity of the invertible commutant by an explicit piecewise path,
+whose invertibility between samples rests on an exact Sturm count and whose
+samples are checked with exact arithmetic.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .algebra import (
     GR_ZERO,
     Poly,
     PolyMatrix,
+    RationalFunction,
     _u_derivative,
     _u_divmod,
     _u_gcd_monic,
@@ -64,27 +66,51 @@ def unvec(vector: Sequence, n: int) -> list[list]:
     return [[vector[j * n + i] for j in range(n)] for i in range(n)]
 
 
-def sylvester_matrix(a, b) -> PolyMatrix:
-    """Build M = I (x) A - B^T (x) I for square A, B of equal size.
+def _sylvester_entries(a: Sequence[Sequence], b: Sequence[Sequence], point=None) -> list[list]:
+    """Rows of M = I (x) A - B^T (x) I from square grids A, B of equal size.
 
-    Either family may carry rational-function entries (FuncMatrix), in which
-    case M is a FuncMatrix as well.
+    Row j n + i of M holds entry (i, j) of A Theta - Theta B under
+    column-major vec: a[i][k] multiplies Theta[k][j], at column j n + k, and
+    -b[l][j] multiplies Theta[i][l], at column l n + i.  The entries may be
+    scalars, Poly or RationalFunction; when either grid has RationalFunction
+    entries every entry of M is one.  With a point, A and B are evaluated
+    there first, so M(point) costs n^2 evaluations per operand, not n^4.
     """
-    if a.rows != a.cols or b.rows != b.cols:
+    n = len(a)
+    if any(len(row) != n for row in a) or any(len(row) != len(b) for row in b):
         raise SylvesterError("A and B must be square")
-    if a.rows != b.rows:
+    if len(b) != n:
         raise SylvesterError("A and B must have the same size")
-    if a.variables != b.variables:
+    vs = getattr(a[0][0], "variables", ())
+    if getattr(b[0][0], "variables", ()) != vs:
         raise AlgebraError("A and B must share one variable list")
-    eye = PolyMatrix.identity(a.rows, a.variables)
-    return eye.kron(a) - b.transpose().kron(eye)
+    if point is not None:
+        at = [point] * len(vs)
+        a = [[p.evaluate(at) for p in row] for row in a]
+        b = [[p.evaluate(at) for p in row] for row in b]
+    elif any(isinstance(p, RationalFunction) for grid in (a, b) for row in grid for p in row):
+        a, b = PolyMatrix(a).to_func().entries, PolyMatrix(b).to_func().entries
+    zero = a[0][0] * 0
+    rows = []
+    for j in range(n):
+        for i in range(n):
+            row = [zero] * (n * n)
+            row[j * n : j * n + n] = a[i]
+            row[i::n] = [-b[l][j] for l in range(n)]
+            row[j * n + i] = a[i][i] - b[j][j]
+            rows.append(row)
+    return rows
+
+
+def sylvester_matrix(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """M = I (x) A - B^T (x) I for square A, B of equal size, as a PolyMatrix."""
+    return PolyMatrix(_sylvester_entries(a.entries, b.entries))
 
 
 def intertwiner_dim_at(a: PolyMatrix, b: PolyMatrix, point: GaussianRational) -> int:
     """dim {Theta : Theta B(point) = A(point) Theta}, by exact elimination."""
     pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
-    m_at = sylvester_matrix(a, b).evaluate([pt] * len(a.variables))
-    return a.rows * a.rows - linalg.rank(m_at)
+    return a.rows * a.rows - linalg.rank(_sylvester_entries(a.entries, b.entries, pt))
 
 
 def generic_intertwiner_dim(a: PolyMatrix, b: PolyMatrix) -> int:
@@ -95,8 +121,7 @@ def generic_intertwiner_dim(a: PolyMatrix, b: PolyMatrix) -> int:
 def commutant_basis_at(a: PolyMatrix, point: GaussianRational) -> CommutantBasis:
     """Basis of the commutant of A(point) via the exact Sylvester nullspace."""
     pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
-    m_at = sylvester_matrix(a, a).evaluate([pt] * len(a.variables))
-    kernel = linalg.nullspace(m_at, GR_ONE, GR_ZERO)
+    kernel = linalg.nullspace(_sylvester_entries(a.entries, a.entries, pt), GR_ONE, GR_ZERO)
     n = a.rows
     basis = tuple(unvec(v, n) for v in kernel)
     return CommutantBasis(point=pt, basis=basis)

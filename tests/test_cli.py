@@ -8,7 +8,7 @@ import pytest
 import similitude.algebra as algebra
 import similitude.jordan as jordan_mod
 import similitude.rigidity as rigidity_mod
-from similitude.cli import run
+from similitude.cli import build_parser, run
 
 EX45 = {"variables": ["z"], "matrix": [["z", "1"], ["0", "0"]]}
 NILP = {"variables": [], "matrix": [["0", "1"], ["0", "0"]]}
@@ -142,6 +142,7 @@ class TestExitCodes:
             {"samples": [[0, None]]},
             {"samples": [[float("nan"), 0]]},
             {"samples": [[10**400, 0]]},
+            {"samples": [[True, 0]]},
         ],
     )
     def test_malformed_curve_is_two(self, tmp_path, capsys, payload):
@@ -167,6 +168,22 @@ class TestExitCodes:
         code, report, err = invoke(capsys, argv + ["--matrix", wide])
         assert (code, report) == (2, None)
         assert "square" in err and "1x2" in err
+
+    def test_non_square_commutant_is_two(self, tmp_path, capsys):
+        # M(point) is built from A(point), so the shape check runs before any evaluation
+        wide = write(tmp_path, "wide.json", {"variables": ["z"], "matrix": [["z", "1"]]})
+        code, report, err = invoke(capsys, ["commutant", "--matrix", wide, "--point", "0"])
+        assert (code, report) == (2, None)
+        assert "square" in err
+
+    def test_parser_is_built_once(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        # a parse failure leaves the shared parser fit for the next run
+        code, report, _ = invoke(capsys, ["wasow", "--point", "0"])
+        assert (code, report) == (2, None)
+        a = write(tmp_path, "a.json", EX45)
+        code, report, _ = invoke(capsys, ["wasow", "--a", a, "--b", a, "--point", "0"])
+        assert code == 0 and report["result"]["dim_at_point"] == 2
 
     @pytest.mark.parametrize(
         "grid,shape", [([["1"]], "1x1"), ([["1", "0", "0"], ["0", "1", "0"]], "2x3")]

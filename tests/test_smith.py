@@ -8,11 +8,11 @@ import similitude.linalg as linalg
 from similitude.algebra import (
     GR_ONE,
     GR_ZERO,
-    FuncMatrix,
     GaussianRational,
     Poly,
     PolyMatrix,
     RationalFunction,
+    poly_divmod_univariate,
     rat,
 )
 from similitude.smith import (
@@ -40,8 +40,8 @@ class TestLocalSmith:
         m = PolyMatrix.identity(2, ("z",))
         fact = local_smith(m, GR_ZERO)
         assert fact.exponents == (0, 0)
-        assert fact.E == FuncMatrix.identity(2, ("z",))
-        assert fact.F == FuncMatrix.identity(2, ("z",))
+        assert fact.E == PolyMatrix.identity(2, ("z",)).to_func()
+        assert fact.F == PolyMatrix.identity(2, ("z",)).to_func()
 
     def test_diag_z_one(self):
         m = PolyMatrix.from_strings([["z", "0"], ["0", "1"]], ["z"])
@@ -98,8 +98,8 @@ def _smith_at_zero(m):
     vs = m.variables
     n, cols = m.rows, m.cols
     work = [list(row) for row in m.entries]
-    e = [list(row) for row in FuncMatrix.identity(n, vs).entries]
-    f = [list(row) for row in FuncMatrix.identity(cols, vs).entries]
+    e = [list(row) for row in PolyMatrix.identity(n, vs).to_func().entries]
+    f = [list(row) for row in PolyMatrix.identity(cols, vs).to_func().entries]
     exponents = []
     for k in range(min(n, cols)):
         cands = [
@@ -139,7 +139,7 @@ def _smith_at_zero(m):
                     work[i][j] = work[i][j] - c * work[i][k]
                 f[k] = [x + c * y for x, y in zip(f[k], f[j])]
         exponents.append(kappa)
-    return tuple(exponents), FuncMatrix(e), FuncMatrix(f)
+    return tuple(exponents), PolyMatrix(e), PolyMatrix(f)
 
 
 def _smith_by_change_of_variables(m, xi):
@@ -175,7 +175,7 @@ class TestLocalSmithAtThePoint:
                     f = f * RationalFunction(Poly.constant(("z",), GR_ONE), rng.choice(dens))
                 row.append(f)
             grid.append(row)
-        return FuncMatrix(grid)
+        return PolyMatrix(grid)
 
     @pytest.mark.parametrize("rational", [False, True])
     def test_matches_change_of_variables(self, rational):
@@ -195,7 +195,7 @@ class TestLocalSmithAtThePoint:
         assert jumps >= 3
 
     def test_pole_at_point_is_rejected(self):
-        m = FuncMatrix(
+        m = PolyMatrix(
             [[RationalFunction(Poly.parse("z", ["z"]), Poly.parse("2*z-1", ["z"]))]]
         )
         assert local_smith(m, g(1)).exponents == (0,)
@@ -212,7 +212,7 @@ class TestKernelProjection:
     def test_full_kernel(self):
         m = PolyMatrix.zeros(2, 2, ("z",))
         proj = kernel_projection(m, GR_ZERO)
-        assert proj.P == FuncMatrix.identity(2, ("z",))
+        assert proj.P == PolyMatrix.identity(2, ("z",)).to_func()
 
     def test_rank_one_family(self):
         m = PolyMatrix.from_strings([["z", "z"], ["z", "z"]], ["z"])
@@ -318,8 +318,6 @@ class TestInvariantFactors:
 
     def test_divisibility_chain(self):
         rng = random.Random(37)
-        from similitude.algebra import poly_divmod_univariate
-
         for _ in range(10):
             m = PolyMatrix(
                 [[rand_poly(rng, 2) for _ in range(3)] for _ in range(3)]
@@ -403,7 +401,9 @@ class TestInvariantFactorsAgainstSympy:
     not necessarily monic; ours lists the nonzero ones, monic.
     """
 
-    def test_matches_sympy(self):
+    @staticmethod
+    def _oracle():
+        """(to_ring, expected): our Poly into QQ_I[x], and sympy's monic nonzero factors of m."""
         sympy = pytest.importorskip("sympy")
         from sympy.polys.domains import QQ_I
         from sympy.polys.matrices import DomainMatrix
@@ -417,6 +417,14 @@ class TestInvariantFactorsAgainstSympy:
         def to_ring(p):
             return ring.ring.from_dict({e: to_qqi(c) for e, c in p.terms.items()})
 
+        def expected(m):
+            grid = DomainMatrix([[to_ring(p) for p in row] for row in m.entries], (m.rows, m.cols), ring)
+            return [f.monic() for f in sympy_factors(grid) if f]
+
+        return to_ring, expected
+
+    def test_matches_sympy(self):
+        to_ring, oracle = self._oracle()
         rng = random.Random(53)
         deficient = chains = 0
         for case in range(42):
@@ -429,10 +437,28 @@ class TestInvariantFactorsAgainstSympy:
                 m = rand_smith_product(rng, rows, cols)
             else:
                 m = rand_pencil(rng, rows)
-            grid = DomainMatrix([[to_ring(p) for p in row] for row in m.entries], (m.rows, m.cols), ring)
-            expected = [f.monic() for f in sympy_factors(grid) if f]
+            expected = oracle(m)
             deficient += len(expected) < min(m.rows, m.cols)
             chains += sum(f.degree() > 0 for f in expected) >= 2
             assert [to_ring(p) for p in invariant_factors(m)] == expected, m.to_strings()
         # the seed covers rank defects and chains of two or more nonconstant factors
         assert deficient >= 5 and chains >= 5
+
+    def test_non_dividing_diagonals_match_sympy(self):
+        # U diag(a, b, ...) V with a not dividing b: the Euclidean reduction can
+        # stop at a diagonal that is not a divisibility chain, and only the
+        # gcd/lcm pass over its pairs gives the invariant factors
+        to_ring, oracle = self._oracle()
+        rng = random.Random(59)
+        shapes = ["x", "x-1", "x^2", "x+1i", "x^2+1", "x^2-x", "x^3"]
+        for _ in range(20):
+            n = rng.choice([2, 3])
+            while True:
+                diagonal = [Poly.parse(rng.choice(shapes), ["x"]) for _ in range(n)]
+                if poly_divmod_univariate(diagonal[1], diagonal[0])[1]:
+                    break
+            grid = [[Poly.zero(("x",)) for _ in range(n)] for _ in range(n)]
+            for k, d in enumerate(diagonal):
+                grid[k][k] = d * g(rng.randint(1, 3), rng.randint(-1, 1))
+            m = rand_unimodular(rng, n) * PolyMatrix(grid) * rand_unimodular(rng, n)
+            assert [to_ring(p) for p in invariant_factors(m)] == oracle(m), m.to_strings()

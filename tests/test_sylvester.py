@@ -9,10 +9,11 @@ import pytest
 
 import similitude
 import similitude.linalg as linalg
-from similitude.algebra import GR_ONE, GR_ZERO, FuncMatrix, GaussianRational, Poly, PolyMatrix
+from similitude.algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, PolyMatrix, RationalFunction
 from similitude.sylvester import (
     SylvesterError,
     _ray_blocked,
+    _sylvester_entries,
     commutant_basis_at,
     generic_intertwiner_dim,
     intertwiner_dim_at,
@@ -31,6 +32,16 @@ def rand_const(rng, n, span=3):
         [g(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(n)]
         for _ in range(n)
     ]
+
+
+def rand_family(rng, n, vs):
+    def entry():
+        p = Poly.constant(vs, g(rng.randint(-2, 2), rng.randint(-1, 1)))
+        for v in vs:
+            p = p + Poly.variable(vs, v) ** rng.randint(1, 2) * g(rng.randint(-2, 2))
+        return p
+
+    return PolyMatrix([[entry() for _ in range(n)] for _ in range(n)])
 
 
 def rand_invertible(rng, n):
@@ -70,21 +81,50 @@ class TestSylvesterMatrix:
         a = EX45
         b = PolyMatrix.from_strings([["0", "z"], ["1", "z^2"]], ["z"])
         m = sylvester_matrix(a, b)
-        # rational-function entries in either operand make M a FuncMatrix
+        # rational-function entries in either operand make every entry of M one
         for mixed in (sylvester_matrix(a.to_func(), b), sylvester_matrix(a, b.to_func())):
-            assert isinstance(mixed, FuncMatrix) and mixed == m.to_func()
+            assert all(isinstance(f, RationalFunction) for row in mixed.entries for f in row)
+            assert mixed == m.to_func()
         for _ in range(100):
             theta = rand_const(rng, 2)
             pt = g(rng.randint(-4, 4), rng.randint(-2, 2))
             lhs = linalg.mat_vec(m.evaluate([pt]), vec(theta), GR_ZERO)
             a_at, b_at = a.evaluate([pt]), b.evaluate([pt])
-            rhs = vec(
-                linalg.mat_sub(
-                    linalg.mat_mul(a_at, theta, GR_ZERO),
-                    linalg.mat_mul(theta, b_at, GR_ZERO),
-                )
-            )
+            left = linalg.mat_mul(a_at, theta, GR_ZERO)
+            right = linalg.mat_mul(theta, b_at, GR_ZERO)
+            rhs = vec([[x - y for x, y in zip(r, s)] for r, s in zip(left, right)])
             assert lhs == rhs
+
+
+    def test_entries_at_a_point_are_m_at_the_point(self):
+        # M(point) is built from A(point) and B(point); it must be M evaluated there
+        rng = random.Random(61)
+        z = ("z",)
+        pole = RationalFunction(Poly.parse("z-5", z)).inverse()
+        pairs = [(rand_family(rng, n, z), rand_family(rng, n, z)) for n in range(1, 5)]
+        pairs.append((rand_family(rng, 3, ("z", "w")), rand_family(rng, 3, ("z", "w"))))
+        pairs.append((rand_family(rng, 2, z), rand_family(rng, 2, z).to_func() * pole))
+        for a, b in pairs:
+            m = sylvester_matrix(a, b)
+            for _ in range(3):
+                pt = g(rng.randint(-3, 3), rng.randint(-2, 2))
+                at = m.evaluate([pt] * len(a.variables))
+                assert _sylvester_entries(a.entries, b.entries, pt) == at
+                assert intertwiner_dim_at(a, b, pt) == a.rows ** 2 - linalg.rank(at)
+        # a constant pair needs no point
+        a0, b0 = rand_const(rng, 3), rand_const(rng, 3)
+        assert _sylvester_entries(a0, b0) == sylvester_matrix(
+            PolyMatrix.from_scalars(a0), PolyMatrix.from_scalars(b0)
+        ).evaluate([])
+
+    def test_shape_checks_hold_at_a_point(self):
+        wide = PolyMatrix.from_strings([["z", "1"]], ["z"])
+        with pytest.raises(SylvesterError, match="square"):
+            commutant_basis_at(wide, GR_ZERO)
+        with pytest.raises(SylvesterError, match="same size"):
+            intertwiner_dim_at(EX45, PolyMatrix.identity(3, ("z",)), GR_ZERO)
+        with pytest.raises(ValueError, match="variable"):
+            intertwiner_dim_at(EX45, PolyMatrix.identity(2, ("w",)), GR_ZERO)
 
 
 class TestIntertwinerDims:
