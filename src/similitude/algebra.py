@@ -2,14 +2,14 @@
 
 Every computation in this package bottoms out here.  The layers are:
 
-  GaussianRational   a + b*i with exact rational a, b (the ground field)
+  GaussianRational   (a + b*i)/d with integers a, b, d (the ground field)
   Poly               sparse multivariate polynomial: exponent tuple -> coefficient
   RationalFunction   quotient of two Poly in one shared variable
   PolyMatrix         dense rectangular matrix, generic over its entries
 
-Rationals are gmpy2.mpq when available (much faster), with a transparent
-fallback to fractions.Fraction.  Both keep reduced form with positive
-denominator, so equality of GaussianRational is structural.
+A GaussianRational keeps a canonical form (d > 0, gcd(a, b, d) = 1), so its
+equality is structural.  Its parts are read and parsed as fractions.Fraction
+(`rat`, `.re`, `.im`).
 
 All values are immutable by convention: no method mutates its receiver, every
 operation returns a fresh value, so instances may be shared freely between
@@ -35,25 +35,19 @@ under greedy parsing.
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
 from . import linalg
 
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _mpq
 
-
-def rat(value, denominator=None) -> "_mpq":
-    """Coerce to the rational backend, sharing a backend rational (it is immutable); rat(a, b) is a/b."""
+def rat(value, denominator=None) -> Fraction:
+    """Coerce to a Fraction, sharing a Fraction (it is immutable); rat(a, b) is a/b."""
     if denominator is None:
-        return value if type(value) is _mpq else _mpq(value)
-    return _mpq(value) / _mpq(denominator)
+        return value if type(value) is Fraction else Fraction(value)
+    return Fraction(value) / Fraction(denominator)
 
-
-_R0 = rat(0)
-_R1 = rat(1)
 
 # largest exponent of one variable in a parsed monomial: a dense coefficient
 # list of a univariate polynomial has degree + 1 entries
@@ -72,74 +66,88 @@ class AlgebraError(ValueError):
 
 
 class GaussianRational:
-    """Exact complex scalar a + b*i with rational a, b."""
+    """Exact complex scalar (a + b*i)/d with integers a, b, d.
 
-    __slots__ = ("re", "im")
+    The form is canonical: d > 0 and gcd(a, b, d) = 1, and zero is (0, 0, 1).
+    Every result is made by `_gr`, which takes one three-way gcd (none when
+    d = 1) where a pair of Fractions takes a gcd per part and per operation.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = rat(re)
-        self.im = rat(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = rat(re), rat(im)
+        p, q = re.denominator, im.denominator
+        d = p // gcd(p, q) * q
+        # already canonical: a prime of d divides p (say) as often as it divides d,
+        # so it divides neither d // p nor re's numerator
+        self._a, self._b, self._d = re.numerator * (d // p), im.numerator * (d // q), d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- ring / field operations -------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, int):
-            return GaussianRational(other, 0)
-        return NotImplemented
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is NotImplemented:
             return o
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        d, e = self._d, o._d
+        if d == e:
+            return _gr(self._a + o._a, self._b + o._b, d)
+        return _gr(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is NotImplemented:
             return o
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        d, e = self._d, o._d
+        if d == e:
+            return _gr(self._a - o._a, self._b - o._b, d)
+        return _gr(self._a * e - o._a * d, self._b * e - o._b * d, d * e)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is NotImplemented:
             return o
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return o - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is NotImplemented:
             return o
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _gr(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _quotient(GR_ONE, self)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is NotImplemented:
             return o
-        return self * o.inverse()
+        return _quotient(self, o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is NotImplemented:
             return o
-        return o * self.inverse()
+        return _quotient(o, self)
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -157,25 +165,62 @@ class GaussianRational:
     # -- predicates / conversions ------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is NotImplemented:
             return o
-        return self.re == o.re and self.im == o.im
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # an integer hashes like the int it equals
+        if self._b == 0 and self._d == 1:
+            return hash(self._a)
+        return hash((self._a, self._b, self._d))
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, like float(Fraction)
+        return complex(self._a / self._d, self._b / self._d)
 
     def __str__(self) -> str:
         return format_gaussian_rational(self)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+def _gr(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d in canonical form, for integers with d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    x = object.__new__(GaussianRational)
+    x._a = a
+    x._b = b
+    x._d = d
+    return x
+
+
+def _coerce(other):
+    if isinstance(other, GaussianRational):
+        return other
+    if isinstance(other, int):
+        return _gr(other, 0, 1)
+    return NotImplemented
+
+
+def _quotient(x: GaussianRational, y: GaussianRational) -> GaussianRational:
+    """x / y = (a + b*i) f (c - e*i) / (d (c^2 + e^2)) for x = (a + b*i)/d, y = (c + e*i)/f."""
+    c, e = y._a, y._b
+    n = c * c + e * e
+    if not n:
+        raise ZeroDivisionError("division by zero Gaussian rational")
+    a, b, f = x._a, x._b, y._d
+    return _gr(f * (a * c + b * e), f * (b * c - a * e), x._d * n)
 
 
 GR_ZERO = GaussianRational(0, 0)

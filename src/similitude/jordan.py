@@ -32,8 +32,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .algebra import (
     GaussianRational,
@@ -68,7 +66,7 @@ class JordanError(ValueError):
 
 
 def _rationalize(x: float, bound: int):
-    return rat(Fraction(x).limit_denominator(bound))
+    return Fraction(x).limit_denominator(bound)
 
 
 def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]], Poly]:
@@ -88,6 +86,8 @@ def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]]
     work = [c * lead_inv for c in coeffs]
 
     squarefree = _u_squarefree(work)
+
+    import numpy as np
 
     numeric = np.roots([c.to_complex() for c in reversed(squarefree)]) if len(squarefree) > 1 else []
     roots: list[tuple[GaussianRational, int]] = []
@@ -234,6 +234,8 @@ def _segre_exact(a0: ConstMatrix, n: int) -> JordanProfile:
 
 
 def _segre_numeric(a0: ConstMatrix, n: int, tolerance: float) -> JordanProfile:
+    import numpy as np
+
     arr = np.array([[x.to_complex() for x in row] for row in a0])
     eigs = sorted(np.linalg.eigvals(arr), key=lambda z: (z.real, z.imag))
     clusters: list[list[complex]] = []
@@ -375,6 +377,8 @@ def jordan_instability_candidates(a: PolyMatrix) -> InstabilityCandidates:
 
 
 def _isolating_boxes(p: Poly) -> list[tuple[complex, float]]:
+    import numpy as np
+
     roots = np.roots([c.to_complex() for c in reversed(p.coefficients())])
     out = []
     for i, r in enumerate(roots):
@@ -432,8 +436,8 @@ def _probe_offsets(count: int) -> list[GaussianRational]:
     out = []
     for k in range(count):
         angle = 2.0 * math.pi * k / count
-        re = rat(Fraction(math.cos(angle) / 1000.0).limit_denominator(10**7))
-        im = rat(Fraction(math.sin(angle) / 1000.0).limit_denominator(10**7))
+        re = Fraction(math.cos(angle) / 1000.0).limit_denominator(10**7)
+        im = Fraction(math.sin(angle) / 1000.0).limit_denominator(10**7)
         out.append(GaussianRational(re, im))
     return out
 
@@ -526,15 +530,14 @@ def stable_normalization(
         if not f.defined_at([pt]):
             raise JordanError("eigenvalue function not defined at the point")
     values = [f.evaluate([pt]) for f in eigenfunctions]
-    if len(set((v.re, v.im) for v in values)) != len(values):
+    if len(set(values)) != len(values):
         raise JordanError("eigenvalue functions must take distinct values at the point")
-    by_value = {(ev.value.re, ev.value.im): ev for ev in profile.eigenvalues}
+    by_value = {ev.value: ev for ev in profile.eigenvalues}
     matched = []
     for f, v in zip(eigenfunctions, values):
-        key = (v.re, v.im)
-        if key not in by_value:
+        if v not in by_value:
             raise JordanError("eigenvalue function does not match an eigenvalue at the point")
-        matched.append((f, by_value.pop(key)))
+        matched.append((f, by_value.pop(v)))
     if by_value:
         raise JordanError("eigenvalue functions do not cover all eigenvalues at the point")
 

@@ -202,8 +202,7 @@ class Lines:
     kind: str = "lines"
 
     def __post_init__(self):
-        keys = {(t.re, t.im) for t in self.slopes}
-        if len(keys) != len(self.slopes):
+        if len(set(self.slopes)) != len(self.slopes):
             raise RigidityError("line slopes must be pairwise distinct")
         if not self.slopes:
             raise RigidityError("at least one line is required")

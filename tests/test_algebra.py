@@ -1,5 +1,6 @@
 """Algebra layer: exact scalars, polynomials, rational functions, matrices."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -35,6 +36,39 @@ g = GaussianRational
 RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 
 
+def canonical(x):
+    """(a + b*i)/d with d > 0 and gcd(a, b, d) = 1; zero is (0, 0, 1)."""
+    a, b, d = x._a, x._b, x._d
+    return d > 0 and math.gcd(a, b, d) == 1 and (a or b or d == 1)
+
+
+# the reference: a Q(i) scalar as a pair of Fractions (re, im)
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_inverse(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def ref_pow(x, e):
+    base = x if e >= 0 else ref_inverse(x)
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(e)):
+        out = ref_mul(out, base)
+    return out
+
+
+def ref_str(x):
+    re, im = x
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
 def rand_scalar(rng, span=6):
     return g(rng.randint(-span, span), rng.randint(-span, span))
 
@@ -55,10 +89,71 @@ class TestGaussianRational:
     def test_rat_shares_backend_rationals(self):
         x = rat(3, 4)
         assert rat(x) is x
-        assert g(x).re is x
+        assert g(x).re == x and type(g(x).re) is type(x)
         # everything else is still converted to the backend type
         for value, expected in ((2, rat(4, 2)), ("1/3", rat(1, 3)), (Fraction(5, 2), rat(5, 2))):
             assert type(rat(value)) is type(x) and rat(value) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(RATIONALS, RATIONALS, RATIONALS, RATIONALS, st.integers(-20, 20), st.integers(-4, 4))
+    # equal denominators that cancel, in a sum and in a difference
+    @example(Fraction(1, 2), Fraction(1, 6), Fraction(1, 2), Fraction(-1, 6), 1, 2)
+    @example(Fraction(1, 3), Fraction(2, 3), Fraction(1, 3), Fraction(2, 3), 0, -2)
+    def test_matches_a_pair_of_fractions(self, p, q, r, s, n, e):
+        x, y, xr, yr = g(p, q), g(r, s), (p, q), (r, s)
+        results = {
+            "x + y": (x + y, (p + r, q + s)),
+            "x - y": (x - y, (p - r, q - s)),
+            "x * y": (x * y, ref_mul(xr, yr)),
+            "-x": (-x, (-p, -q)),
+            "x + n": (x + n, (p + n, q)),
+            "n + x": (n + x, (p + n, q)),
+            "x - n": (x - n, (p - n, q)),
+            "n - x": (n - x, (n - p, -q)),
+            "n * x": (n * x, (n * p, n * q)),
+            "x constructed": (x, xr),
+        }
+        if y:
+            results.update({
+                "x / y": (x / y, ref_mul(xr, ref_inverse(yr))),
+                "n / y": (n / y, ref_mul((n, 0), ref_inverse(yr))),
+                "y.inverse()": (y.inverse(), ref_inverse(yr)),
+            })
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            with pytest.raises(ZeroDivisionError):
+                y.inverse()
+        if n:
+            results["x / n"] = (x / n, (p / n, q / n))
+        if x or e >= 0:
+            results["x ** e"] = (x ** e, ref_pow(xr, e))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x ** e
+        for name, (got, want) in results.items():
+            assert canonical(got), name
+            assert (got.re, got.im) == want, name
+            assert got == g(*want) and hash(got) == hash(g(*want)), name
+        assert (x == y) == (xr == yr)
+        assert (x != y) == (xr != yr)
+        assert (x == n) == (xr == (n, 0))
+        if x == y:
+            assert hash(x) == hash(y)
+        assert bool(x) == (p != 0 or q != 0)
+        assert str(x) == ref_str(xr)
+        assert x.to_complex() == complex(float(p), float(q))
+
+    @given(st.integers(-10**30, 10**30))
+    @example(3)
+    def test_equal_values_hash_equal(self, n):
+        assert g(n) == n and g(Fraction(n)) == n
+        assert hash(g(n)) == hash(n) == hash(g(Fraction(n)))
+        assert len({g(n), n}) == 1
+
+    def test_zero_has_one_form(self):
+        for zero in (g(0), g(Fraction(0, 7)), g(rat(1, 3)) - g(rat(1, 3)), g(1, 1) * 0):
+            assert (zero._a, zero._b, zero._d) == (0, 0, 1)
 
     def test_exactness(self):
         rng = random.Random(0)

@@ -1,9 +1,16 @@
 """Intertwiner representation, commutant bases, connectivity paths."""
 
+import contextlib
 import importlib
+import io
+import json
+import os
 import pkgutil
 import random
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -310,9 +317,8 @@ class TestRayPredicate:
         assert [_ray_blocked(theta, mu) for mu in self.MU] == [True, False, False]
 
 
-NUMPY_FREE = sorted(
+MODULES = sorted(
     {"similitude"} | {f"similitude.{m.name}" for m in pkgutil.iter_modules(similitude.__path__)}
-    - {"similitude.jordan"}
 )
 
 
@@ -324,8 +330,51 @@ def numpy_modules(name):
     ]
 
 
-@pytest.mark.parametrize("name", NUMPY_FREE)
+@pytest.mark.parametrize("name", MODULES)
 def test_module_holds_no_numpy(name):
-    # numpy's remaining uses are all in jordan, where the same check sees it
-    assert numpy_modules("similitude.jordan")
+    # jordan's float paths import numpy when they run
     assert not numpy_modules(name)
+
+
+def test_reports_need_no_numpy(tmp_path):
+    """With numpy unimportable, the CLI loads and smith, wasow and rigidity report as with it."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"variables": ["z"], "matrix": [["z", "1"], ["0", "0"]]}))
+    b.write_text(json.dumps({"variables": ["z"], "matrix": [["0", "z"], ["0", "0"]]}))
+    argvs = [
+        ["smith", "--matrix", str(a), "--point", "0"],
+        ["wasow", "--a", str(a), "--b", str(b), "--point", "0"],
+        ["rigidity", "--ell", "0", "--relation", "AHeqHB", "--variety", "lines:1,2,3", "--order", "4"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from similitude.cli import run\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = run(argv)\n"
+        "    print(json.dumps([code, out.getvalue()]))\n"
+    )
+    src = str(Path(similitude.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    from similitude.cli import run
+
+    def without_timings(code, text):
+        report = json.loads(text)
+        report.pop("timings")
+        return code, report
+
+    blocked = [without_timings(*json.loads(line)) for line in done.stdout.splitlines()]
+    expected = []
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(argv)
+        expected.append(without_timings(code, out.getvalue()))
+    assert blocked == expected
