@@ -4,12 +4,13 @@ Every computation in this package bottoms out here.  The layers are:
 
   GaussianRational   (a + b*i)/d with integers a, b, d (the ground field)
   Poly               sparse multivariate polynomial: exponent tuple -> coefficient
-  RationalFunction   quotient of two Poly in one shared variable
+  _u_* functions     dense univariate coefficient lists [c0, c1, ...] over a field
+  RationalFunction   quotient of two dense coefficient lists in one variable
   PolyMatrix         dense rectangular matrix, generic over its entries
 
 A GaussianRational keeps a canonical form (d > 0, gcd(a, b, d) = 1), so its
-equality is structural.  Its parts are read and parsed as fractions.Fraction
-(`rat`, `.re`, `.im`).
+equality is structural.  Its parts are read as fractions.Fraction (`rat`,
+`.re`, `.im`); the text grammar builds it from integers.
 
 All values are immutable by convention: no method mutates its receiver, every
 operation returns a fresh value, so instances may be shared freely between
@@ -284,7 +285,8 @@ class _Scanner:
             )
         return self.text[start:self.pos] if self.pos > start else None
 
-    def take_rat(self) -> str | None:
+    def take_rat(self) -> tuple[int, int] | None:
+        """INT ("/" INT)? as (numerator, denominator) with denominator > 0."""
         save = self.pos
         num = self.take_int()
         if num is None:
@@ -295,10 +297,11 @@ class _Scanner:
             if den is None:
                 self.pos = save
                 return None
-            if not int(den):
+            d = int(den)
+            if not d:
                 raise AlgebraError(f"zero denominator in {self.text!r}")
-            return num + "/" + den
-        return num
+            return int(num), d
+        return int(num), 1
 
     def take_name(self) -> str | None:
         self.skip_ws()
@@ -333,14 +336,16 @@ def _scan_coefficient(sc: _Scanner, sign: int) -> GaussianRational | None:
                 sc.take()
                 # the sign scopes the leading RAT only; the inner sign owns the
                 # imaginary part (matches the per-component canonical printer)
-                return GaussianRational(sign * rat(first), inner * rat(second))
+                (p, q), (r, s) = first, second
+                return _gr(sign * p * s, inner * r * q, q * s)
         sc.pos = mark
+    p, q = first
     if sc.peek() == "i":
         nxt = sc.pos + 1
         if nxt >= len(sc.text) or not (sc.text[nxt].isalnum() or sc.text[nxt] == "_"):
             sc.take()
-            return GaussianRational(0, sign * rat(first))
-    return GaussianRational(sign * rat(first), 0)
+            return _gr(0, sign * p, q)
+    return _gr(sign * p, 0, q)
 
 
 def parse_gaussian_rational(text: str) -> GaussianRational:
@@ -702,7 +707,7 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Poly:
     if len(set(vs)) != len(vs):
         raise AlgebraError(f"variables {list(vs)} repeat a name")
     sc = _Scanner(text)
-    result = Poly.zero(vs)
+    terms: dict = {}
     first = True
     while True:
         if sc.done():
@@ -738,8 +743,10 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Poly:
             if name is None:
                 raise AlgebraError(f"expected variable after '*' at {sc.pos} in {text!r}")
             _apply_factor(sc, name, expo, vs, text)
-        result = result + Poly.monomial(vs, expo, coeff)
-    return result
+        key = tuple(expo)
+        acc = terms.get(key)
+        terms[key] = coeff if acc is None else acc + coeff
+    return Poly(vs, terms)
 
 
 def _apply_factor(sc: _Scanner, name: str, expo: list, vs: tuple, text: str):
@@ -770,21 +777,49 @@ def _u_trim(a: list) -> list:
     return a
 
 
+def _u_add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return _u_trim(out)
+
+
+def _u_sub_mul(a: list, q: list, b: list) -> list:
+    """a - q*b, without forming q*b."""
+    if not q or not b:
+        return a
+    out = list(a)
+    if len(out) < len(q) + len(b) - 1:
+        out += [b[0] - b[0]] * (len(q) + len(b) - 1 - len(out))
+    for i, x in enumerate(q):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = out[i + j] - x * y
+    return _u_trim(out)
+
+
 def _u_divmod(a: list, b: list) -> tuple[list, list]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(a)
     q = []
-    inv_lead = b[-1].inverse()
+    top = len(b) - 1
+    # a monic divisor needs no scaling, and the step's leading term cancels
+    # exactly, so only b's lower terms are subtracted
+    inv_lead = None if b[top] == 1 else b[top].inverse()
+    low = b[:top]
     for k in range(len(a) - len(b), -1, -1):
-        c = r[k + len(b) - 1] * inv_lead
+        c = r[k + top] if inv_lead is None else r[k + top] * inv_lead
         q.append(c)
         if c:
-            for i, bc in enumerate(b):
+            for i, bc in enumerate(low):
                 if bc:
                     r[k + i] = r[k + i] - c * bc
     q.reverse()
-    return _u_trim(q), _u_trim(r[: len(b) - 1])
+    return _u_trim(q), _u_trim(r[:top])
 
 
 def _u_gcd_monic(a: list, b: list) -> list:
@@ -863,36 +898,42 @@ def poly_divmod_univariate(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 # Rational functions
 
 
-def _cancel(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """(num/g, den/g) for g the monic gcd of univariate num != 0 and den."""
-    if den.total_degree():
-        g = poly_gcd_univariate(num, den)
-        if g.total_degree():
-            return poly_divmod_univariate(num, g)[0], poly_divmod_univariate(den, g)[0]
+def _cancel(num: list, den: list) -> tuple[list, list]:
+    """(num/g, den/g) for g the monic gcd of coefficient lists num != [] and den."""
+    if len(num) > 1 and len(den) > 1:
+        g = _u_gcd_monic(num, den)
+        if len(g) > 1:
+            return _u_divmod(num, g)[0], _u_divmod(den, g)[0]
     return num, den
 
 
-def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+def _monic(num: list, den: list) -> tuple[list, list]:
     """(num, den) scaled so den's leading coefficient is 1."""
-    lead = den.terms[max(den.terms)]
+    lead = den[-1]
     if lead == GR_ONE:
         return num, den
     inv = lead.inverse()
-    return num.map_coefficients(lambda c: c * inv), den.map_coefficients(lambda c: c * inv)
+    return [c * inv for c in num], [c * inv for c in den]
+
+
+# the denominator of every polynomial; a stored list is never mutated
+_RF_ONE = [GR_ONE]
 
 
 class RationalFunction:
-    """Quotient of two polynomials in one shared variable.
+    """Quotient of two polynomials in one variable, as dense coefficient lists.
 
     The form is canonical: numerator and denominator are coprime, the
-    denominator is monic, and zero is 0/1, so equality compares the parts.
-    Arithmetic keeps that form by Henrici's rules (Knuth, TAOCP vol. 2,
-    4.5.1): a sum takes the gcd of the denominators and then of that gcd with
-    the new numerator, a product cancels each numerator against the other
-    denominator, and an inverse or power needs no gcd at all.
+    denominator is monic, and zero is [] over [1], so equality compares the
+    lists.  Arithmetic keeps that form by Henrici's rules (Knuth, TAOCP
+    vol. 2, 4.5.1): a sum takes the gcd of the denominators and then of that
+    gcd with the new numerator, a product cancels each numerator against the
+    other denominator, and an inverse or power needs no gcd at all.
+    `numerator` and `denominator` build a Poly on demand; no arithmetic reads
+    them.
     """
 
-    __slots__ = ("numerator", "denominator")
+    __slots__ = ("variables", "_num", "_den")
 
     def __init__(self, numerator: Poly, denominator: Poly | None = None):
         if denominator is None:
@@ -901,17 +942,20 @@ class RationalFunction:
             raise AlgebraError("numerator and denominator must share one variable")
         if not denominator:
             raise AlgebraError("zero denominator")
-        if not numerator:
-            self.numerator, self.denominator = numerator, Poly.constant(numerator.variables, GR_ONE)
+        self.variables = numerator.variables
+        num = numerator.coefficients()
+        if not num:
+            self._num, self._den = num, _RF_ONE
         else:
-            self.numerator, self.denominator = _monic(*_cancel(numerator, denominator))
+            self._num, self._den = _monic(*_cancel(num, denominator.coefficients()))
 
     @classmethod
-    def _raw(cls, num: Poly, den: Poly) -> "RationalFunction":
-        """num/den from a pair already in normal form; zero gets denominator 1."""
+    def _raw(cls, variables: tuple, num: list, den: list) -> "RationalFunction":
+        """num/den from trimmed lists already in normal form; zero gets denominator [1]."""
         out = object.__new__(cls)
-        out.numerator = num
-        out.denominator = den if num else Poly.constant(num.variables, GR_ONE)
+        out.variables = variables
+        out._num = num
+        out._den = den if num else _RF_ONE
         return out
 
     # -- constructors -------------------------------------------------------
@@ -921,46 +965,56 @@ class RationalFunction:
         return RationalFunction(Poly.constant(variables, value))
 
     @property
-    def variables(self) -> tuple:
-        return self.numerator.variables
+    def numerator(self) -> Poly:
+        return Poly.from_coefficients(self.variables, self._num)
+
+    @property
+    def denominator(self) -> Poly:
+        return Poly.from_coefficients(self.variables, self._den)
 
     # -- field operations ----------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
+            if other.variables != self.variables:
+                raise AlgebraError(f"variable lists differ: {self.variables} vs {other.variables}")
             return other
-        if isinstance(other, Poly):
-            return RationalFunction(other)
         if isinstance(other, (int, GaussianRational)):
-            return RationalFunction.constant(self.variables, other)
+            c = other if isinstance(other, GaussianRational) else _gr(other, 0, 1)
+            return RationalFunction._raw(self.variables, [c] if c else [], _RF_ONE)
+        if isinstance(other, Poly):
+            return self._coerce(RationalFunction(other))
         return NotImplemented
 
-    def _add(self, n2: Poly, d2: Poly) -> "RationalFunction":
+    def _add(self, n2: list, d2: list) -> "RationalFunction":
         """self + n2/d2, where n2/d2 is in normal form."""
-        n1, d1 = self.numerator, self.denominator
-        if not d1.total_degree() and not d2.total_degree():
-            return RationalFunction._raw(n1 + n2, d1)
-        if not d1.total_degree() or not d2.total_degree():
-            return RationalFunction._raw(n1 * d2 + n2 * d1, d1 * d2)
-        g = poly_gcd_univariate(d1, d2)
-        if not g.total_degree():
-            return RationalFunction._raw(n1 * d2 + n2 * d1, d1 * d2)
-        d1, _ = poly_divmod_univariate(d1, g)
-        t = n1 * poly_divmod_univariate(d2, g)[0] + n2 * d1
+        vs, n1, d1 = self.variables, self._num, self._den
+        if len(d1) == 1:
+            if len(d2) == 1:
+                return RationalFunction._raw(vs, _u_add(n1, n2), _RF_ONE)
+            # d1 = 1: n1 d2 + n2 is coprime to d2 because n2 is
+            return RationalFunction._raw(vs, _u_add(_u_mul(n1, d2), n2), d2)
+        if len(d2) == 1:
+            return RationalFunction._raw(vs, _u_add(n1, _u_mul(n2, d1)), d1)
+        g = _u_gcd_monic(d1, d2)
+        if len(g) == 1:
+            return RationalFunction._raw(vs, _u_add(_u_mul(n1, d2), _u_mul(n2, d1)), _u_mul(d1, d2))
+        d1 = _u_divmod(d1, g)[0]
+        t = _u_add(_u_mul(n1, _u_divmod(d2, g)[0]), _u_mul(n2, d1))
         if not t:
-            return RationalFunction._raw(t, d2)
+            return RationalFunction._raw(vs, t, d2)
         # t is coprime to d1/g and d2/g, so only g can share a factor with it
-        g2 = poly_gcd_univariate(t, g)
-        if g2.total_degree():
-            t, _ = poly_divmod_univariate(t, g2)
-            d2, _ = poly_divmod_univariate(d2, g2)
-        return RationalFunction._raw(t, d1 * d2)
+        g2 = _u_gcd_monic(t, g)
+        if len(g2) > 1:
+            t = _u_divmod(t, g2)[0]
+            d2 = _u_divmod(d2, g2)[0]
+        return RationalFunction._raw(vs, t, _u_mul(d1, d2))
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self._add(o.numerator, o.denominator)
+        return self._add(o._num, o._den)
 
     __radd__ = __add__
 
@@ -968,7 +1022,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self._add(-o.numerator, o.denominator)
+        return self._add([-c for c in o._num], o._den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -977,25 +1031,25 @@ class RationalFunction:
         return o - self
 
     def __neg__(self):
-        return RationalFunction._raw(-self.numerator, self.denominator)
+        return RationalFunction._raw(self.variables, [-c for c in self._num], self._den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        n1, d1, n2, d2 = self.numerator, self.denominator, o.numerator, o.denominator
+        n1, d1, n2, d2 = self._num, self._den, o._num, o._den
         if not n1 or not n2:
-            return RationalFunction._raw(n1 * n2, d1)
+            return RationalFunction._raw(self.variables, [], _RF_ONE)
         n1, d2 = _cancel(n1, d2)
         n2, d1 = _cancel(n2, d1)
-        return RationalFunction._raw(n1 * n2, d1 * d2)
+        return RationalFunction._raw(self.variables, _u_mul(n1, n2), _u_mul(d1, d2))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RationalFunction":
-        if not self.numerator:
+        if not self._num:
             raise ZeroDivisionError("inverse of zero rational function")
-        return RationalFunction._raw(*_monic(self.denominator, self.numerator))
+        return RationalFunction._raw(self.variables, *_monic(self._den, self._num))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -1013,24 +1067,29 @@ class RationalFunction:
         if exponent < 0:
             return self.inverse() ** (-exponent)
         # coprime parts stay coprime, and a power of a monic leading term is monic
-        return RationalFunction._raw(self.numerator**exponent, self.denominator**exponent)
+        num, den = _RF_ONE, _RF_ONE
+        for _ in range(exponent):
+            num, den = _u_mul(num, self._num), _u_mul(den, self._den)
+        return RationalFunction._raw(self.variables, num, den)
 
     # -- predicates -----------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.numerator)
+        return bool(self._num)
 
     def __eq__(self, other):
+        if isinstance(other, RationalFunction) and other.variables != self.variables:
+            return False
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self.numerator == o.numerator and self.denominator == o.denominator
+        return self._num == o._num and self._den == o._den
 
     def __hash__(self):
         raise TypeError("RationalFunction is not hashable")
 
     def is_polynomial(self) -> bool:
-        return self.denominator.total_degree() == 0
+        return len(self._den) == 1
 
     def as_poly(self) -> Poly:
         if not self.is_polynomial():
@@ -1050,7 +1109,7 @@ class RationalFunction:
 
     def __str__(self) -> str:
         if self.is_polynomial():
-            return format_polynomial(self.as_poly())
+            return format_polynomial(self.numerator)
         return f"({format_polynomial(self.numerator)})/({format_polynomial(self.denominator)})"
 
     def __repr__(self) -> str:

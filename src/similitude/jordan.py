@@ -86,6 +86,11 @@ def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]]
     work = [c * lead_inv for c in coeffs]
 
     squarefree = _u_squarefree(work)
+    # D * work lies in Z[i][t] with leading coefficient D, so a root u/v in
+    # lowest terms has v | D, and its reduced denominator divides N(v) | D^2:
+    # a snap whose denominator does not divide D^2 is no root
+    clear = math.lcm(*(c._d for c in work))
+    clear *= clear
 
     import numpy as np
 
@@ -97,7 +102,7 @@ def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]]
         reach = min((abs(approx - x) for j, x in enumerate(numeric) if j != idx), default=math.inf) / 2
         for bound in (1, 10, 100, 10**4, 10**6, 10**9, 10**12):
             c = GaussianRational(_rationalize(approx.real, bound), _rationalize(approx.imag, bound))
-            if abs(c.to_complex() - approx) < reach and not _u_deflate(work, c)[1]:
+            if abs(c.to_complex() - approx) < reach and not clear % c._d and not _u_deflate(work, c)[1]:
                 mult, work = _u_order(work, c)
                 roots.append((c, mult))
                 break

@@ -35,9 +35,11 @@ from .algebra import (
     Poly,
     PolyMatrix,
     RationalFunction,
+    _u_divmod,
+    _u_gcd_monic,
+    _u_mul,
     _u_order,
-    poly_divmod_univariate,
-    poly_gcd_univariate,
+    _u_sub_mul,
 )
 
 
@@ -103,7 +105,10 @@ def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
     ring at the point (denominators nonvanishing there).  Pivots on a
     minimal-valuation entry (ties broken by smallest (row, col)) and clears
     with row/column operations that are invertible over the local ring, so E
-    and F are exact units at the point.
+    and F are exact units at the point.  The zeros the clearing creates are
+    set, not computed: after the row sweep column k is zero off the pivot
+    (rows below were just cleared, rows above at their own steps), so the
+    column sweep changes row k of the work matrix only.
     """
     if len(m.variables) != 1:
         raise SmithError("local_smith requires a univariate matrix")
@@ -117,16 +122,19 @@ def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
     work = [list(row) for row in m.entries]
     e = [list(row) for row in PolyMatrix.identity(n, vs).to_func().entries]
     f = [list(row) for row in PolyMatrix.identity(cols, vs).to_func().entries]
+    zero = RationalFunction.constant(vs, GR_ZERO)
 
     exponents: list[int] = []
     for k in range(min(n, cols)):
         best = None
         for i, j in product(range(k, n), range(k, cols)):
-            order = _order_at(work[i][j].numerator, pt)
-            if order is not None and (best is None or order[0] < best[0][0]):
-                best = (order, i, j)
-                if order[0] == 0:
-                    break
+            num = work[i][j]._num
+            if num:
+                order = _u_order(num, pt)
+                if best is None or order[0] < best[0][0]:
+                    best = (order, i, j)
+                    if order[0] == 0:
+                        break
         if best is None:
             break
         (kappa, unit_coeffs), pi, pj = best
@@ -139,7 +147,8 @@ def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
                 row[k], row[pj] = row[pj], row[k]
             f[k], f[pj] = f[pj], f[k]
 
-        unit = RationalFunction(Poly.from_coefficients(vs, unit_coeffs), work[k][k].denominator)
+        # the pivot's numerator over (z - pt)^kappa stays coprime to its denominator
+        unit = RationalFunction._raw(vs, unit_coeffs, work[k][k]._den)
         inv_unit = unit.inverse()
         for j in range(k, cols):
             work[k][j] = work[k][j] * inv_unit
@@ -150,21 +159,26 @@ def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
         for i in range(k + 1, n):
             if work[i][k]:
                 factor = work[i][k] * pivot_inv
-                for j in range(k, cols):
-                    work[i][j] = work[i][j] - factor * work[k][j]
+                work[i][k] = zero
+                for j in range(k + 1, cols):
+                    if work[k][j]:
+                        work[i][j] = work[i][j] - factor * work[k][j]
                 for r in range(n):
-                    e[r][k] = e[r][k] + factor * e[r][i]
+                    if e[r][i]:
+                        e[r][k] = e[r][k] + factor * e[r][i]
         for j in range(k + 1, cols):
             if work[k][j]:
                 factor = work[k][j] * pivot_inv
-                for i in range(n):
-                    work[i][j] = work[i][j] - factor * work[i][k]
+                work[k][j] = zero
                 for c in range(cols):
-                    f[k][c] = f[k][c] + factor * f[j][c]
+                    if f[j][c]:
+                        f[k][c] = f[k][c] + factor * f[j][c]
         exponents.append(kappa)
 
     if any(a > b for a, b in zip(exponents, exponents[1:])):
         raise AssertionError("local Smith exponents came out decreasing")
+    if any(work[i][j] for i in range(n) for j in range(cols) if i != j):
+        raise AssertionError("local Smith elimination left an entry off the diagonal")
 
     return SmithFactorization(
         point=pt,
@@ -223,37 +237,41 @@ def holomorphic_kernel_section(
 def invariant_factors(m: PolyMatrix) -> list[Poly]:
     """Monic invariant factors s_1 | s_2 | ... of a univariate polynomial matrix.
 
-    Euclidean reduction over Q(i)[x] to a diagonal: pivot on a minimal-degree
-    entry, reduce its row and column by polynomial division, and re-pivot
-    while a remainder is left.  The diagonal fixes the factors, since
-    diag(a, b) is equivalent to diag(gcd(a, b), lcm(a, b)) (the elementary
-    divisors of a diagonal matrix are those of its entries; Gantmacher,
-    vol. 1, ch. VI), so one gcd/lcm pass over the pairs i < j sorts every
-    prime's exponents into the divisibility chain.
+    Euclidean reduction over Q(i)[x] to a diagonal, on dense coefficient
+    lists: pivot on a minimal-degree entry, reduce its row and column by
+    polynomial division, and re-pivot while a remainder is left.  The
+    diagonal fixes the factors, since diag(a, b) is equivalent to
+    diag(gcd(a, b), lcm(a, b)) (the elementary divisors of a diagonal matrix
+    are those of its entries; Gantmacher, vol. 1, ch. VI), so one gcd/lcm
+    pass over the pairs i < j sorts every prime's exponents into the
+    divisibility chain.
     """
     if len(m.variables) != 1 or any(isinstance(p, RationalFunction) for row in m.entries for p in row):
         raise SmithError("invariant_factors requires a univariate polynomial matrix")
-    work = [list(row) for row in m.entries]
+    work = [[p.coefficients() for p in row] for row in m.entries]
     n, cols = m.rows, m.cols
-    diagonal: list[Poly] = []
+    diagonal: list[list] = []
     for k in range(min(n, cols)):
         if not _move_min_degree_pivot(work, k, n, cols):
             break
         dirty = True
         while dirty:
             dirty = False
+            pivot = work[k][k]
             for i in range(k + 1, n):
                 if work[i][k]:
-                    q, r = poly_divmod_univariate(work[i][k], work[k][k])
-                    for j in range(k, cols):
-                        work[i][j] = work[i][j] - q * work[k][j]
+                    q, r = _u_divmod(work[i][k], pivot)
+                    work[i][k] = r
+                    for j in range(k + 1, cols):
+                        work[i][j] = _u_sub_mul(work[i][j], q, work[k][j])
                     if r:
                         dirty = True
             for j in range(k + 1, cols):
                 if work[k][j]:
-                    q, r = poly_divmod_univariate(work[k][j], work[k][k])
-                    for i in range(k, n):
-                        work[i][j] = work[i][j] - q * work[i][k]
+                    q, r = _u_divmod(work[k][j], pivot)
+                    work[k][j] = r
+                    for i in range(k + 1, n):
+                        work[i][j] = _u_sub_mul(work[i][j], q, work[i][k])
                     if r:
                         dirty = True
             if dirty:
@@ -261,24 +279,23 @@ def invariant_factors(m: PolyMatrix) -> list[Poly]:
         diagonal.append(work[k][k])
     for i in range(len(diagonal)):
         for j in range(i + 1, len(diagonal)):
-            g = poly_gcd_univariate(diagonal[i], diagonal[j])
-            diagonal[j] = poly_divmod_univariate(diagonal[i], g)[0] * diagonal[j]
+            g = _u_gcd_monic(diagonal[i], diagonal[j])
+            diagonal[j] = _u_mul(_u_divmod(diagonal[i], g)[0], diagonal[j])
             diagonal[i] = g
-    for k, d in enumerate(diagonal):
-        inv = d.coefficients()[-1].inverse()
-        diagonal[k] = d.map_coefficients(lambda c: c * inv)
-    return diagonal
+    out = []
+    for d in diagonal:
+        inv = d[-1].inverse()
+        out.append(Poly.from_coefficients(m.variables, [c * inv for c in d]))
+    return out
 
 
-def _move_min_degree_pivot(work: list[list[Poly]], k: int, n: int, cols: int) -> bool:
+def _move_min_degree_pivot(work: list[list[list]], k: int, n: int, cols: int) -> bool:
     best = None
     for i in range(k, n):
         for j in range(k, cols):
             p = work[i][j]
-            if p:
-                d = p.total_degree()
-                if best is None or d < best[0]:
-                    best = (d, i, j)
+            if p and (best is None or len(p) < best[0]):
+                best = (len(p), i, j)
     if best is None:
         return False
     _, pi, pj = best

@@ -382,6 +382,44 @@ class TestHenriciArithmetic:
                 RationalFunction(num, den)
         with pytest.raises(AlgebraError, match="one variable"):
             RationalFunction(Z, Poly.variable(("w",), "w"))
+        in_z, in_w = RationalFunction(Z), RationalFunction(Poly.variable(("w",), "w"))
+        assert in_z != in_w
+        for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a / b):
+            with pytest.raises(AlgebraError, match="variable lists differ"):
+                op(in_z, in_w)
+
+    def test_agrees_with_sympy_cancel(self):
+        # the constructor shares _cancel and _monic with the arithmetic, so the
+        # reduced quotients are also checked against an outside oracle
+        pytest.importorskip("sympy")
+        from sympy.polys.domains import QQ, QQ_I
+        from sympy.polys.rings import ring
+
+        ring_z, _ = ring("z", QQ_I)
+
+        def to_ring(p):
+            coeffs = [QQ_I(QQ(c.re.numerator, c.re.denominator), QQ(c.im.numerator, c.im.denominator))
+                      for c in p.coefficients()]
+            return ring_z.from_list(coeffs[::-1])
+
+        def reduced(num, den):
+            num, den = num.cancel(den)
+            return num.quo_ground(den.LC), den.monic()
+
+        def parts(f):
+            return to_ring(f.numerator), to_ring(f.denominator)
+
+        for a, b in self.pairs():
+            (n1, d1), (n2, d2) = parts(a), parts(b)
+            expected = [
+                (a + b, reduced(n1 * d2 + n2 * d1, d1 * d2)),
+                (a - b, reduced(n1 * d2 - n2 * d1, d1 * d2)),
+                (a * b, reduced(n1 * n2, d1 * d2)),
+            ]
+            if b:
+                expected += [(a / b, reduced(n1 * d2, d1 * n2)), (b.inverse(), reduced(d2, n2))]
+            for got, want in expected:
+                assert parts(got) == want, (a, b, got)
 
 
 class TestUnivariateToolkit:

@@ -90,6 +90,27 @@ class TestRootExtraction:
         assert roots == []
         assert cofactor.total_degree() == 2
 
+    def test_roots_with_large_denominators(self):
+        # products of linear factors whose roots have denominators up to 10^6,
+        # times a cofactor with no root in Q(i): the denominator filter on the
+        # snaps must keep every root, and deflation must leave the cofactor
+        rng = random.Random(97)
+        t = Poly.variable(("t",), "t")
+        cofactors = ["t^2-2", "t^2+3", "t^2-t-1", "t^3-2", "t^2+1i*t+1"]
+        for _ in range(40):
+            want, count = {}, rng.randint(1, 3)
+            while len(want) < count:
+                re = Fraction(rng.randint(-3 * 10**6, 3 * 10**6), rng.randint(1, 10**6))
+                im = Fraction(rng.randint(-3 * 10**6, 3 * 10**6), rng.randint(1, 10**6)) * rng.randint(0, 1)
+                want[g(re, im)] = rng.randint(1, 2)
+            cofactor = Poly.parse(rng.choice(cofactors), ["t"])
+            p = cofactor * g(rng.randint(1, 5), rng.randint(-2, 2) or 1)
+            for root, mult in want.items():
+                p = p * (t - Poly.constant(("t",), root)) ** mult
+            roots, rest = gaussian_rational_roots(p)
+            assert dict(roots) == want, str(p)
+            assert rest == cofactor
+
 
 class TestCharPoly:
     def test_matches_sympy_charpoly(self):

@@ -24,6 +24,7 @@ from similitude.smith import (
     local_smith,
     minor_gcd_valuation,
 )
+from similitude.sylvester import sylvester_matrix
 
 g = GaussianRational
 
@@ -462,3 +463,22 @@ class TestInvariantFactorsAgainstSympy:
                 grid[k][k] = d * g(rng.randint(1, 3), rng.randint(-1, 1))
             m = rand_unimodular(rng, n) * PolyMatrix(grid) * rand_unimodular(rng, n)
             assert [to_ring(p) for p in invariant_factors(m)] == oracle(m), m.to_strings()
+
+    def test_self_intertwiners_match_sympy(self):
+        # the 9x9 matrices M(x) of A(x) = A0 + (x - xi) A1, with A0 similar to
+        # diag(l, l, m): the commutant jumps at xi, so factors carry x - xi
+        to_ring, oracle = self._oracle()
+        x = Poly.variable(("x",), "x")
+        for seed, xi in ((61, g(0)), (62, g(1, -1))):
+            rng = random.Random(seed)
+            lam, mu = (g(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(2))
+            p = rand_unimodular(rng, 3).evaluate([GR_ZERO])
+            d = [[(lam if i < 2 else mu) if i == j else GR_ZERO for j in range(3)] for i in range(3)]
+            a0 = linalg.mat_mul(linalg.mat_mul(p, d, GR_ZERO), linalg.invert(p, GR_ONE, GR_ZERO), GR_ZERO)
+            a = PolyMatrix(
+                [[(x - xi) * g(rng.randint(-1, 1), rng.randint(-1, 1)) + a0[i][j] for j in range(3)] for i in range(3)]
+            )
+            m = sylvester_matrix(a, a)
+            factors = invariant_factors(m)
+            assert [to_ring(f) for f in factors] == oracle(m), a.to_strings()
+            assert factors[-1].total_degree() > 0
