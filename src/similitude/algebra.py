@@ -214,6 +214,13 @@ def _coerce(other):
     return NotImplemented
 
 
+def _coordinates(point: Sequence, count: int) -> list[GaussianRational]:
+    """The coordinates of an evaluation point, which must number count."""
+    if len(point) != count:
+        raise AlgebraError(f"expected {count} coordinates, got {len(point)}")
+    return [v if isinstance(v, GaussianRational) else GaussianRational(v) for v in point]
+
+
 def _quotient(x: GaussianRational, y: GaussianRational) -> GaussianRational:
     """x / y = (a + b*i) f (c - e*i) / (d (c^2 + e^2)) for x = (a + b*i)/d, y = (c + e*i)/f."""
     c, e = y._a, y._b
@@ -551,11 +558,7 @@ class Poly:
     # -- calculus-flavoured operations ---------------------------------------
 
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
-        if len(point) != len(self.variables):
-            raise AlgebraError(
-                f"expected {len(self.variables)} coordinates, got {len(point)}"
-            )
-        vals = [v if isinstance(v, GaussianRational) else GaussianRational(v) for v in point]
+        vals = _coordinates(point, len(self.variables))
         total = GR_ZERO
         powers: list[dict[int, GaussianRational]] = [dict() for _ in vals]
         for expo, coeff in self.terms.items():
@@ -1099,13 +1102,15 @@ class RationalFunction:
     # -- evaluation ------------------------------------------------------------
 
     def defined_at(self, point: Sequence[GaussianRational]) -> bool:
-        return bool(self.denominator.evaluate(point))
+        return bool(_u_deflate(self._den, *_coordinates(point, 1))[1])
 
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
-        d = self.denominator.evaluate(point)
+        """num(x)/den(x) by Horner's rule, the remainder of synthetic division."""
+        (x,) = _coordinates(point, 1)
+        d = _u_deflate(self._den, x)[1]
         if not d:
             raise AlgebraError("denominator vanishes at the evaluation point")
-        return self.numerator.evaluate(point) / d
+        return _u_deflate(self._num, x)[1] / d if self._num else GR_ZERO
 
     def __str__(self) -> str:
         if self.is_polynomial():

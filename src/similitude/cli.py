@@ -46,14 +46,18 @@ def _scalar_grid(grid) -> list[list[str]]:
     return [[str(x) for x in row] for row in grid]
 
 
-def load_matrix_file(path: str) -> PolyMatrix:
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # also an integer literal past Python's digit limit
         raise InputError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load_matrix_file(path: str) -> PolyMatrix:
+    data = _read_json(path)
     if not isinstance(data, dict) or "variables" not in data or "matrix" not in data:
         raise InputError(f"{path}: expected an object with 'variables' and 'matrix'")
     variables = data["variables"]
@@ -79,13 +83,7 @@ def load_constant_matrix(path: str) -> list[list[GaussianRational]]:
 
 
 def load_curve_file(path: str) -> list[complex]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # also an integer literal past Python's digit limit
-        raise InputError(f"{path}: not valid JSON: {exc}") from exc
+    data = _read_json(path)
     if not isinstance(data, dict) or "samples" not in data:
         raise InputError(f"{path}: expected an object with 'samples'")
     samples = data["samples"]

@@ -14,15 +14,18 @@ polynomial statements once conjugates are formal variables.
 
 jet_rigidity decides what truncated power-series solutions of a matrix
 relation can look like at the origin.  The unknown n x n jet H is assembled
-into an exact linear system on its Taylor coefficients; restriction to a
-variety (full plane, the cusp z^p = w^q via z -> t^q, w -> t^p, or a union of
-lines w = t_j z) is a re-keying of monomials.  Each equation is a sparse row
-({column: coefficient}) and goes to linalg's sparse reduced echelon form as
-it is.  The H(0) unknowns are numbered last, so that one form yields both the
-jet nullity and, from its last block, the admissible values of H(0), without
-a kernel basis of the whole jet.  Every retained equation up to the
-truncation order is a complete constraint on a true holomorphic solution, so
-a trivial projected solution space is a proof that H(0) is forced.
+into an exact linear system on its Taylor coefficients.  On the full plane
+each monomial z^j w^k keeps its own row.  A curve is a union of monomial
+branches t -> (t^a, s t^b): the cusp z^p = w^q is the one branch (t^q, t^p),
+and a union of lines w = s z has one branch (t, s t) per slope.  Restriction
+sends z^j w^k to s^k t^(aj+bk) on each branch, so one row collects one power
+of t on one branch.  Each equation is a sparse row ({column: coefficient})
+and goes to linalg's sparse reduced echelon form as it is.  The H(0) unknowns
+are numbered last, so that one form yields both the jet nullity and, from its
+last block, the admissible values of H(0), without a kernel basis of the
+whole jet.  Every retained equation up to the truncation order is a complete
+constraint on a true holomorphic solution, so a trivial projected solution
+space is a proof that H(0) is forced.
 
 index_sets enumerates the exponent-collision sets of the cusp comparison
 argument, winding_number certifies discrete curve indices, and
@@ -174,8 +177,6 @@ def verify_smooth_similarity(ell: int, grid_points: int = 100) -> SmoothSimilari
 
 @dataclass(frozen=True)
 class FullPlane:
-    kind: str = "full_plane"
-
     def describe(self) -> str:
         return "full_plane"
 
@@ -184,7 +185,6 @@ class FullPlane:
 class Cusp:
     p: int
     q: int
-    kind: str = "cusp"
 
     def __post_init__(self):
         if self.p < 1 or self.q < 1:
@@ -195,11 +195,13 @@ class Cusp:
     def describe(self) -> str:
         return f"cusp({self.p},{self.q})"
 
+    def branches(self) -> list[tuple]:
+        return [(self.q, self.p, None)]  # t -> (t^q, t^p)
+
 
 @dataclass(frozen=True)
 class Lines:
     slopes: tuple[GaussianRational, ...]
-    kind: str = "lines"
 
     def __post_init__(self):
         if len(set(self.slopes)) != len(self.slopes):
@@ -209,6 +211,9 @@ class Lines:
 
     def describe(self) -> str:
         return "lines(" + ",".join(str(t) for t in self.slopes) + ")"
+
+    def branches(self) -> list[tuple]:
+        return [(1, 1, s) for s in self.slopes]  # t -> (t, s t)
 
 
 Variety = FullPlane | Cusp | Lines
@@ -293,15 +298,13 @@ class JetRigidityResult:
 
 
 def _unknown_monomials(variety: Variety, order: int) -> list[tuple[int, int]]:
+    # the (j, k) with aj + bk <= order for the weight (a, b) of some branch;
+    # the plane is the one weight (1, 1)
+    weights = [(1, 1)] if isinstance(variety, FullPlane) else [br[:2] for br in variety.branches()]
     out = []
-    if isinstance(variety, Cusp):
-        for j in range(order // variety.q + 1):
-            for k in range((order - j * variety.q) // variety.p + 1):
-                out.append((j, k))
-    else:
-        for j in range(order + 1):
-            for k in range(order - j + 1):
-                out.append((j, k))
+    for j in range(max(order // a for a, _ in weights) + 1):
+        top = max((order - a * j) // b for a, b in weights)
+        out.extend((j, k) for k in range(top + 1))
     out.sort(key=lambda jk: (jk[0] + jk[1], jk))
     return out
 
@@ -316,10 +319,11 @@ def jet_rigidity(
     """Exact solution space of the truncated matrix relation on a variety.
 
     Builds the linear system on the Taylor coefficients of the unknown jet H
-    (coefficients h_{jk} with j+k <= order, or weighted degree jq+kp <= order
-    on the cusp), restricts the relation to the variety, retains every
-    monomial constraint up to the order, eliminates exactly and reads the H(0)
-    projection from the last echelon block (`linalg.projected_nullspace`).
+    (coefficients h_{jk} with j+k <= order on the plane, or weighted degree
+    aj+bk <= order on some branch t -> (t^a, s t^b) of a curve), restricts
+    the relation to the variety, retains every monomial constraint up to the
+    order, eliminates exactly and reads the H(0) projection from the last
+    echelon block (`linalg.projected_nullspace`).
     """
     if not 1 <= order <= MAX_ORDER:
         raise RigidityError(f"order must be between 1 and {MAX_ORDER}, got {order}")
@@ -341,42 +345,32 @@ def jet_rigidity(
                 col_index[(r, c, jk[0], jk[1])] = len(col_index)
 
     rows: dict[tuple, dict[int, GaussianRational]] = {}
-
-    slope_powers: list[dict[int, GaussianRational]] = []
-    if isinstance(variety, Lines):
-        slope_powers = [dict() for _ in variety.slopes]
-
-    def slope_pow(line: int, e: int) -> GaussianRational:
-        cache = slope_powers[line]
-        val = cache.get(e)
-        if val is None:
-            val = variety.slopes[line] ** e
-            cache[e] = val
-        return val
+    branches = [] if isinstance(variety, FullPlane) else variety.branches()
+    # s^dw for the slope s of each line (dw <= order there)
+    powers = [None if slope is None else [slope ** e for e in range(order + 1)] for _, _, slope in branches]
 
     def contribute(entry_rc, h_row, h_col, factor: Poly, sign: int):
         for mu, gamma in factor.terms.items():
             coeff = gamma if sign > 0 else -gamma
-            for (j, k) in monos:
-                dz = mu[0] + j
-                dw = mu[1] + k
-                col = col_index[(h_row, h_col, j, k)]
-                if isinstance(variety, FullPlane):
-                    if dz + dw > order:
-                        continue
-                    _row_add(rows, (entry_rc, dz + dw, dz, dw), col, coeff)
-                elif isinstance(variety, Cusp):
-                    e = variety.q * dz + variety.p * dw
+            if not branches:
+                for (j, k) in monos:
+                    dz, dw = mu[0] + j, mu[1] + k
+                    if dz + dw <= order:
+                        col = col_index[(h_row, h_col, j, k)]
+                        _row_add(rows, (entry_rc, dz + dw, dz, dw), col, coeff)
+                continue
+            for branch, (wz, ww, slope) in enumerate(branches):
+                for (j, k) in monos:
+                    dz, dw = mu[0] + j, mu[1] + k
+                    e = wz * dz + ww * dw
                     if e > order:
                         continue
-                    _row_add(rows, (entry_rc, e), col, coeff)
-                else:
-                    if dz + dw > order:
-                        continue
-                    for line in range(len(variety.slopes)):
-                        scaled = coeff * slope_pow(line, dw)
-                        if scaled:
-                            _row_add(rows, (entry_rc, line, dz + dw), col, scaled)
+                    scaled = coeff
+                    if slope is not None:
+                        scaled = coeff * powers[branch][dw]
+                        if not scaled:
+                            continue
+                    _row_add(rows, (entry_rc, branch, e), col_index[(h_row, h_col, j, k)], scaled)
 
     for r in range(n):
         for c in range(n):

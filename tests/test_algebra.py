@@ -388,6 +388,26 @@ class TestHenriciArithmetic:
             with pytest.raises(AlgebraError, match="variable lists differ"):
                 op(in_z, in_w)
 
+    def test_evaluate_agrees_with_poly_evaluate(self):
+        # the points include every root of the random denominators
+        points = HENRICI_ROOTS + [g(3, -1), g(-1, 2) / 5]
+        for f in [f for pair in self.pairs() for f in pair]:
+            for pt in points:
+                den = f.denominator.evaluate([pt])
+                assert f.defined_at([pt]) == bool(den), (f, pt)
+                if den:
+                    assert f.evaluate([pt]) == f.numerator.evaluate([pt]) / den, (f, pt)
+                else:
+                    with pytest.raises(AlgebraError, match="denominator vanishes"):
+                        f.evaluate([pt])
+        f = RationalFunction(Z * Z + 1, Z - 1)
+        assert f.evaluate([3]) == g(5) and f.defined_at([2]) and not f.defined_at([1])
+        for bad in ([], [g(1), g(2)]):
+            with pytest.raises(AlgebraError, match="expected 1 coordinates"):
+                f.evaluate(bad)
+            with pytest.raises(AlgebraError, match="expected 1 coordinates"):
+                f.defined_at(bad)
+
     def test_agrees_with_sympy_cancel(self):
         # the constructor shares _cancel and _monic with the arithmetic, so the
         # reduced quotients are also checked against an outside oracle

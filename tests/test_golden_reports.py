@@ -126,6 +126,26 @@ CASES = {
         ["rigidity", "--ell", "1", "--relation", "AHeqHA", "--variety", "full", "--order", "10"],
         {},
     ),
+    # a zero slope, a complex slope and a relation other than AHeqHB on lines
+    "rigidity-lines-mixed-slopes": (
+        ["rigidity", "--ell", "1", "--relation", "HAeqBH", "--variety", "lines:0,1i,-1/2", "--order", "6"],
+        {},
+    ),
+    # a cusp whose admissible H(0) are exactly the multiples of I
+    "rigidity-cusp-7-5-scalar-line": (
+        ["rigidity", "--ell", "1", "--relation", "AHeqHA", "--variety", "cusp:7,5", "--order", "30"],
+        {},
+    ),
+    # the line w = z written as a cusp and as a line: each keeps its own name
+    # and default order
+    "rigidity-cusp-1-1": (
+        ["rigidity", "--ell", "0", "--relation", "AHeqHB", "--variety", "cusp:1,1"],
+        {},
+    ),
+    "rigidity-lines-1": (
+        ["rigidity", "--ell", "0", "--relation", "AHeqHB", "--variety", "lines:1"],
+        {},
+    ),
 }
 
 
