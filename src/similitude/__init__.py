@@ -16,6 +16,7 @@ from .algebra import (
     Poly,
     PolyMatrix,
     RationalFunction,
+    SimilitudeError,
     format_polynomial,
     generic_rank,
     parse_gaussian_rational,

@@ -35,6 +35,7 @@ under greedy parsing.
 
 from __future__ import annotations
 
+import operator
 import sys
 from fractions import Fraction
 from math import gcd
@@ -58,7 +59,11 @@ MAX_EXPONENT = 256
 MAX_DIGITS = 4096
 
 
-class AlgebraError(ValueError):
+class SimilitudeError(ValueError):
+    """Base of the package's error classes: bad input or a precondition that fails."""
+
+
+class AlgebraError(SimilitudeError):
     """Raised for arity mismatches, unbound variables and malformed input."""
 
 
@@ -153,15 +158,7 @@ class GaussianRational:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = GR_ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, GR_ONE)
 
     # -- predicates / conversions ------------------------------------------
 
@@ -204,6 +201,18 @@ def _gr(a: int, b: int, d: int) -> GaussianRational:
     x._b = b
     x._d = d
     return x
+
+
+def _power(base, e: int, one):
+    """base ** e for e >= 0 by repeated squaring; `one` is the empty product."""
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
 
 
 def _coerce(other):
@@ -509,15 +518,7 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise AlgebraError("negative power of a polynomial")
-        result = Poly.constant(self.variables, GR_ONE)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, Poly.constant(self.variables, GR_ONE))
 
     @classmethod
     def _raw(cls, variables, terms) -> "Poly":
@@ -546,33 +547,16 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def constant_coefficient(self) -> GaussianRational:
-        return self.terms.get((0,) * len(self.variables), GR_ZERO)
-
     def constant_value(self) -> GaussianRational:
         """The value of a constant polynomial; error if non-constant."""
         if self.total_degree() > 0:
             raise AlgebraError("polynomial is not constant")
-        return self.constant_coefficient()
+        return self.terms.get((0,) * len(self.variables), GR_ZERO)
 
     # -- calculus-flavoured operations ---------------------------------------
 
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
-        vals = _coordinates(point, len(self.variables))
-        total = GR_ZERO
-        powers: list[dict[int, GaussianRational]] = [dict() for _ in vals]
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for i, e in enumerate(expo):
-                if e:
-                    cache = powers[i]
-                    p = cache.get(e)
-                    if p is None:
-                        p = vals[i] ** e
-                        cache[e] = p
-                    term = term * p
-            total = total + term
-        return total
+        return self._compose(_coordinates(point, len(self.variables)), GR_ZERO)
 
     def substitute(self, bindings: Mapping[str, "Poly"]) -> "Poly":
         """Compose: replace every variable by a bound polynomial.
@@ -584,30 +568,31 @@ class Poly:
             if name not in bindings:
                 raise AlgebraError(f"unbound variable {name!r}")
         bound = [bindings[name] for name in self.variables]
-        if bound:
-            target = bound[0].variables
-            for b in bound:
-                if b.variables != target:
-                    raise AlgebraError("bound polynomials use different variable lists")
-        else:
-            target = ()
-        result = Poly.zero(target)
-        powers: list[dict[int, Poly]] = [dict() for _ in bound]
+        target = bound[0].variables if bound else ()
+        if any(b.variables != target for b in bound):
+            raise AlgebraError("bound polynomials use different variable lists")
+        return self._compose(bound, Poly.zero(target))
+
+    def _compose(self, values: list, zero):
+        """The sum over the terms of coeff * prod values[i] ** e, each power computed once.
+
+        The values are scalars (evaluate) or polynomials (substitute); a
+        scalar times a polynomial, or a polynomial plus a scalar, is a
+        polynomial, so a coefficient needs no lift into the values' ring.
+        """
+        total = zero
+        powers: list[dict] = [dict() for _ in values]
         for expo, coeff in self.terms.items():
-            term = Poly.constant(target, coeff)
+            term = coeff
             for i, e in enumerate(expo):
                 if e:
                     cache = powers[i]
                     p = cache.get(e)
                     if p is None:
-                        p = bound[i] ** e
-                        cache[e] = p
+                        p = cache[e] = values[i] ** e
                     term = term * p
-            result = result + term
-        return result
-
-    def map_coefficients(self, fn) -> "Poly":
-        return Poly(self.variables, {e: fn(c) for e, c in self.terms.items()})
+            total = total + term
+        return total
 
     def with_variables(self, variables: Sequence[str]) -> "Poly":
         """Re-express over a superset variable list (order preserved per name)."""
@@ -1187,39 +1172,26 @@ class PolyMatrix:
     def __hash__(self):
         raise TypeError(f"{type(self).__name__} is not hashable")
 
+    def _elementwise(self, other: "PolyMatrix", op) -> "PolyMatrix":
+        if self.rows != other.rows or self.cols != other.cols:
+            raise AlgebraError("matrix shapes differ")
+        return PolyMatrix([[op(x, y) for x, y in zip(r, s)] for r, s in zip(self.entries, other.entries)])
+
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._shape_check(other)
-        return PolyMatrix(
-            [[x + y for x, y in zip(r, s)] for r, s in zip(self.entries, other.entries)]
-        )
+        return self._elementwise(other, operator.add)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._shape_check(other)
-        return PolyMatrix(
-            [[x - y for x, y in zip(r, s)] for r, s in zip(self.entries, other.entries)]
-        )
+        return self._elementwise(other, operator.sub)
 
     def __neg__(self) -> "PolyMatrix":
         return self.map(lambda p: -p)
-
-    def _shape_check(self, other: "PolyMatrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise AlgebraError("matrix shapes differ")
 
     def __mul__(self, other):
         if isinstance(other, PolyMatrix):
             if self.cols != other.rows:
                 raise AlgebraError("inner dimensions differ")
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc = self.entries[i][0] * other.entries[0][j]
-                    for k in range(1, self.cols):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                out.append(row)
-            return PolyMatrix(out)
+            # a Poly zero plus a RationalFunction is a RationalFunction
+            return PolyMatrix(linalg.mat_mul(self.entries, other.entries, Poly.zero(self.variables)))
         if isinstance(other, (int, GaussianRational, Poly, RationalFunction)):
             return self.map(lambda p: p * other)
         return NotImplemented
@@ -1259,6 +1231,7 @@ def generic_rank(m: PolyMatrix) -> int:
 
 __all__ = [
     "AlgebraError",
+    "SimilitudeError",
     "GaussianRational",
     "GR_ZERO",
     "GR_ONE",

@@ -22,6 +22,7 @@ from .algebra import (
     AlgebraError,
     GaussianRational,
     PolyMatrix,
+    SimilitudeError,
     format_polynomial,
     parse_gaussian_rational,
 )
@@ -496,17 +497,7 @@ def run(argv: list[str]) -> int:
     }
     try:
         result, verdict, code = args.handler(args)
-    except InputError as exc:
-        print(f"similitude: {exc}", file=sys.stderr)
-        return 2
-    except (
-        AlgebraError,
-        smith_mod.SmithError,
-        sylvester_mod.SylvesterError,
-        similarity_mod.SimilarityError,
-        jordan_mod.JordanError,
-        rigidity_mod.RigidityError,
-    ) as exc:
+    except (InputError, SimilitudeError) as exc:
         print(f"similitude: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -40,6 +40,7 @@ from .algebra import (
     Poly,
     PolyMatrix,
     RationalFunction,
+    SimilitudeError,
     _u_deflate,
     _u_derivative,
     _u_mul,
@@ -57,16 +58,12 @@ DEFAULT_PROBES = 4
 MAX_PROBES = 64
 
 
-class JordanError(ValueError):
+class JordanError(SimilitudeError):
     """Raised for splitting failures and verification failures."""
 
 
 # ---------------------------------------------------------------------------
 # Exact Gaussian-rational root extraction
-
-
-def _rationalize(x: float, bound: int):
-    return Fraction(x).limit_denominator(bound)
 
 
 def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]], Poly]:
@@ -101,7 +98,10 @@ def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]]
         # 2 * reach from this one, so a snap within reach cannot be one of them
         reach = min((abs(approx - x) for j, x in enumerate(numeric) if j != idx), default=math.inf) / 2
         for bound in (1, 10, 100, 10**4, 10**6, 10**9, 10**12):
-            c = GaussianRational(_rationalize(approx.real, bound), _rationalize(approx.imag, bound))
+            c = GaussianRational(
+                Fraction(approx.real).limit_denominator(bound),
+                Fraction(approx.imag).limit_denominator(bound),
+            )
             if abs(c.to_complex() - approx) < reach and not clear % c._d and not _u_deflate(work, c)[1]:
                 mult, work = _u_order(work, c)
                 roots.append((c, mult))
@@ -134,7 +134,7 @@ def char_poly_coeffs(a: PolyMatrix) -> list[Poly]:
         trace = Poly.zero(vs)
         for i in range(n):
             trace = trace + m.entries[i][i]
-        c = trace.map_coefficients(lambda x: x * GaussianRational(rat(-1, k)))
+        c = trace * GaussianRational(rat(-1, k))
         coeffs.append(c)
     return coeffs
 
@@ -313,16 +313,12 @@ def _resultant(a: list, b: list, one, zero):
     if size == 0:
         return one
     rows = []
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(a)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(b)):
-            row[i + j] = c
-        rows.append(row)
+    # n shifted copies of a's coefficients, then m of b's, highest degree first
+    for count, coeffs in ((n, a), (m, b)):
+        for i in range(count):
+            row = [zero] * size
+            row[i : i + len(coeffs)] = coeffs[::-1]
+            rows.append(row)
     return linalg.det(rows, one, zero)
 
 
@@ -459,8 +455,7 @@ def is_jordan_stable(
     nearby offsets; a difference refutes stability, agreement leaves the point
     undetermined (a finite probe cannot quantify over a neighborhood).
     """
-    _check_settings(tolerance, probes)
-    return _stability_verdict(a, point, jordan_instability_candidates(a), probes, tolerance)
+    return stability_report(a, [point], probes, tolerance).verdicts[0]
 
 
 def _stability_verdict(

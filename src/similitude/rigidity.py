@@ -46,6 +46,7 @@ from .algebra import (
     GR_ZERO,
     Poly,
     PolyMatrix,
+    SimilitudeError,
     parse_gaussian_rational,
     rat,
 )
@@ -63,7 +64,7 @@ MAX_ORDER = 512
 MAX_GRID = 4096
 
 
-class RigidityError(ValueError):
+class RigidityError(SimilitudeError):
     """Raised for invalid varieties, orders and curve data."""
 
 
@@ -336,10 +337,11 @@ def jet_rigidity(
     n = a.rows
 
     monos = _unknown_monomials(variety, order)
-    # monos starts with (0, 0): moving it last gives the H(0) unknowns the
-    # last n^2 columns, where projected_nullspace reads them
+    # monos runs by degree from (0, 0), so numbering it newest (highest degree)
+    # first gives the H(0) unknowns the last n^2 columns, where
+    # projected_nullspace reads them
     col_index: dict[tuple, int] = {}
-    for jk in monos[1:] + monos[:1]:
+    for jk in reversed(monos):
         for r in range(n):
             for c in range(n):
                 col_index[(r, c, jk[0], jk[1])] = len(col_index)

@@ -30,14 +30,15 @@ from .algebra import (
     GR_ZERO,
     Poly,
     PolyMatrix,
+    SimilitudeError,
 )
 from .smith import SmithError, _order_at, holomorphic_kernel_section, invariant_factors
-from .sylvester import ConstMatrix, _sylvester_entries, sylvester_matrix, unvec, vec
+from .sylvester import ConstMatrix, _sylvester_entries, intertwiner_dim_at, sylvester_matrix, unvec, vec
 
 WITNESS_RETRIES = 32
 
 
-class SimilarityError(ValueError):
+class SimilarityError(SimilitudeError):
     """Raised for shape and precondition violations."""
 
 
@@ -140,7 +141,7 @@ def wasow_check(a: PolyMatrix, b: PolyMatrix, point: GaussianRational) -> WasowR
         raise SimilarityError("wasow_check requires univariate families")
     pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
     n2 = a.rows * a.rows
-    dim_at = n2 - linalg.rank(_sylvester_entries(a.entries, b.entries, pt))
+    dim_at = intertwiner_dim_at(a, b, pt)
     exponents = tuple(_order_at(s, pt)[0] for s in invariant_factors(sylvester_matrix(a, b)))
     # M = U diag(s) V with U, V unimodular, so rank M(pt) counts the s_i(pt) != 0
     if dim_at != n2 - exponents.count(0):

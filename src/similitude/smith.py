@@ -35,6 +35,7 @@ from .algebra import (
     Poly,
     PolyMatrix,
     RationalFunction,
+    SimilitudeError,
     _u_divmod,
     _u_gcd_monic,
     _u_mul,
@@ -43,7 +44,7 @@ from .algebra import (
 )
 
 
-class SmithError(ValueError):
+class SmithError(SimilitudeError):
     """Raised for precondition violations in this module."""
 
 

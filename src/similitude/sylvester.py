@@ -25,6 +25,7 @@ from .algebra import (
     Poly,
     PolyMatrix,
     RationalFunction,
+    SimilitudeError,
     _u_derivative,
     _u_divmod,
     _u_gcd_monic,
@@ -36,7 +37,7 @@ from .algebra import (
 ConstMatrix = list[list[GaussianRational]]
 
 
-class SylvesterError(ValueError):
+class SylvesterError(SimilitudeError):
     """Raised for shape mismatches and path precondition violations."""
 
 

@@ -585,3 +585,20 @@ class TestGrammar:
             Poly.parse("1", variables)
         with pytest.raises(AlgebraError, match="variable"):
             PolyMatrix.from_strings([["i*i"]], variables)
+
+
+class TestMatrixShapes:
+    def test_sum_and_difference_need_equal_shapes(self):
+        square = PolyMatrix.identity(2, ("z",))
+        wide = PolyMatrix.zeros(2, 3, ("z",))
+        for op in (lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(AlgebraError, match="matrix shapes differ"):
+                op(square, wide)
+            with pytest.raises(AlgebraError, match="matrix shapes differ"):
+                op(wide, PolyMatrix.zeros(3, 3, ("z",)))
+
+    def test_product_needs_matching_inner_dimensions(self):
+        wide = PolyMatrix.zeros(2, 3, ("z",))
+        with pytest.raises(AlgebraError, match="inner dimensions differ"):
+            wide * wide
+        assert (wide * PolyMatrix.zeros(3, 1, ("z",))).to_strings() == [["0"], ["0"]]

@@ -468,3 +468,78 @@ class TestSubcommands:
         failing = {c["check"] for c in report["result"]["checks"] if not c["passed"]}
         assert failing == {"4-variety-rigidity", "5-index-sets"}
         assert code == 1
+
+
+BIVARIATE = {"variables": ["z", "w"], "matrix": [["z", "w"], ["0", "0"]]}
+
+
+class TestInputChecks:
+    """Input checks that the other tests do not reach: exit 2 and the message on stderr."""
+
+    def test_library_errors_share_the_class_that_maps_to_exit_two(self):
+        import similitude
+
+        for cls in (
+            similitude.AlgebraError,
+            similitude.SmithError,
+            similitude.SylvesterError,
+            similitude.SimilarityError,
+            similitude.JordanError,
+            similitude.RigidityError,
+        ):
+            assert issubclass(cls, similitude.SimilitudeError)
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ([["1"]], "expected an object with 'variables' and 'matrix'"),
+            ({"matrix": [["1"]]}, "expected an object with 'variables' and 'matrix'"),
+            ({"variables": "z", "matrix": [["z"]]}, "'variables' must be a list of names"),
+            ({"variables": [1], "matrix": [["1"]]}, "'variables' must be a list of names"),
+            ({"variables": [], "matrix": []}, "'matrix' must be a nonempty list of rows"),
+            ({"variables": [], "matrix": ["1"]}, "'matrix' must be a nonempty list of rows"),
+        ],
+    )
+    def test_malformed_matrix_file(self, tmp_path, capsys, payload, message):
+        bad = write(tmp_path, "bad.json", payload)
+        code, report, err = invoke(capsys, ["commutant", "--matrix", bad, "--point", "0"])
+        assert (code, report) == (2, None)
+        assert message in err
+
+    def test_unreadable_path(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        code, report, err = invoke(capsys, ["commutant", "--matrix", missing, "--point", "0"])
+        assert (code, report) == (2, None)
+        assert f"cannot read {missing}" in err
+
+    def test_non_constant_entries(self, tmp_path, capsys):
+        a = write(tmp_path, "a.json", EX45)
+        code, report, err = invoke(capsys, ["pointwise", "--a", a, "--b", a])
+        assert (code, report) == (2, None)
+        assert "expected constant entries: polynomial is not constant" in err
+
+    @pytest.mark.parametrize("payload", [{"points": [[1, 0]]}, [[1, 0]]])
+    def test_curve_without_samples(self, tmp_path, capsys, payload):
+        curve = write(tmp_path, "curve.json", payload)
+        code, report, err = invoke(capsys, ["winding", "--curve", curve])
+        assert (code, report) == (2, None)
+        assert "expected an object with 'samples'" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["smith", "--matrix", "{m}", "--point", "0"], "local_smith requires a univariate matrix"),
+            (["wasow", "--a", "{m}", "--b", "{m}", "--point", "0"], "wasow_check requires univariate families"),
+            (
+                ["local-similarity", "--a", "{m}", "--b", "{m}", "--point", "0", "--phi", "{phi}"],
+                "local_similarity requires univariate families",
+            ),
+            (["jordan", "candidates", "--matrix", "{m}"], "candidates require a univariate family"),
+        ],
+    )
+    def test_univariate_preconditions(self, tmp_path, capsys, argv, message):
+        m = write(tmp_path, "m.json", BIVARIATE)
+        phi = write(tmp_path, "phi.json", EYE)
+        code, report, err = invoke(capsys, [x.format(m=m, phi=phi) for x in argv])
+        assert (code, report) == (2, None)
+        assert message in err

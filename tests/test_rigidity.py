@@ -342,3 +342,27 @@ class TestClutching:
     def test_epsilon_validation(self):
         with pytest.raises(RigidityError):
             clutching_invertibility("1/2", 8)
+
+
+class TestJetRigidityPreconditions:
+    def test_unknown_relation(self):
+        fam = build_family(0)
+        with pytest.raises(RigidityError, match="unknown relation 'AHeqBA'"):
+            jet_rigidity(fam.A, fam.B, "AHeqBA", FullPlane(), 4)
+
+    def test_non_square_input(self):
+        fam = build_family(0)
+        wide = PolyMatrix([list(fam.A.entries[0]) + [Poly.zero(VARS)]])
+        with pytest.raises(RigidityError, match="square and of equal size"):
+            jet_rigidity(wide, wide, "AHeqHB", FullPlane(), 4)
+        small = PolyMatrix([[Poly.zero(VARS)]])
+        with pytest.raises(RigidityError, match="square and of equal size"):
+            jet_rigidity(fam.A, small, "AHeqHB", FullPlane(), 4)
+
+    @pytest.mark.parametrize(
+        "a_vars,b_vars", [(("z",), ("z",)), (("z", "w", "u"), ("z", "w", "u")), (("z", "u"), VARS)]
+    )
+    def test_wrong_variable_list(self, a_vars, b_vars):
+        a, b = PolyMatrix.identity(2, a_vars), PolyMatrix.identity(2, b_vars)
+        with pytest.raises(RigidityError, match="one two-variable list"):
+            jet_rigidity(a, b, "AHeqHB", FullPlane(), 4)

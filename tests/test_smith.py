@@ -482,3 +482,16 @@ class TestInvariantFactorsAgainstSympy:
             factors = invariant_factors(m)
             assert [to_ring(f) for f in factors] == oracle(m), a.to_strings()
             assert factors[-1].total_degree() > 0
+
+
+class TestUnivariatePreconditions:
+    def test_local_smith_needs_one_variable(self):
+        m = PolyMatrix.identity(2, ("z", "w"))
+        with pytest.raises(SmithError, match="local_smith requires a univariate matrix"):
+            local_smith(m, GR_ZERO)
+
+    def test_invariant_factors_needs_univariate_polynomials(self):
+        with pytest.raises(SmithError, match="invariant_factors requires a univariate polynomial matrix"):
+            invariant_factors(PolyMatrix.identity(2, ("z", "w")))
+        with pytest.raises(SmithError, match="invariant_factors requires a univariate polynomial matrix"):
+            invariant_factors(PolyMatrix.identity(2, ("z",)).to_func())
