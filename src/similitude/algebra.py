@@ -866,6 +866,70 @@ def _u_order(a: list, root) -> tuple[int, list]:
         k += 1
 
 
+# a prime p = 1 (mod 4) and a square root s of -1 modulo p: i -> s maps Z[i]
+# onto F_p, with kernel the prime (p, i - s) of Z[i] above p
+_P = 2305843009213693921
+_S = 583529827753931384
+
+
+def _u_mod_p(a: list) -> list | None:
+    """a's image in F_p[t], (x + y*i)/d -> (x + y*s)/d, trimmed; None if p divides a denominator."""
+    out = []
+    for c in a:
+        d = c._d
+        if d == 1:
+            out.append((c._a + c._b * _S) % _P)
+        elif d % _P:
+            out.append((c._a + c._b * _S) * pow(d, -1, _P) % _P)
+        else:
+            return None
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _fp_gcd(a: list, b: list) -> list:
+    """A gcd in F_p[t] of trimmed lists of residues, up to a unit."""
+    while b:
+        a = list(a)
+        top = len(b) - 1
+        inv = pow(b[top], -1, _P)
+        for k in range(len(a) - 1 - top, -1, -1):
+            c = a[k + top] * inv % _P
+            if c:
+                for i in range(top):
+                    a[k + i] = (a[k + i] - c * b[i]) % _P
+        del a[top:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return a
+
+
+def _u_coprime_mod_p(f: list, others: list[list]) -> bool:
+    """True only if f and the lists in others have no common factor over Q(i).
+
+    The lists hold GaussianRational coefficients.  True when p divides no
+    denominator, f keeps its degree mod p, and the gcd over F_p of the images
+    is a nonzero constant; False otherwise, which proves nothing.  Why True is
+    sound (Brown, J. ACM 18, 1971): the local ring R of Z[i] at the prime
+    above p is a DVR, so a common factor g over Q(i) can be taken primitive
+    in R[t], and f = g h with h in R[t] by Gauss's lemma.  The leading
+    coefficient of f is a unit of R, hence so is g's: the image of g keeps its
+    degree >= 1 and divides every image.
+    """
+    f = _u_trim(list(f))
+    images = [_u_mod_p(a) for a in [f, *others]]
+    if not f or any(image is None for image in images) or len(images[0]) != len(f):
+        return False
+    g = images[0]
+    for image in images[1:]:
+        if len(g) == 1:
+            break
+        g = _fp_gcd(g, image)
+    return len(g) == 1
+
+
 def poly_gcd_univariate(a: Poly, b: Poly) -> Poly:
     """Monic gcd of univariate polynomials over Q(i)."""
     if a.variables != b.variables or len(a.variables) != 1:

@@ -20,6 +20,19 @@ and every nearby block change would strictly raise the commutant dimension
 non-candidates are provably stable.  Probing candidates can refute stability
 but never certify it, hence the honest "undetermined" verdict.
 
+Three exact certificates shortcut the locus; each falls back to the general
+path when it does not hold, so the answers are the same either way:
+  - a nonzero discriminant of the characteristic polynomial itself proves it
+    squarefree, and is then the branching discriminant; otherwise the
+    squarefree part is taken over Q(i)(z);
+  - when it is squarefree and has no common root with the cyclic-vector
+    minors det[e_j, A e_j, ..., A^{n-1} e_j], A(xi) is non-derogatory at every
+    xi and the jump locus is empty (jordan_instability_candidates), with no
+    Smith form of the self-intertwiner matrix; otherwise that Smith form runs;
+  - in root extraction, a trivial gcd of p and p' modulo a prime proves p
+    squarefree (algebra._u_coprime_mod_p); otherwise the Euclidean squarefree
+    part is taken.
+
 stable_normalization realizes the conjugation H with
 H^-1 Com A(z) H = Com A(point) near a stable point from caller-supplied,
 exactly verified eigenvalue functions.
@@ -41,6 +54,7 @@ from .algebra import (
     PolyMatrix,
     RationalFunction,
     SimilitudeError,
+    _u_coprime_mod_p,
     _u_deflate,
     _u_derivative,
     _u_mul,
@@ -82,7 +96,8 @@ def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]]
     lead_inv = coeffs[-1].inverse()
     work = [c * lead_inv for c in coeffs]
 
-    squarefree = _u_squarefree(work)
+    # most inputs are squarefree, which one reduction modulo a prime proves
+    squarefree = work if _u_coprime_mod_p(work, [_u_derivative(work)]) else _u_squarefree(work)
     # D * work lies in Z[i][t] with leading coefficient D, so a root u/v in
     # lowest terms has v | D, and its reduced denominator divides N(v) | D^2:
     # a snap whose denominator does not divide D^2 is no root
@@ -327,32 +342,45 @@ def jordan_instability_candidates(a: PolyMatrix) -> InstabilityCandidates:
 
     Union of the branching locus (discriminant of the squarefree part of the
     characteristic polynomial) and the commutant-jump locus (zeros of the last
-    invariant factor of the self-intertwiner matrix).
+    invariant factor of the self-intertwiner matrix M).
+
+    When char is squarefree, the Smith form of M is skipped on a certificate.
+    Let kappa_j = det[e_j, A e_j, ..., A^{n-1} e_j] for the basis vectors e_j.
+    Off the roots of disc, A(xi) has n distinct eigenvalues; if disc and the
+    kappa_j have no common root, then at each root of disc some e_j is a
+    cyclic vector of A(xi).  Either way A(xi) is non-derogatory, so its
+    commutant has dimension n and rank M(xi) = n^2 - n at every xi.  The gcd
+    of the (n^2 - n)-minors of M then has no root, so every invariant factor
+    of M is 1 and the jump locus is empty.
     """
     if len(a.variables) != 1:
         raise JordanError("candidates require a univariate family")
     vs = a.variables
-    one = RationalFunction.constant(vs, GR_ONE)
+    one = Poly.constant(vs, GR_ONE)
+    zero = Poly.zero(vs)
 
     defining: list[Poly] = []
 
     # (a) branching locus
-    char = [RationalFunction(c) for c in reversed(char_poly_coeffs(a))] + [one]
-    # the squarefree part of a monic polynomial over Q(i)[z] lies in Q(i)[z][x]
-    # (Gauss's lemma), so as_poly cannot raise and the resultant stays in Q(i)[z]
-    squarefree = [c.as_poly() for c in _u_squarefree(char)]
-    disc = _resultant(
-        squarefree, _u_derivative(squarefree), Poly.constant(vs, GR_ONE), Poly.zero(vs)
-    )
+    char = list(reversed(char_poly_coeffs(a))) + [one]
+    disc = _resultant(char, _u_derivative(char), one, zero)
+    squarefree = bool(disc)
+    if not squarefree:
+        # the squarefree part of a monic polynomial over Q(i)[z] lies in
+        # Q(i)[z][x] (Gauss's lemma), so as_poly cannot raise and the
+        # resultant stays in Q(i)[z]
+        part = [c.as_poly() for c in _u_squarefree([RationalFunction(c) for c in char])]
+        disc = _resultant(part, _u_derivative(part), one, zero)
     if disc.total_degree() > 0:
         defining.append(disc)
 
     # (b) commutant-jump locus
-    factors = invariant_factors(sylvester_matrix(a, a))
-    if factors:
-        last = factors[-1]
-        if last.total_degree() > 0:
-            defining.append(last)
+    if not (squarefree and _u_coprime_mod_p(disc.coefficients(), _cyclic_minors(a))):
+        factors = invariant_factors(sylvester_matrix(a, a))
+        if factors:
+            last = factors[-1]
+            if last.total_degree() > 0:
+                defining.append(last)
 
     points: list[CandidatePoint] = []
     seen: set = set()
@@ -375,6 +403,21 @@ def jordan_instability_candidates(a: PolyMatrix) -> InstabilityCandidates:
         )
     )
     return InstabilityCandidates(points=tuple(points), defining_polynomials=tuple(defining))
+
+
+def _cyclic_minors(a: PolyMatrix) -> list[list[GaussianRational]]:
+    """Coefficient lists of kappa_j = det[e_j, A e_j, ..., A^{n-1} e_j], one per j."""
+    n = a.rows
+    vs = a.variables
+    one, zero = Poly.constant(vs, GR_ONE), Poly.zero(vs)
+    # column j of A^k is A^k e_j
+    powers = [PolyMatrix.identity(n, vs).entries]
+    for _ in range(n - 1):
+        powers.append(linalg.mat_mul(a.entries, powers[-1], zero))
+    return [
+        linalg.det([[pk[i][j] for pk in powers] for i in range(n)], one, zero).coefficients()
+        for j in range(n)
+    ]
 
 
 def _isolating_boxes(p: Poly) -> list[tuple[complex, float]]:

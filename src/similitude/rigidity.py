@@ -37,6 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
@@ -119,19 +120,23 @@ class SmoothSimilarityReport:
     grid_points: int
     max_abs_czcw: float
     min_abs_det: float
+    czcw_bound: Fraction
     determinant_nonvanishing: bool
     degree_gap: int
     smoothness_class: int
 
 
 def verify_smooth_similarity(ell: int, grid_points: int = 100) -> SmoothSimilarityReport:
-    """Exactness of S B = A S after clearing the denominator, plus grid sanity.
+    """Exactness of S B = A S after clearing the denominator, and det S != 0.
 
-    The grid substitutes u = conj(z), v = conj(w) numerically on a sample of
-    the open unit ball and checks |c_z c_w| < 1, hence det S = 1 + c_z c_w is
-    nonvanishing there.  The degree gap (numerator minus denominator total
-    degree of c_z, c_w) records the algebraic skeleton of the smoothness
-    class.
+    With u = conj(z), v = conj(w), |c_z c_w| = |z|^(3+l) |w|^(3+l) / (|z|^2 + |w|^2)^2,
+    and AM-GM (|z| |w| <= (|z|^2 + |w|^2) / 2) bounds it by
+    (|z|^2 + |w|^2)^(1+l) / 2^(3+l) <= 2^-(3+l) < 1 on the unit ball.  So
+    det S = 1 + c_z c_w is nonvanishing there, decided by that exact bound.
+    A grid on the circles |z| = 0.6, |w| = 0.5 only screens it: a float value
+    above the bound is a program error.  The degree gap (numerator minus
+    denominator total degree of c_z, c_w) records the algebraic skeleton of
+    the smoothness class.
     """
     fam = build_family(ell)
     s_cleared = fam.S_cleared
@@ -156,6 +161,10 @@ def verify_smooth_similarity(ell: int, grid_points: int = 100) -> SmoothSimilari
             min_det = min(min_det, detval)
             count += 1
 
+    bound = Fraction(1, 2 ** (3 + ell))
+    if max_czcw > bound:
+        raise AssertionError("|c_z c_w| on the grid exceeds its proven bound")
+
     gap_cz = s_cleared.entries[1][0].total_degree() - fam.denominator.total_degree()
     gap_cw = s_cleared.entries[0][1].total_degree() - fam.denominator.total_degree()
     if gap_cz != gap_cw:
@@ -166,7 +175,8 @@ def verify_smooth_similarity(ell: int, grid_points: int = 100) -> SmoothSimilari
         grid_points=count,
         max_abs_czcw=max_czcw,
         min_abs_det=min_det,
-        determinant_nonvanishing=max_czcw < 1.0,
+        czcw_bound=bound,
+        determinant_nonvanishing=bound < 1,
         degree_gap=gap_cz,
         smoothness_class=ell,
     )

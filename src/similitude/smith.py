@@ -239,13 +239,13 @@ def invariant_factors(m: PolyMatrix) -> list[Poly]:
     """Monic invariant factors s_1 | s_2 | ... of a univariate polynomial matrix.
 
     Euclidean reduction over Q(i)[x] to a diagonal, on dense coefficient
-    lists: pivot on a minimal-degree entry, reduce its row and column by
-    polynomial division, and re-pivot while a remainder is left.  The
-    diagonal fixes the factors, since diag(a, b) is equivalent to
-    diag(gcd(a, b), lcm(a, b)) (the elementary divisors of a diagonal matrix
-    are those of its entries; Gantmacher, vol. 1, ch. VI), so one gcd/lcm
-    pass over the pairs i < j sorts every prime's exponents into the
-    divisibility chain.
+    lists: pivot on an entry of least degree (of least coefficient height
+    among those), reduce its row and column by polynomial division, and
+    re-pivot while a remainder is left.  The diagonal fixes the factors,
+    since diag(a, b) is equivalent to diag(gcd(a, b), lcm(a, b)) (the
+    elementary divisors of a diagonal matrix are those of its entries;
+    Gantmacher, vol. 1, ch. VI), so one gcd/lcm pass over the pairs i < j
+    sorts every prime's exponents into the divisibility chain.
     """
     if len(m.variables) != 1 or any(isinstance(p, RationalFunction) for row in m.entries for p in row):
         raise SmithError("invariant_factors requires a univariate polynomial matrix")
@@ -290,16 +290,29 @@ def invariant_factors(m: PolyMatrix) -> list[Poly]:
     return out
 
 
+def _height(p: list) -> int:
+    """Total bit length of the integers (a, b, d) of a coefficient list."""
+    return sum(c._a.bit_length() + c._b.bit_length() + c._d.bit_length() for c in p)
+
+
 def _move_min_degree_pivot(work: list[list[list]], k: int, n: int, cols: int) -> bool:
+    """Move an entry of least (degree, height) of the block work[k:][k:] to (k, k).
+
+    Among entries of one degree, short integers tend to keep the remainders
+    short.  The invariant factors are unique, so the choice cannot move them.
+    False when the block is zero.
+    """
     best = None
     for i in range(k, n):
         for j in range(k, cols):
             p = work[i][j]
-            if p and (best is None or len(p) < best[0]):
-                best = (len(p), i, j)
+            if p and (best is None or len(p) <= best[0]):
+                key = (len(p), _height(p))
+                if best is None or key < best[:2]:
+                    best = (*key, i, j)
     if best is None:
         return False
-    _, pi, pj = best
+    *_, pi, pj = best
     if pi != k:
         work[k], work[pi] = work[pi], work[k]
     if pj != k:

@@ -17,7 +17,11 @@ from similitude.algebra import (
     Poly,
     PolyMatrix,
     RationalFunction,
+    _P,
+    _S,
+    _u_coprime_mod_p,
     _u_deflate,
+    _u_derivative,
     _u_divmod,
     _u_gcd_monic,
     _u_mul,
@@ -491,6 +495,53 @@ class TestUnivariateToolkit:
             order, rest = _u_order(a, root)
             assert (order, rest) == (k, cofactor)
             assert all(type(c) is field for c in rest)
+
+
+class TestCoprimeModP:
+    def test_prime_and_square_root_of_minus_one(self):
+        sympy = pytest.importorskip("sympy")
+        assert sympy.isprime(_P) and _P % 4 == 1
+        assert (_S * _S + 1) % _P == 0
+
+    def test_agrees_with_the_euclidean_gcd(self):
+        # True must mean coprime; on these small inputs no prime is unlucky,
+        # so False must mean a common factor
+        rng = random.Random(41)
+        for _ in range(60):
+            common = [rand_scalar(rng, 3) for _ in range(rng.randint(1, 3))]
+            while not common[-1]:
+                common[-1] = rand_scalar(rng, 3)
+            f = _u_mul(common, [rand_scalar(rng, 3), GR_ONE])
+            others = []
+            for _ in range(rng.randint(1, 3)):
+                other = [rand_scalar(rng, 3) for _ in range(rng.randint(1, 4))]
+                while not other[-1]:
+                    other[-1] = rand_scalar(rng, 3)
+                others.append(_u_mul(common, other[:2]) if rng.random() < 0.3 else other)
+            gcd = f
+            for other in others:
+                gcd = _u_gcd_monic(gcd, other)
+            assert _u_coprime_mod_p(f, others) == (len(gcd) == 1), (f, others)
+
+    def test_false_without_raising(self):
+        p = g(_P)
+        one_over_p = g(Fraction(1, _P))
+        # a denominator divisible by p, in f and in another list
+        assert not _u_coprime_mod_p([one_over_p, GR_ONE], [[GR_ONE]])
+        assert not _u_coprime_mod_p([GR_ONE, GR_ONE], [[one_over_p, GR_ONE]])
+        # f = x (p x + 1) shares p x + 1 with the other list; mod p f drops to
+        # x and p x + 1 to 1, so only the degree check keeps this False
+        assert not _u_coprime_mod_p([GR_ZERO, GR_ONE, p], [[GR_ONE, p]])
+        # (x - 1/3)^2 has a repeated root
+        square = _u_mul([g(Fraction(-1, 3)), GR_ONE], [g(Fraction(-1, 3)), GR_ONE])
+        assert not _u_coprime_mod_p(square, [_u_derivative(square)])
+        # the zero polynomial has no leading coefficient to be a unit
+        assert not _u_coprime_mod_p([], [[GR_ONE]])
+
+    def test_constants_and_zero_lists(self):
+        assert _u_coprime_mod_p([g(3, 1)], [[]])
+        assert _u_coprime_mod_p([GR_ONE, GR_ONE], [[], [g(2)]])
+        assert not _u_coprime_mod_p([GR_ONE, GR_ONE], [[]])
 
 
 class TestExactDivision:

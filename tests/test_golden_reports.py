@@ -51,6 +51,13 @@ FAMILY_3X3 = [["z", "1", "0"], ["0", "z^2", "1"], ["1", "0", "0"]]
 POINTWISE_A = [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "2i"]]
 POINTWISE_B = [["2i", "0", "0"], ["1", "1", "1"], ["0", "0", "1"]]
 BRANCH = [["0", "1"], ["z", "0"]]
+# squarefree characteristic polynomial, but A(0) = 0 is derogatory: the
+# commutant jumps at 0, so the self-intertwiner Smith form must run
+DEROGATORY_ROOT = [["z", "-2*z"], ["0", "-z"]]
+# a repeated eigenvalue for every z: char is not squarefree
+REPEATED_EIGENVALUE = [["1", "z"], ["0", "1"]]
+# distinct eigenvalues off 0 and a cyclic vector at 0: non-derogatory everywhere
+NONDEROGATORY = [["z", "1"], ["0", "-z"]]
 
 
 def _matrix(grid, variables=("z",)):
@@ -103,6 +110,18 @@ CASES = {
     "jordan-candidates": (
         ["jordan", "candidates", "--matrix", "@m.json"],
         {"m.json": _matrix(FAMILY_3X3)},
+    ),
+    "jordan-candidates-derogatory-root": (
+        ["jordan", "candidates", "--matrix", "@m.json"],
+        {"m.json": _matrix(DEROGATORY_ROOT)},
+    ),
+    "jordan-candidates-repeated-eigenvalue": (
+        ["jordan", "candidates", "--matrix", "@m.json"],
+        {"m.json": _matrix(REPEATED_EIGENVALUE)},
+    ),
+    "jordan-candidates-nonderogatory": (
+        ["jordan", "candidates", "--matrix", "@m.json"],
+        {"m.json": _matrix(NONDEROGATORY)},
     ),
     "jordan-check-exact": (
         ["jordan", "check", "--matrix", "@m.json", "--point", "0"],

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import similitude.jordan as jordan
 import similitude.linalg as linalg
 from similitude.algebra import (
     GR_ONE,
@@ -13,9 +14,12 @@ from similitude.algebra import (
     Poly,
     PolyMatrix,
     RationalFunction,
+    _u_derivative,
+    _u_squarefree,
 )
 from similitude.jordan import (
     JordanError,
+    _resultant,
     char_poly_coeffs,
     gaussian_rational_roots,
     is_jordan_stable,
@@ -23,7 +27,8 @@ from similitude.jordan import (
     segre_at,
     stable_normalization,
 )
-from similitude.sylvester import intertwiner_dim_at
+from similitude.smith import invariant_factors
+from similitude.sylvester import intertwiner_dim_at, sylvester_matrix
 
 g = GaussianRational
 EX45 = PolyMatrix.from_strings([["z", "1"], ["0", "0"]], ["z"])
@@ -110,6 +115,33 @@ class TestRootExtraction:
             roots, rest = gaussian_rational_roots(p)
             assert dict(roots) == want, str(p)
             assert rest == cofactor
+
+    def test_linear_factors_match_sympy(self):
+        # repeated roots make the squarefree certificate fail, so both the
+        # certified and the Euclidean squarefree part run here
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(61)
+        t = Poly.variable(("t",), "t")
+        sym_t = sympy.Symbol("t")
+        pool = [g(0), g(1), g(-2), g(0, 1), g(1, -1), g(Fraction(1, 3)), g(Fraction(-1, 2), 2)]
+        for _ in range(20):
+            p = Poly.parse(rng.choice(["1", "t^2-2", "t^2+t+1"]), ["t"])
+            p = p * g(rng.randint(1, 4), rng.randint(-2, 2))
+            for root in rng.sample(pool, rng.randint(1, 3)):
+                p = p * (t - Poly.constant(("t",), root)) ** rng.randint(1, 3)
+            roots, _ = gaussian_rational_roots(p)
+            expr = sum(
+                (sympy.Rational(str(c.re)) + sympy.I * sympy.Rational(str(c.im))) * sym_t**k
+                for k, c in enumerate(p.coefficients())
+            )
+            theirs = {}
+            for factor, mult in sympy.factor_list(expr, sym_t, gaussian=True)[1]:
+                poly = sympy.Poly(factor, sym_t)
+                if poly.degree() == 1:
+                    root = -poly.all_coeffs()[1] / poly.all_coeffs()[0]
+                    key = (Fraction(str(sympy.re(root))), Fraction(str(sympy.im(root))))
+                    theirs[key] = theirs.get(key, 0) + mult
+            assert {(r.re, r.im): m for r, m in roots} == theirs, str(p)
 
 
 class TestCharPoly:
@@ -282,6 +314,106 @@ class TestCandidates:
             shape_here = segre_at(m, pt, mode="numeric").shape()
             shape_near = segre_at(m, pt + offset, mode="numeric").shape()
             assert shape_here == shape_near
+
+
+def reference_defining(a):
+    """The candidate locus's defining polynomials by the path with no certificate."""
+    vs = a.variables
+    one = Poly.constant(vs, GR_ONE)
+    char = [RationalFunction(c) for c in reversed(char_poly_coeffs(a))] + [RationalFunction(one)]
+    part = [c.as_poly() for c in _u_squarefree(char)]
+    disc = _resultant(part, _u_derivative(part), one, Poly.zero(vs))
+    out = [disc] if disc.total_degree() > 0 else []
+    factors = invariant_factors(sylvester_matrix(a, a))
+    if factors and factors[-1].total_degree() > 0:
+        out.append(factors[-1])
+    return out
+
+
+def rand_entry(rng, degree):
+    terms = [f"{rng.randint(-2, 2)}*z^{k}" for k in range(degree + 1)]
+    return "+".join(terms).replace("*z^0", "")
+
+
+def dense_family(rng, n):
+    grid = [[rand_entry(rng, rng.randint(0, 2)) for _ in range(n)] for _ in range(n)]
+    return PolyMatrix.from_strings(grid, ["z"])
+
+
+def triangular_repeated_diagonal(rng, n):
+    diag = [rand_entry(rng, 1) for _ in range(n - 1)]
+    diag.append(diag[0])
+    grid = [[diag[i] if i == j else (rand_entry(rng, 1) if j > i else "0") for j in range(n)]
+            for i in range(n)]
+    return PolyMatrix.from_strings(grid, ["z"])
+
+
+def colliding_diagonal(rng, n):
+    # distinct diagonal functions that meet at points: char is squarefree,
+    # and sparse upper entries may leave A derogatory where they meet
+    diag = rng.sample(["z", "-z", "z^2", "1", "2*z-1", "z^2-1"], n)
+    grid = [[diag[i] if i == j else (rng.choice(["0", "0", "1", "z"]) if j > i else "0")
+             for j in range(n)] for i in range(n)]
+    return PolyMatrix.from_strings(grid, ["z"])
+
+
+def constant_conjugate(rng, n):
+    # P J(z) P^-1 with P constant and unimodular and J(z) Jordan blocks whose
+    # eigenvalue functions may repeat
+    z = Poly.variable(("z",), "z")
+    lams = [z, z * z, Poly.constant(("z",), GR_ONE)]
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, n - sum(sizes)))
+    blocks = [(size, rng.choice(lams[:1] if rng.random() < 0.4 else lams)) for size in sizes]
+    zero, one = Poly.zero(("z",)), Poly.constant(("z",), GR_ONE)
+    j = [[zero] * n for _ in range(n)]
+    offset = 0
+    for size, lam in blocks:
+        for i in range(size):
+            j[offset + i][offset + i] = lam
+            if i + 1 < size:
+                j[offset + i][offset + i + 1] = one * rng.choice([0, 1])
+        offset += size
+    p = rand_unimodular(rng, n)
+    pinv = linalg.invert(p, GR_ONE, GR_ZERO)
+    lift = lambda m: [[Poly.constant(("z",), x) for x in row] for row in m]  # noqa: E731
+    return PolyMatrix(linalg.mat_mul(lift(p), linalg.mat_mul(j, lift(pinv), zero), zero))
+
+
+class TestCertifiedLocus:
+    FAMILIES = [dense_family, triangular_repeated_diagonal, colliding_diagonal, constant_conjugate]
+
+    def test_matches_the_uncertified_path(self, monkeypatch):
+        smith_runs = []
+        monkeypatch.setattr(
+            jordan, "invariant_factors", lambda m: smith_runs.append(1) or invariant_factors(m)
+        )
+        rng = random.Random(20)
+        trials = 48
+        for trial in range(trials):
+            make = self.FAMILIES[trial % len(self.FAMILIES)]
+            a = make(rng, 2 + (trial // len(self.FAMILIES)) % 2)
+            got = jordan_instability_candidates(a).defining_polynomials
+            assert [str(q) for q in got] == [str(q) for q in reference_defining(a)], a.to_strings()
+        # both sides of the cyclic-vector certificate ran
+        assert 0 < len(smith_runs) < trials
+
+    @pytest.mark.parametrize(
+        "grid, smith_runs",
+        [
+            ([["z", "1"], ["0", "-z"]], 0),  # non-derogatory everywhere
+            ([["z", "-2*z"], ["0", "-z"]], 1),  # A(0) = 0 is derogatory
+            ([["1", "z"], ["0", "1"]], 1),  # char has a repeated factor
+        ],
+    )
+    def test_smith_form_runs_only_without_a_certificate(self, monkeypatch, grid, smith_runs):
+        runs = []
+        monkeypatch.setattr(
+            jordan, "invariant_factors", lambda m: runs.append(1) or invariant_factors(m)
+        )
+        jordan_instability_candidates(PolyMatrix.from_strings(grid, ["z"]))
+        assert len(runs) == smith_runs
 
 
 class TestStabilityVerdicts:

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -86,6 +87,39 @@ class TestSmoothSimilarity:
         cz = zz.conjugate() * ww ** (2 + ell) / norm2
         cw = ww.conjugate() * zz ** (2 + ell) / norm2
         assert abs(cz * cw) < 1.0
+
+    def test_bound_is_exact_and_decides_the_determinant(self):
+        for ell in range(4):
+            rep = verify_smooth_similarity(ell)
+            assert rep.czcw_bound == Fraction(1, 2 ** (3 + ell))
+            assert rep.determinant_nonvanishing
+            assert rep.max_abs_czcw <= rep.czcw_bound
+
+    def test_bound_holds_at_gaussian_points_of_the_ball(self):
+        # c_z c_w in exact Q(i) arithmetic with u = conj(z), v = conj(w), at
+        # points with |z|^2 + |w|^2 <= 1; z = w = (1+i)/2 attains the bound
+        rng = random.Random(37)
+        half = g(1, 1) / 2
+        points = [(half, half), (g(Fraction(3, 5)), g(0, Fraction(1, 2)))]
+        while len(points) < 40:
+            z = g(Fraction(rng.randint(-9, 9), 10), Fraction(rng.randint(-9, 9), 10))
+            w = g(Fraction(rng.randint(-9, 9), 10), Fraction(rng.randint(-9, 9), 10))
+            norm2 = z.re**2 + z.im**2 + w.re**2 + w.im**2
+            if 0 < norm2 <= 1:
+                points.append((z, w))
+        for ell in range(4):
+            fam = build_family(ell)
+            bound = verify_smooth_similarity(ell).czcw_bound
+            squares = []
+            for z, w in points:
+                at = [z, w, g(z.re, -z.im), g(w.re, -w.im)]
+                den = fam.denominator.evaluate(at)
+                cw = fam.S_cleared.entries[0][1].evaluate(at) / den
+                cz = -fam.S_cleared.entries[1][0].evaluate(at) / den
+                prod = cz * cw
+                squares.append(prod.re**2 + prod.im**2)
+            assert squares[0] == bound**2
+            assert max(squares) <= bound**2, ell
 
 
 class TestJetRigidityFullPlane:
