@@ -756,7 +756,11 @@ def _apply_factor(sc: _Scanner, name: str, expo: list, vs: tuple, text: str):
 # ---------------------------------------------------------------------------
 # Univariate coefficient lists [c0, c1, ...] over any field: GaussianRational
 # or RationalFunction coefficients.  Zeros are taken from the coefficients, so
-# results hold no zero of another type.
+# results hold no zero of another type.  _u_mul on GaussianRational lists
+# works on their integers (a, b, d): each output coefficient sums its
+# products over a common denominator and is normalised once, by _gr (Knuth,
+# TAOCP vol. 2, 4.5.1); every value is canonical, so the lists are those of
+# the generic loop that RationalFunction coefficients take.
 
 
 def _u_trim(a: list) -> list:
@@ -833,14 +837,34 @@ def _u_squarefree(a: list) -> list:
 def _u_mul(a: list, b: list) -> list:
     if not a or not b:
         return []
-    zero = a[0] - a[0]
-    out = [zero] * (len(a) + len(b) - 1)
+    if type(a[0]) is not GaussianRational or type(b[0]) is not GaussianRational:
+        zero = a[0] - a[0]
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] = out[i + j] + x * y
+        return out
+    # Q(i): (p + qi)/d * (r + ti)/e = (pr - qt + (pt + qr)i)/(de), summed as integers
+    n = len(a) + len(b) - 1
+    re, im, den = [0] * n, [0] * n, [1] * n
+    ys = [(j, y._a, y._b, y._d) for j, y in enumerate(b) if y._a or y._b]
     for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = out[i + j] + x * y
-    return out
+        p, q, d = x._a, x._b, x._d
+        if p or q:
+            for j, r, t, e in ys:
+                k = i + j
+                f = d * e
+                g = den[k]
+                if f == g:
+                    re[k] += p * r - q * t
+                    im[k] += p * t + q * r
+                else:
+                    re[k] = re[k] * f + (p * r - q * t) * g
+                    im[k] = im[k] * f + (p * t + q * r) * g
+                    den[k] = g * f
+    return [_gr(x, y, z) for x, y, z in zip(re, im, den)]
 
 
 def _u_deflate(a: list, root) -> tuple[list, object]:

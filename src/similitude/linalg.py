@@ -7,12 +7,12 @@ Callers own copies: every function here copies its input first.
 are all exact, so they need only an exact `/`: they work over the fields
 Q(i) (GaussianRational) and Q(i)(z) (RationalFunction) and over the rings
 Q(i)[z, ...] (Poly), where `/` is exact division.  `nullspace`,
-`projected_nullspace`, `solve`, `left_divide` (`invert` is its b = I case)
-and `reduced_basis` need a field: they read their answers from `_rref`, the
-reduced row echelon form of sparse {column: entry} rows, which touches only
-stored nonzeros.  Dense inputs become sparse rows on entry; callers of
-`projected_nullspace` pass sparse rows.  There is never roundoff, and a
-matrix has exactly one reduced row echelon form, so output is deterministic.
+`projected_nullspace`, `solve`, `invert` and `reduced_basis` need a field:
+they read their answers from `_rref`, the reduced row echelon form of sparse
+{column: entry} rows, which touches only stored nonzeros.  Dense inputs
+become sparse rows on entry; callers of `projected_nullspace` pass sparse
+rows.  There is never roundoff, and a matrix has exactly one reduced row
+echelon form, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -187,20 +187,15 @@ def det(m: Sequence[Sequence], one, zero):
     return -last if swaps % 2 else last
 
 
-def left_divide(m: Sequence[Sequence], b: Sequence[Sequence]) -> list[list] | None:
-    """m^-1 b, the right block of the reduced echelon form of [m | b]; None if m is singular."""
+def invert(m: Sequence[Sequence], one, zero) -> list[list] | None:
+    """Exact inverse, the right block of the reduced echelon form of [m | I]; None when singular."""
     n = len(m)
-    if any(len(row) != n for row in m) or len(b) != n:
-        raise ValueError("left division requires a square matrix and as many rows in b")
-    form = _rref(_sparse([list(row) + list(rhs) for row, rhs in zip(m, b)]))
+    if any(len(row) != n for row in m):
+        raise ValueError("inverse requires a square matrix")
+    form = _rref(_sparse([list(row) + unit for row, unit in zip(m, identity(n, one, zero))]))
     if [pc for pc, _ in form] != list(range(n)):
         return None
-    return _dense(form, n, n + (len(b[0]) if b else 0))
-
-
-def invert(m: Sequence[Sequence], one, zero) -> list[list] | None:
-    """Exact inverse, or None when singular."""
-    return left_divide(m, identity(len(m), one, zero))
+    return _dense(form, n, 2 * n)
 
 
 def reduced_basis(vectors: Sequence[Sequence]) -> list[list]:

@@ -8,11 +8,15 @@ of the gcds of k x k minors, which tests verify independently.  It works at xi
 itself, with no change of variables: an entry's valuation, and its unit part,
 come from repeated synthetic division of its numerator by (z - xi).
 
-kernel_projection reads the holomorphic idempotent P = F^-1 * diag(0, I) * F
-from one echelon form of [F | diag(0, I) * F]; its image agrees with ker M(z)
-away from xi and is contained in it at xi; when all exponents vanish the
-agreement includes xi and holomorphic_kernel_section extends any kernel vector
-at xi to an exact polynomial-family kernel section.
+The holomorphic idempotent P = F^-1 * diag(0, I) * F has an image that agrees
+with ker M(z) away from xi and is contained in it at xi; when all exponents
+vanish the agreement includes xi and holomorphic_kernel_section extends any
+kernel vector at xi to an exact polynomial-family kernel section.  F is never
+inverted: local_smith's F is U * Pi, a permutation followed by a unit
+upper-triangular U whose rows r.. are unit vectors (each row operation adds
+rows that are still unit vectors), so P * v is one back substitution through
+F.  holomorphic_kernel_section applies P to its vector that way without
+building P, and kernel_projection builds P one column P * e_c at a time.
 
 invariant_factors is the global Smith form over Q(i)[x] (Euclidean pivoting
 to a diagonal, then gcd/lcm pairs for the divisibility chain); it serves the
@@ -190,14 +194,58 @@ def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
     )
 
 
+def _apply_idempotent(f: list[list], r: int, v: list) -> list:
+    """P·v for P = F^-1 diag(0_r, I) F, by back substitution through F.
+
+    local_smith starts from F = I, swaps rows k and pj at step k and then
+    adds multiples of rows j > k to row k, while those rows are still unit
+    vectors.  So F = U·Π: row k is e_π(k) plus multiples of the e_π(j), j > k,
+    and rows r.. are unit vectors.  Read bottom-up, each row has exactly one
+    nonzero column that no lower row owns, and that entry is 1.  Then
+    x = Π·P·v solves U x = diag(0_r, I)·F·v: x_k = v_π(k) for k >= r and
+    x_k = -sum_{j>k} F[k][π(j)]·x_j below, and h_π(k) = x_k.  No inverse,
+    echelon form or P is built.
+    """
+    m = len(f)
+    pi = [0] * m
+    owned: set[int] = set()
+    for k in range(m - 1, -1, -1):
+        row = f[k]
+        free = [c for c in range(m) if c not in owned and row[c]]
+        if len(free) != 1 or row[free[0]] != 1 or (k >= r and any(row[c] for c in owned)):
+            raise AssertionError("Smith factor F is not a permuted unit upper-triangular matrix")
+        pi[k] = free[0]
+        owned.add(free[0])
+    x = [v[pi[k]] for k in range(m)]
+    for k in range(r - 1, -1, -1):
+        row = f[k]
+        acc = x[k] - x[k]
+        for j in range(k + 1, m):
+            c = row[pi[j]]
+            if c and x[j]:
+                acc = acc - c * x[j]
+        x[k] = acc
+    h = [None] * m
+    for k in range(m):
+        h[pi[k]] = x[k]
+    return h
+
+
 def kernel_projection(m: PolyMatrix, point: GaussianRational) -> KernelProjection:
-    """The idempotent P = F^-1 diag(0_r, I_{m-r}) F from the local factorization."""
+    """The idempotent P = F^-1 diag(0_r, I_{m-r}) F from the local factorization.
+
+    Built one column P·e_c at a time by back substitution through F = U·Π
+    (see `_apply_idempotent`).
+    """
     fact = local_smith(m, point)
     f = fact.F.entries
-    zero_row = [RationalFunction.constant(m.variables, GR_ZERO)] * m.cols
-    p = linalg.left_divide(f, [zero_row] * fact.generic_rank + list(f[fact.generic_rank:]))
-    if p is None:
-        raise AssertionError("Smith factor F must be invertible over the function field")
+    one = RationalFunction.constant(m.variables, GR_ONE)
+    zero = RationalFunction.constant(m.variables, GR_ZERO)
+    columns = [
+        _apply_idempotent(f, fact.generic_rank, [one if i == c else zero for i in range(m.cols)])
+        for c in range(m.cols)
+    ]
+    p = [[col[i] for col in columns] for i in range(m.cols)]
     return KernelProjection(point=fact.point, P=PolyMatrix(p), exponents=fact.exponents)
 
 
@@ -206,7 +254,9 @@ def holomorphic_kernel_section(
 ) -> list[RationalFunction]:
     """Extend v in ker M(point) to h(z) with M h = 0 exactly and h(point) = v.
 
-    When the kernel dimension is constant near the point (all local Smith
+    h = P·v for the idempotent P of `kernel_projection`, computed by back
+    substitution through the Smith factor F = U·Π without building P.  When
+    the kernel dimension is constant near the point (all local Smith
     exponents zero) success is guaranteed.  With a dimension jump the
     projection is still applied and the result certified a posteriori: if it
     fails to fix v at the point, the jump error is raised.
@@ -219,13 +269,12 @@ def holomorphic_kernel_section(
     image = linalg.mat_vec(at_pt, vec, GR_ZERO)
     if any(image):
         raise SmithError("v not in kernel: M(point)·v is nonzero")
-    proj = kernel_projection(m, pt)
-    zero = RationalFunction.constant(m.variables, GR_ZERO)
+    fact = local_smith(m, pt)
     const = [RationalFunction.constant(m.variables, x) for x in vec]
-    h = linalg.mat_vec([list(row) for row in proj.P.entries], const, zero)
+    h = _apply_idempotent(fact.F.entries, fact.generic_rank, const)
     at_point = [entry.evaluate([pt]) for entry in h]
     if any(a != b for a, b in zip(at_point, vec)):
-        if proj.constant_kernel_dimension():
+        if not any(fact.exponents):
             raise AssertionError("projection failed to fix a kernel vector despite constant dimension")
         raise SmithError("kernel dimension jumps at the point")
     return h

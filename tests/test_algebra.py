@@ -479,6 +479,37 @@ class TestUnivariateToolkit:
             assert all(type(c) is field for c in a + b + q + r + g + shifted)
         assert _u_mul([], a) == [] and _u_mul(a, []) == []
 
+    def test_mul_matches_the_generic_loop(self):
+        # the reference: one field product and one field sum per pair of terms
+        def generic(a, b):
+            out = [a[0] - a[0]] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] = out[i + j] + x * y
+            return out
+
+        rng = random.Random(47)
+
+        def draw():
+            # zeros, and denominators that are equal, coprime or share a factor
+            if rng.random() < 0.2:
+                return GR_ZERO
+            return rand_scalar(rng, 9) / g(rng.choice([1, 1, 2, 3, 6, 35]))
+
+        for la in range(1, 10):
+            for lb in range(1, 10):
+                a = [draw() for _ in range(la)]
+                b = [draw() for _ in range(lb)]
+                got = _u_mul(a, b)
+                assert got == generic(a, b)
+                assert all(type(c) is GaussianRational and canonical(c) for c in got)
+        for la, lb in ((1, 1), (2, 3), (3, 2)):
+            a = [rand_rf(rng) for _ in range(la)]
+            b = [rand_rf(rng) for _ in range(lb)]
+            got = _u_mul(a, b)
+            assert got == generic(a, b)
+            assert all(type(c) is RationalFunction for c in got)
+
     @pytest.mark.parametrize("field", [GaussianRational, RationalFunction])
     def test_order_at_a_root(self, field):
         rng = random.Random(23)

@@ -44,6 +44,14 @@ JUMP_PHI = [["1", "0"], ["0", "0"]]
 # Phi intertwines A(0) = B(0) = 0, but every holomorphic H with A H = H B has
 # H(0) upper triangular, so the kernel projection cannot fix Phi at 0
 UNCERTIFIED_PHI = [["0", "0"], ["1", "0"]]
+# B = U^-1 A U with U = [[1, z, 0], [0, 1, 0], [0, 0, 1]] and PHI_3X3 = U(2):
+# M is 9 x 9 of generic rank 6, so the kernel section is read from F with
+# six rows above the unit rows
+CONJUGATE_A = [["z", "1", "0"], ["0", "2*z", "z"], ["1", "0", "-z"]]
+CONJUGATE_B = [["z", "1-z^2", "-z^2"], ["0", "2*z", "z"], ["1", "z", "-z"]]
+PHI_3X3 = [["1", "2", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+# the middle row is z times the first: rank 2, so F has two unit rows below r
+RANK_2_3X4 = [["z", "z^2", "1", "z"], ["z^2", "z^3", "z", "z^2"], ["1", "z", "0", "1+z"]]
 # local Smith exponents of mixed sizes at 0: six nonzero invariant factors,
 # four of them units there and two vanishing to order 3
 MIXED = [["z", "1", "0"], ["0", "z^2", "0"], ["0", "0", "0"]]
@@ -75,6 +83,10 @@ CASES = {
         ["smith", "--matrix", "@m.json", "--point", "1"],
         {"m.json": _matrix(SMITH_4X4)},
     ),
+    "smith-3x4-rank-2": (
+        ["smith", "--matrix", "@m.json", "--point", "0"],
+        {"m.json": _matrix(RANK_2_3X4)},
+    ),
     "wasow-conjugate": (
         ["wasow", "--a", "@a.json", "--b", "@b.json", "--point", "1"],
         {"a.json": _matrix(PAIR_A), "b.json": _matrix(PAIR_B)},
@@ -82,6 +94,10 @@ CASES = {
     "local-similarity-conjugate": (
         ["local-similarity", "--a", "@a.json", "--b", "@b.json", "--point", "1", "--phi", "@phi.json"],
         {"a.json": _matrix(PAIR_A), "b.json": _matrix(PAIR_B), "phi.json": _matrix(PAIR_PHI, ())},
+    ),
+    "local-similarity-3x3-polynomial-conjugator": (
+        ["local-similarity", "--a", "@a.json", "--b", "@b.json", "--point", "2", "--phi", "@phi.json"],
+        {"a.json": _matrix(CONJUGATE_A), "b.json": _matrix(CONJUGATE_B), "phi.json": _matrix(PHI_3X3, ())},
     ),
     "wasow-jump": (
         ["wasow", "--a", "@a.json", "--b", "@b.json", "--point", "0"],

@@ -17,6 +17,7 @@ from similitude.algebra import (
 )
 from similitude.smith import (
     SmithError,
+    _apply_idempotent,
     _order_at,
     holomorphic_kernel_section,
     invariant_factors,
@@ -289,6 +290,111 @@ class TestKernelSection:
         m = PolyMatrix.from_strings([["z", "z"]], ["z"])
         with pytest.raises(SmithError, match="jumps"):
             holomorphic_kernel_section(m, GR_ZERO, [g(1), g(0)])
+
+
+def _reference_projection(fact):
+    """P = F^-1 diag(0_r, I) F from an explicit inverse and product."""
+    f = [list(row) for row in fact.F.entries]
+    one = RationalFunction.constant(fact.variables, GR_ONE)
+    zero = RationalFunction.constant(fact.variables, GR_ZERO)
+    lower = [[zero] * len(f) for _ in range(fact.generic_rank)] + f[fact.generic_rank:]
+    return linalg.mat_mul(linalg.invert(f, one, zero), lower, zero)
+
+
+def _assert_permuted_unit_triangular(f, r):
+    """F = U·Π with U unit upper triangular and rows r.. unit vectors.
+
+    Column π(k) of F is column k of U, so its lowest nonzero row is k and
+    holds a 1: the lowest rows of the columns are a permutation.
+    """
+    n = len(f)
+    lowest = [max(i for i in range(n) if f[i][c]) for c in range(n)]
+    assert sorted(lowest) == list(range(n))
+    assert all(f[lowest[c]][c] == 1 for c in range(n))
+    assert all(sum(1 for x in f[k] if x) == 1 for k in range(r, n))
+
+
+class TestBackSubstitutionThroughF:
+    """kernel_projection and holomorphic_kernel_section against the explicit
+    F^-1 diag(0, I) F, on square and non-square families at constant and jump
+    points."""
+
+    @staticmethod
+    def _families():
+        rng = random.Random(89)
+        vs = ("z",)
+        z = Poly.variable(vs, "z")
+        points = [g(0), g(1), g(-1), g(0, 1)]
+        out = []
+        for _ in range(4):
+            # square: a conjugate pair's intertwiner matrix
+            a = PolyMatrix([[rand_poly(rng, 1) for _ in range(2)] for _ in range(2)])
+            gamma = [[g(1), g(rng.randint(-2, 2))], [g(0), g(1)]]
+            gamma_inv = [[g(1), -gamma[0][1]], [g(0), g(1)]]
+            b = PolyMatrix.from_scalars(gamma_inv, vs) * a * PolyMatrix.from_scalars(gamma, vs)
+            out.append((sylvester_matrix(a, b), rng.choice(points)))
+        for xi in (g(0), g(2)):
+            # square with a jump at xi: the eigenvalues ±(z - xi) of A meet there
+            local = z - Poly.constant(vs, xi)
+            a = PolyMatrix([[local, Poly.zero(vs)], [local * g(rng.randint(1, 3)), -local]])
+            out.append((sylvester_matrix(a, a), xi))
+        for rows, cols in ((2, 3), (3, 2), (3, 4), (2, 4)):
+            xi = rng.choice(points)
+            grid = [[rand_poly(rng, 1) for _ in range(cols)] for _ in range(rows)]
+            out.append((PolyMatrix(grid), xi))
+            # the last row agrees with a multiple of the first at xi: a jump
+            local = z - Poly.constant(vs, xi)
+            grid = [list(row) for row in grid]
+            grid[-1] = [x * g(rng.randint(1, 2)) + y * local for x, y in zip(grid[0], grid[-1])]
+            out.append((PolyMatrix(grid), xi))
+        # the golden pairs: a jump that a kernel vector survives, and one it does not
+        jump_a = PolyMatrix.from_strings([["0", "z"], ["0", "0"]], ["z"])
+        jump_b = PolyMatrix.from_strings([["0", "z^2"], ["0", "0"]], ["z"])
+        out.append((sylvester_matrix(jump_a, jump_b), g(0)))
+        out.append((sylvester_matrix(jump_a, jump_a), g(0)))
+        return out
+
+    def test_matches_the_explicit_idempotent(self):
+        rng = random.Random(97)
+        vs = ("z",)
+        zero = RationalFunction.constant(vs, GR_ZERO)
+        outcomes = set()
+        for m, xi in self._families():
+            fact = local_smith(m, xi)
+            _assert_permuted_unit_triangular(fact.F.entries, fact.generic_rank)
+            p_ref = _reference_projection(fact)
+            assert kernel_projection(m, xi).P == PolyMatrix(p_ref)
+            basis = linalg.nullspace(m.evaluate([xi]), GR_ONE, GR_ZERO)
+            combination = [GR_ZERO] * m.cols
+            for vec in basis:
+                c = g(rng.randint(-3, 3), rng.randint(-3, 3))
+                combination = [x + c * y for x, y in zip(combination, vec)]
+            jump = any(fact.exponents)
+            for v in basis + [combination]:
+                h_ref = linalg.mat_vec(p_ref, [RationalFunction.constant(vs, x) for x in v], zero)
+                if [f.evaluate([xi]) for f in h_ref] == v:
+                    assert holomorphic_kernel_section(m, xi, v) == h_ref
+                    outcomes.add((jump, "section"))
+                else:
+                    assert jump
+                    with pytest.raises(SmithError, match="jumps"):
+                        holomorphic_kernel_section(m, xi, v)
+                    outcomes.add((jump, "raised"))
+        assert outcomes == {(False, "section"), (True, "section"), (True, "raised")}
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [["1", "0"], ["1", "1"]],  # a row at or below r that is not a unit vector
+            [["2", "0"], ["0", "1"]],  # a pivot entry other than 1
+            [["0", "1"], ["0", "1"]],  # singular: a row owns no column
+        ],
+    )
+    def test_rejects_a_factor_of_another_shape(self, grid):
+        f = PolyMatrix.from_strings(grid, ["z"]).to_func().entries
+        v = [RationalFunction.constant(("z",), GR_ONE)] * 2
+        with pytest.raises(AssertionError, match="permuted unit upper-triangular"):
+            _apply_idempotent(f, 1, v)
 
 
 class TestInvariantFactors:
