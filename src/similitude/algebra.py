@@ -179,7 +179,15 @@ class GaussianRational:
 
     def to_complex(self) -> complex:
         # int / int is correctly rounded, like float(Fraction)
-        return complex(self._a / self._d, self._b / self._d)
+        try:
+            return complex(self._a / self._d, self._b / self._d)
+        except OverflowError:
+            # big may pass Python's limit on printing an int; bit_length *
+            # log10(2) is within one below its count of decimal digits
+            big = max(abs(self._a), abs(self._b)) // self._d
+            digits = int(big.bit_length() * 0.30102999566398120) + 1
+            digits -= big < 10 ** (digits - 1)
+            raise AlgebraError(f"a number with a {digits}-digit part is beyond float range") from None
 
     def __str__(self) -> str:
         return format_gaussian_rational(self)

@@ -13,19 +13,22 @@ c_z z^(3+l) + c_w w^(3+l) = z^(2+l) w^(2+l) and S B = A S are exact
 polynomial statements once conjugates are formal variables.
 
 jet_rigidity decides what truncated power-series solutions of a matrix
-relation can look like at the origin.  The unknown n x n jet H is assembled
-into an exact linear system on its Taylor coefficients.  On the full plane
-each monomial z^j w^k keeps its own row.  A curve is a union of monomial
-branches t -> (t^a, s t^b): the cusp z^p = w^q is the one branch (t^q, t^p),
-and a union of lines w = s z has one branch (t, s t) per slope.  Restriction
-sends z^j w^k to s^k t^(aj+bk) on each branch, so one row collects one power
-of t on one branch.  Each equation is a sparse row ({column: coefficient})
-and goes to linalg's sparse reduced echelon form as it is.  The H(0) unknowns
-are numbered last, so that one form yields both the jet nullity and, from its
-last block, the admissible values of H(0), without a kernel basis of the
-whole jet.  Every retained equation up to the truncation order is a complete
-constraint on a true holomorphic solution, so a trivial projected solution
-space is a proof that H(0) is forced.
+relation can look like at the origin.  Each relation reads L H - H R = 0
+for one pair (L, R) of A and B, so its equations are the rows of
+M = I (x) L - R^T (x) I from sylvester's one builder.  The unknown n x n jet
+H is assembled into an exact linear system on its Taylor coefficients by one
+loop over branches t -> (t^a, s t^b): the cusp z^p = w^q is the one branch
+(t^q, t^p), a union of lines w = s z has one branch (t, s t) per slope, and
+the full plane is the one weight (1, 1).  Restriction sends z^j w^k to
+s^k t^(aj+bk) on each branch, so on a curve one row collects one power of t
+on one branch; on the plane each monomial z^j w^k keeps its own row.  Each
+equation is a sparse row ({column: coefficient}) and goes to linalg's sparse
+reduced echelon form as it is.  The H(0) unknowns are numbered last, so that
+one form yields both the jet nullity and, from its last block, the
+admissible values of H(0), without a kernel basis of the whole jet.  Every
+retained equation up to the truncation order is a complete constraint on a
+true holomorphic solution, so a trivial projected solution space is a proof
+that H(0) is forced.
 
 index_sets enumerates the exponent-collision sets of the cusp comparison
 argument, winding_number certifies discrete curve indices, and
@@ -51,6 +54,7 @@ from .algebra import (
     parse_gaussian_rational,
     rat,
 )
+from .sylvester import _sylvester_entries
 
 FAMILY_VARS = ("z", "w")
 CONJ_VARS = ("z", "w", "u", "v")
@@ -126,17 +130,17 @@ class SmoothSimilarityReport:
     smoothness_class: int
 
 
-def verify_smooth_similarity(ell: int, grid_points: int = 100) -> SmoothSimilarityReport:
+def verify_smooth_similarity(ell: int) -> SmoothSimilarityReport:
     """Exactness of S B = A S after clearing the denominator, and det S != 0.
 
     With u = conj(z), v = conj(w), |c_z c_w| = |z|^(3+l) |w|^(3+l) / (|z|^2 + |w|^2)^2,
     and AM-GM (|z| |w| <= (|z|^2 + |w|^2) / 2) bounds it by
     (|z|^2 + |w|^2)^(1+l) / 2^(3+l) <= 2^-(3+l) < 1 on the unit ball.  So
     det S = 1 + c_z c_w is nonvanishing there, decided by that exact bound.
-    A grid on the circles |z| = 0.6, |w| = 0.5 only screens it: a float value
-    above the bound is a program error.  The degree gap (numerator minus
-    denominator total degree of c_z, c_w) records the algebraic skeleton of
-    the smoothness class.
+    A 10 x 10 grid on the circles |z| = 0.6, |w| = 0.5 only screens it: a
+    float value above the bound is a program error.  The degree gap
+    (numerator minus denominator total degree of c_z, c_w) records the
+    algebraic skeleton of the smoothness class.
     """
     fam = build_family(ell)
     s_cleared = fam.S_cleared
@@ -144,10 +148,9 @@ def verify_smooth_similarity(ell: int, grid_points: int = 100) -> SmoothSimilari
     b4 = fam.B.map(lambda p: p.with_variables(CONJ_VARS))
     exact = (s_cleared * b4 - a4 * s_cleared).is_zero()
 
-    side = max(1, int(math.isqrt(grid_points)))
+    side = 10
     max_czcw = 0.0
     min_det = math.inf
-    count = 0
     for jz in range(side):
         for jw in range(side):
             zz = 0.6 * cmath.exp(2j * math.pi * jz / side)
@@ -159,7 +162,6 @@ def verify_smooth_similarity(ell: int, grid_points: int = 100) -> SmoothSimilari
             detval = abs(1 + cz * cw)
             max_czcw = max(max_czcw, prod)
             min_det = min(min_det, detval)
-            count += 1
 
     bound = Fraction(1, 2 ** (3 + ell))
     if max_czcw > bound:
@@ -172,7 +174,7 @@ def verify_smooth_similarity(ell: int, grid_points: int = 100) -> SmoothSimilari
     return SmoothSimilarityReport(
         ell=ell,
         conjugation_exact=exact,
-        grid_points=count,
+        grid_points=side * side,
         max_abs_czcw=max_czcw,
         min_abs_det=min_det,
         czcw_bound=bound,
@@ -262,7 +264,9 @@ def default_order(variety: Variety, ell: int) -> int:
 # Jet rigidity
 
 
-RELATIONS = ("AHeqHB", "HAeqBH", "AHeqHA")
+# (L, R) of each relation, read as L H - H R = 0: H A = B H is B H - H A = 0
+_OPERANDS = {"AHeqHB": "AB", "HAeqBH": "BA", "AHeqHA": "AA"}
+RELATIONS = tuple(_OPERANDS)
 
 
 @dataclass(frozen=True)
@@ -308,13 +312,11 @@ class JetRigidityResult:
         return bool(linalg.det(entries, Poly.constant(xs, GR_ONE), Poly.zero(xs)))
 
 
-def _unknown_monomials(variety: Variety, order: int) -> list[tuple[int, int]]:
-    # the (j, k) with aj + bk <= order for the weight (a, b) of some branch;
-    # the plane is the one weight (1, 1)
-    weights = [(1, 1)] if isinstance(variety, FullPlane) else [br[:2] for br in variety.branches()]
+def _unknown_monomials(branches: list[tuple], order: int) -> list[tuple[int, int]]:
+    # the (j, k) with aj + bk <= order for the weight (a, b) of some branch
     out = []
-    for j in range(max(order // a for a, _ in weights) + 1):
-        top = max((order - a * j) // b for a, b in weights)
+    for j in range(max(order // a for a, _, _ in branches) + 1):
+        top = max((order - a * j) // b for a, b, _ in branches)
         out.extend((j, k) for k in range(top + 1))
     out.sort(key=lambda jk: (jk[0] + jk[1], jk))
     return out
@@ -329,12 +331,15 @@ def jet_rigidity(
 ) -> JetRigidityResult:
     """Exact solution space of the truncated matrix relation on a variety.
 
-    Builds the linear system on the Taylor coefficients of the unknown jet H
-    (coefficients h_{jk} with j+k <= order on the plane, or weighted degree
-    aj+bk <= order on some branch t -> (t^a, s t^b) of a curve), restricts
-    the relation to the variety, retains every monomial constraint up to the
-    order, eliminates exactly and reads the H(0) projection from the last
-    echelon block (`linalg.projected_nullspace`).
+    Each relation reads L H - H R = 0 with (L, R) = _OPERANDS[relation], so
+    its equations are the rows of M = I (x) L - R^T (x) I from the one
+    builder in `sylvester`.  Every term of an entry of M is spread over the
+    Taylor coefficients h_{jk} of the unknown jet H by one loop over branches
+    t -> (t^a, s t^b): the plane is the one weight (1, 1) and keeps one row
+    per monomial, a curve has one row per branch and power of t.  The jet
+    holds the h_{jk} with aj + bk <= order on some branch.  The system is
+    eliminated exactly and the H(0) projection is read from the last echelon
+    block (`linalg.projected_nullspace`).
     """
     if not 1 <= order <= MAX_ORDER:
         raise RigidityError(f"order must be between 1 and {MAX_ORDER}, got {order}")
@@ -345,8 +350,11 @@ def jet_rigidity(
     if len(a.variables) != 2 or a.variables != b.variables:
         raise RigidityError("A and B must share one two-variable list")
     n = a.rows
+    left, right = ({"A": a, "B": b}[name].entries for name in _OPERANDS[relation])
 
-    monos = _unknown_monomials(variety, order)
+    plane = isinstance(variety, FullPlane)
+    branches = [(1, 1, None)] if plane else variety.branches()
+    monos = _unknown_monomials(branches, order)
     # monos runs by degree from (0, 0), so numbering it newest (highest degree)
     # first gives the H(0) unknowns the last n^2 columns, where
     # projected_nullspace reads them
@@ -355,48 +363,30 @@ def jet_rigidity(
         for r in range(n):
             for c in range(n):
                 col_index[(r, c, jk[0], jk[1])] = len(col_index)
-
-    rows: dict[tuple, dict[int, GaussianRational]] = {}
-    branches = [] if isinstance(variety, FullPlane) else variety.branches()
     # s^dw for the slope s of each line (dw <= order there)
     powers = [None if slope is None else [slope ** e for e in range(order + 1)] for _, _, slope in branches]
 
-    def contribute(entry_rc, h_row, h_col, factor: Poly, sign: int):
-        for mu, gamma in factor.terms.items():
-            coeff = gamma if sign > 0 else -gamma
-            if not branches:
-                for (j, k) in monos:
-                    dz, dw = mu[0] + j, mu[1] + k
-                    if dz + dw <= order:
-                        col = col_index[(h_row, h_col, j, k)]
-                        _row_add(rows, (entry_rc, dz + dw, dz, dw), col, coeff)
-                continue
-            for branch, (wz, ww, slope) in enumerate(branches):
-                for (j, k) in monos:
-                    dz, dw = mu[0] + j, mu[1] + k
-                    e = wz * dz + ww * dw
-                    if e > order:
-                        continue
-                    scaled = coeff
-                    if slope is not None:
-                        scaled = coeff * powers[branch][dw]
-                        if not scaled:
+    rows: dict[tuple, dict[int, GaussianRational]] = {}
+    # row rho of M is entry (rho % n, rho // n) of L H - H R, and its column
+    # kappa multiplies H[kappa % n][kappa // n]
+    for rho, m_row in enumerate(_sylvester_entries(left, right)):
+        entry = (rho % n, rho // n)
+        for kappa, factor in enumerate(m_row):
+            h_row, h_col = kappa % n, kappa // n
+            for mu, gamma in factor.terms.items():
+                for branch, (wz, ww, slope) in enumerate(branches):
+                    for (j, k) in monos:
+                        dz, dw = mu[0] + j, mu[1] + k
+                        e = wz * dz + ww * dw
+                        if e > order:
                             continue
-                    _row_add(rows, (entry_rc, branch, e), col_index[(h_row, h_col, j, k)], scaled)
-
-    for r in range(n):
-        for c in range(n):
-            entry_rc = (r, c)
-            for s in range(n):
-                if relation == "AHeqHB":
-                    contribute(entry_rc, s, c, a.entries[r][s], +1)
-                    contribute(entry_rc, r, s, b.entries[s][c], -1)
-                elif relation == "AHeqHA":
-                    contribute(entry_rc, s, c, a.entries[r][s], +1)
-                    contribute(entry_rc, r, s, a.entries[s][c], -1)
-                else:  # HAeqBH
-                    contribute(entry_rc, r, s, a.entries[s][c], +1)
-                    contribute(entry_rc, s, c, b.entries[r][s], -1)
+                        coeff = gamma
+                        if slope is not None:
+                            coeff = gamma * powers[branch][dw]
+                            if not coeff:
+                                continue
+                        key = (entry, e, dz, dw) if plane else (entry, branch, e)
+                        _row_add(rows, key, col_index[(h_row, h_col, j, k)], coeff)
 
     width = len(col_index)
     rank, basis = linalg.projected_nullspace(

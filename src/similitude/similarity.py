@@ -71,11 +71,11 @@ class LocalSimilarity:
     seed: ConstMatrix
 
 
-def characteristic_pencil(a0: ConstMatrix, variable: str = "lambda") -> PolyMatrix:
-    """The pencil lambda I - A0 as a univariate polynomial matrix."""
+def characteristic_pencil(a0: ConstMatrix) -> PolyMatrix:
+    """The pencil lambda I - A0 as a polynomial matrix in the one variable lambda."""
     n = len(a0)
-    vs = (variable,)
-    lam = Poly.variable(vs, variable)
+    vs = ("lambda",)
+    lam = Poly.variable(vs, "lambda")
     grid = []
     for i in range(n):
         row = []

@@ -167,6 +167,22 @@ class TestGaussianRational:
             if b:
                 assert (a / b) * b == a
 
+    @pytest.mark.parametrize(
+        "value, digits",
+        [
+            (g(10**400), 401),
+            (g(0, -(10**400)), 401),
+            (g(Fraction(10**400, 3), 1), 400),
+            (g(-(10**5000), 10**5000), 5001),  # past Python's limit for printing an int
+        ],
+        ids=["real", "imaginary", "fraction", "unprintable"],
+    )
+    def test_to_complex_past_float_range(self, value, digits):
+        with pytest.raises(AlgebraError, match=f"a {digits}-digit part is beyond float range") as info:
+            value.to_complex()
+        assert "1000000000" not in str(info.value) and "3333333333" not in str(info.value)
+        assert g(10**308, -(10**308)).to_complex() == complex(1e308, -1e308)
+
     def test_canonical_strings(self):
         assert str(g(3, 0)) == "3"
         assert str(g(0, 1)) == "1i"

@@ -1,6 +1,7 @@
 """CLI surface: file formats, report schema, exit codes, determinism."""
 
 import json
+import re
 import sys
 
 import pytest
@@ -254,6 +255,26 @@ class TestExitCodes:
         )
         assert code == 0
         assert report["verdict"] == "stable"
+
+    BIG = "1" + "0" * 400
+
+    @pytest.mark.parametrize(
+        "matrix, argv, digits",
+        [
+            # the float screen for the roots of the discriminant 4(10^400 + z)
+            ([["0", "1"], [BIG + "+z", "0"]], ["candidates"], "401"),
+            ([["0", "1"], [BIG + "+z", "0"]], ["check", "--point", "1"], "401"),
+            # the numeric profiles at the probes near 0
+            ([[BIG + "*z", "1"], ["z", "0"]], ["check", "--point", "0"], r"\d+"),
+        ],
+        ids=["candidates", "check-roots", "check-probes"],
+    )
+    def test_jordan_past_float_range_is_two(self, tmp_path, capsys, matrix, argv, digits):
+        a = write(tmp_path, "a.json", {"variables": ["z"], "matrix": matrix})
+        code, report, err = invoke(capsys, ["jordan", argv[0], "--matrix", a] + argv[1:])
+        assert (code, report) == (2, None)
+        assert err.startswith("similitude: ") and err.count("\n") == 1
+        assert re.search(f"a {digits}-digit part is beyond float range", err) and self.BIG not in err
 
     def test_witness_seed_env_override(self, tmp_path, capsys, monkeypatch):
         a = write(tmp_path, "a.json", {"variables": [], "matrix": [["2", "1"], ["0", "3"]]})

@@ -241,6 +241,106 @@ class TestJetRigidityLines:
                 parse_variety(bad)
 
 
+class TestJetRigidityRelations:
+    """What each relation asks of H, on constant pairs outside the family.
+
+    For constant A and B each monomial of the plane, and each power of t on a
+    curve, constrains its own coefficient block by L X - X R = 0, and only
+    H(0) reaches the monomial 1 or t^0.  So on every variety the admissible
+    H(0) are exactly the kernel of X -> L X - X R, with (L, R) = (A, B) for
+    AH = HB, (B, A) for HA = BH and (A, A) for AH = HA.
+    """
+
+    OPERANDS = {"AHeqHB": "AB", "HAeqBH": "BA", "AHeqHA": "AA"}
+    VARIETIES = (FullPlane(), Cusp(3, 2), Lines((g(1), g(2))))
+
+    @staticmethod
+    def matrix(grid):
+        return PolyMatrix([[Poly.constant(VARS, x) for x in row] for row in grid])
+
+    @staticmethod
+    def to_sympy(grid):
+        sympy = pytest.importorskip("sympy")
+        return sympy.Matrix(
+            [[sympy.Rational(str(x.re)) + sympy.I * sympy.Rational(str(x.im)) for x in row] for row in grid]
+        )
+
+    @staticmethod
+    def span(rows):
+        """Nonzero rows of the reduced echelon form of the rows of a sympy matrix, over Q(i)."""
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        if not rows:
+            return []
+        form, pivots = DomainMatrix.from_Matrix(rows).convert_to(sympy.QQ_I).rref()
+        return form.to_Matrix()[: len(pivots), :].tolist()
+
+    def kernel(self, left, right):
+        """Kernel of X -> L X - X R, as rows X read row-major, by sympy."""
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        n = len(left)
+        xs = sympy.symbols(f"x0:{n * n}")
+        x = sympy.Matrix(n, n, xs)
+        residue = (self.to_sympy(left) * x - x * self.to_sympy(right)).expand()
+        system, _ = sympy.linear_eq_to_matrix(list(residue), xs)
+        basis = DomainMatrix.from_Matrix(system).convert_to(sympy.QQ_I).nullspace()
+        return self.span(basis.to_Matrix().expand())
+
+    def jet_span(self, a, b, relation, variety, order):
+        res = jet_rigidity(self.matrix(a), self.matrix(b), relation, variety, order)
+        return self.span(self.to_sympy(res.solution_space))
+
+    def test_hand_case(self):
+        # A = E12, B = 0: AH = 0 kills H's second row, HA = 0 its first column
+        a = [[g(0), g(1)], [g(0), g(0)]]
+        b = [[g(0), g(0)], [g(0), g(0)]]
+        want = {
+            "AHeqHB": [[1, 0, 0, 0], [0, 1, 0, 0]],  # span(E11, E12)
+            "HAeqBH": [[0, 1, 0, 0], [0, 0, 0, 1]],  # span(E12, E22)
+            "AHeqHA": [[1, 0, 0, 1], [0, 1, 0, 0]],  # span(I, E12)
+        }
+        for relation, space in want.items():
+            for variety in self.VARIETIES:
+                res = jet_rigidity(self.matrix(a), self.matrix(b), relation, variety, 3)
+                assert [[int(x.re) for x in v] for v in res.solution_space] == space, (relation, variety)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_constant_pairs_match_the_sympy_kernel(self, n):
+        rng = random.Random(2200 + n)
+        values = [g(0)] * 4 + [g(1), g(-1), g(2), g(0, 1), g(1, -1)]
+
+        def draw():
+            return [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+
+        distinct = 0
+        for trial in range(6):
+            a = draw()
+            if trial % 2:
+                b = draw()
+            else:
+                # B = P A P^-1 for P = I + c E_ij, so AH = HB has invertible solutions
+                i, j = rng.sample(range(n), 2)
+                c = rng.choice(values[4:])
+                pa = [row[:] for row in a]
+                pa[i] = [x + c * y for x, y in zip(a[i], a[j])]
+                b = [row[:] for row in pa]
+                for r in range(n):
+                    b[r][j] = pa[r][j] - c * pa[r][i]
+            pair = {"A": a, "B": b}
+            kernels = {}
+            for relation, (left, right) in self.OPERANDS.items():
+                kernels[relation] = self.kernel(pair[left], pair[right])
+                for variety in self.VARIETIES:
+                    got = self.jet_span(a, b, relation, variety, 3)
+                    assert got == kernels[relation], (trial, relation, variety)
+            distinct += kernels["AHeqHB"] != kernels["HAeqBH"]
+        # the draws tell AH = HB from HA = BH
+        assert distinct
+
+
 class TestIndexSets:
     def test_boundary_instances_have_one_collision(self):
         # q = ell + 3 puts (p - ell - 3, 0) into B_alpha; the other five are empty
