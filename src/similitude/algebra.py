@@ -17,15 +17,18 @@ operation returns a fresh value, so instances may be shared freely between
 threads.
 
 The module also owns the polynomial text grammar used by matrix files and the
-CLI:
+CLI.  One lexer pass cuts the text into tokens: a run of decimal digits (INT),
+a run of identifier characters (NAME) or any other non-space character;
+whitespace only separates tokens.  The terms are read from the tokens:
 
-    coefficient := SIGN? RAT ("+"|"-") RAT "i" | SIGN? RAT "i"?
+    coefficient := SIGN? RAT ("+"|"-") RAT "i" | SIGN? RAT "i"? | SIGN? "i"
     RAT         := INT ("/" INT)?
     monomial    := coefficient ("*" VAR ("^" INT)?)* | SIGN? VAR ("^" INT)? ("*" VAR ("^" INT)?)*
     polynomial  := monomial (("+"|"-") monomial)*
 
-A variable's exponent in one monomial (the sum over its factors) is at most
-MAX_EXPONENT, and an INT has at most MAX_DIGITS digits.
+A VAR is a NAME from the declared variable list; the NAME "i" is the
+imaginary unit.  A variable's exponent in one monomial (the sum over its
+factors) is at most MAX_EXPONENT, and an INT has at most MAX_DIGITS digits.
 
 Canonical printing emits variables in declared order and terms in descending
 graded-lexicographic order with no zero terms; under that ordering a constant
@@ -36,6 +39,7 @@ under greedy parsing.
 from __future__ import annotations
 
 import operator
+import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -273,112 +277,119 @@ def format_gaussian_rational(value: GaussianRational) -> str:
         ) from None
 
 
-class _Scanner:
-    """Minimal cursor over a coefficient / polynomial string."""
+# One token: a run of decimal digits (INT), a run of identifier characters
+# (NAME) or one other non-space character.  \d, \w and \s accept what
+# str.isdecimal, str.isalnum (or "_") and str.isspace accept, so a digit such
+# as a superscript 2, which int() refuses, lexes as a NAME.
+_TOKEN = re.compile(r"\d+|\w+|\S")
+
+
+class _Tokens:
+    """Cursor over the tokens of one text; "" stands past the last token."""
+
+    __slots__ = ("text", "toks", "k")
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.toks = _TOKEN.findall(text)
+        self.toks.append("")
+        self.k = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def at(self) -> int:
+        """Offset of the current token in the text, for an error message."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        return starts[self.k] if self.k < len(starts) else len(self.text)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def sign(self) -> int:
+        """An optional "+" or "-", as 1 or -1."""
+        tok = self.toks[self.k]
+        if tok == "+" or tok == "-":
+            self.k += 1
+            return 1 if tok == "+" else -1
+        return 1
 
-    def take(self) -> str:
-        c = self.peek()
-        self.pos += 1
-        return c
-
-    def done(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def take_int(self, what: str = "number") -> str | None:
-        self.skip_ws()
-        start = self.pos
-        # isdecimal, not isdigit: int() refuses digits such as a superscript 2
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos - start > MAX_DIGITS:
+    def integer(self, what: str = "number") -> int | None:
+        """The INT at the cursor, or None with nothing taken before another token."""
+        tok = self.toks[self.k]
+        if not tok.isdecimal():
+            return None
+        if len(tok) > MAX_DIGITS:
             raise AlgebraError(
-                f"{what} of {self.pos - start} digits at {start} exceeds {MAX_DIGITS} digits"
+                f"{what} of {len(tok)} digits at {self.at()} exceeds {MAX_DIGITS} digits"
             )
-        return self.text[start:self.pos] if self.pos > start else None
+        self.k += 1
+        return int(tok)
 
-    def take_rat(self) -> tuple[int, int] | None:
-        """INT ("/" INT)? as (numerator, denominator) with denominator > 0."""
-        save = self.pos
-        num = self.take_int()
+    def rat(self) -> tuple[int, int] | None:
+        """RAT as (numerator, denominator) with denominator > 0, or None before a non-INT."""
+        num = self.integer()
         if num is None:
             return None
-        if self.peek() == "/":
-            self.pos += 1
-            den = self.take_int()
-            if den is None:
-                self.pos = save
+        if self.toks[self.k] != "/":
+            return num, 1
+        self.k += 1
+        den = self.integer()
+        if den is None:
+            raise AlgebraError(f"expected integer after '/' at {self.at()} in {self.text!r}")
+        if not den:
+            raise AlgebraError(f"zero denominator in {self.text!r}")
+        return num, den
+
+    def coefficient(self, sign: int) -> GaussianRational | None:
+        """Greedy coefficient, or None with nothing taken.
+
+        The longest alternative RAT (+|-) RAT i is tried first; when the text
+        does not complete it, the cursor goes back to the inner sign.
+        """
+        first = self.rat()
+        if first is None:
+            if self.toks[self.k] != "i":
                 return None
-            d = int(den)
-            if not d:
-                raise AlgebraError(f"zero denominator in {self.text!r}")
-            return int(num), d
-        return int(num), 1
-
-    def take_name(self) -> str | None:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start:self.pos] if self.pos > start else None
-
-
-def _scan_coefficient(sc: _Scanner, sign: int) -> GaussianRational | None:
-    """Greedy coefficient parse; longest alternative (a+bi) is tried first."""
-    save = sc.pos
-    first = sc.take_rat()
-    if first is None:
-        # bare 'i' (tolerated on input; canonical form writes '1i')
-        mark = sc.pos
-        name = sc.take_name()
-        if name == "i":
+            # bare 'i' (tolerated on input; canonical form writes '1i')
+            self.k += 1
             return GaussianRational(0, sign)
-        sc.pos = mark
-        return None
-    if sc.peek() in "+-":
-        mark = sc.pos
-        inner = 1 if sc.take() == "+" else -1
-        second = sc.take_rat()
-        if second is not None and sc.peek() == "i":
-            nxt = sc.pos + 1
-            # 'i' must not be the head of a longer identifier
-            if nxt >= len(sc.text) or not (sc.text[nxt].isalnum() or sc.text[nxt] == "_"):
-                sc.take()
+        p, q = first
+        inner = self.toks[self.k]
+        if inner == "+" or inner == "-":
+            mark = self.k
+            self.k += 1
+            second = self.rat()
+            if second is not None and self.toks[self.k] == "i":
+                self.k += 1
                 # the sign scopes the leading RAT only; the inner sign owns the
                 # imaginary part (matches the per-component canonical printer)
-                (p, q), (r, s) = first, second
-                return _gr(sign * p * s, inner * r * q, q * s)
-        sc.pos = mark
-    p, q = first
-    if sc.peek() == "i":
-        nxt = sc.pos + 1
-        if nxt >= len(sc.text) or not (sc.text[nxt].isalnum() or sc.text[nxt] == "_"):
-            sc.take()
+                r, s = second
+                return _gr(sign * p * s, (r if inner == "+" else -r) * q, q * s)
+            self.k = mark
+        if self.toks[self.k] == "i":
+            self.k += 1
             return _gr(0, sign * p, q)
-    return _gr(sign * p, 0, q)
+        return _gr(sign * p, 0, q)
+
+    def factor(self, index: Mapping[str, int], expo: list, expected: str):
+        """VAR ("^" INT)?, adding its power to expo at the variable's index."""
+        name = self.toks[self.k]
+        j = index.get(name)
+        if j is None:
+            if name[:1].isalnum() or name[:1] == "_":  # an INT or NAME
+                raise AlgebraError(f"unknown variable {name!r} in {self.text!r}")
+            raise AlgebraError(f"expected {expected} at {self.at()} in {self.text!r}")
+        self.k += 1
+        power = 1
+        if self.toks[self.k] == "^":
+            self.k += 1
+            power = self.integer("exponent")
+            if power is None:
+                raise AlgebraError(f"expected integer exponent at {self.at()} in {self.text!r}")
+        expo[j] += power
+        if expo[j] > MAX_EXPONENT:
+            raise AlgebraError(f"exponent of {name} exceeds {MAX_EXPONENT} in {self.text!r}")
 
 
 def parse_gaussian_rational(text: str) -> GaussianRational:
-    sc = _Scanner(text)
-    sign = 1
-    if sc.peek() in "+-":
-        sign = 1 if sc.take() == "+" else -1
-    value = _scan_coefficient(sc, sign)
-    if value is None or not sc.done():
+    tk = _Tokens(text)
+    value = tk.coefficient(tk.sign())
+    if value is None or tk.toks[tk.k]:
         raise AlgebraError(f"malformed Gaussian rational: {text!r}")
     return value
 
@@ -702,63 +713,32 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Poly:
             raise AlgebraError(f"variable {name!r} must be an identifier other than 'i'")
     if len(set(vs)) != len(vs):
         raise AlgebraError(f"variables {list(vs)} repeat a name")
-    sc = _Scanner(text)
+    tk = _Tokens(text)
+    toks = tk.toks
+    if not toks[0]:
+        raise AlgebraError("empty polynomial")
+    index = {name: j for j, name in enumerate(vs)}
     terms: dict = {}
-    first = True
+    sign = tk.sign()
     while True:
-        if sc.done():
-            if first:
-                raise AlgebraError("empty polynomial")
-            break
-        sign = 1
-        if first:
-            if sc.peek() in "+-":
-                sign = 1 if sc.take() == "+" else -1
-        else:
-            op = sc.take()
-            if op == "+":
-                sign = 1
-            elif op == "-":
-                sign = -1
-            else:
-                raise AlgebraError(f"expected '+' or '-' at {sc.pos} in {text!r}")
-            if sc.peek() in "+-":
-                sign *= 1 if sc.take() == "+" else -1
-        first = False
-        coeff = _scan_coefficient(sc, sign)
+        coeff = tk.coefficient(sign)
         expo = [0] * len(vs)
         if coeff is None:
             coeff = GaussianRational(sign, 0)
-            name = sc.take_name()
-            if name is None:
-                raise AlgebraError(f"expected coefficient or variable at {sc.pos} in {text!r}")
-            _apply_factor(sc, name, expo, vs, text)
-        while sc.peek() == "*":
-            sc.take()
-            name = sc.take_name()
-            if name is None:
-                raise AlgebraError(f"expected variable after '*' at {sc.pos} in {text!r}")
-            _apply_factor(sc, name, expo, vs, text)
+            tk.factor(index, expo, "coefficient or variable")
+        while toks[tk.k] == "*":
+            tk.k += 1
+            tk.factor(index, expo, "variable after '*'")
         key = tuple(expo)
         acc = terms.get(key)
         terms[key] = coeff if acc is None else acc + coeff
-    return Poly(vs, terms)
-
-
-def _apply_factor(sc: _Scanner, name: str, expo: list, vs: tuple, text: str):
-    if name not in vs:
-        raise AlgebraError(f"unknown variable {name!r} in {text!r}")
-    power = 1
-    if sc.peek() == "^":
-        sc.take()
-        n = sc.take_int("exponent")
-        if n is None:
-            raise AlgebraError(f"expected integer exponent at {sc.pos} in {text!r}")
-        power = int(n)
-    idx = vs.index(name)
-    expo[idx] += power
-    if expo[idx] > MAX_EXPONENT:
-        raise AlgebraError(f"exponent of {name} exceeds {MAX_EXPONENT} in {text!r}")
+        op = toks[tk.k]
+        if not op:
+            return Poly(vs, terms)
+        if op != "+" and op != "-":
+            raise AlgebraError(f"expected '+' or '-' at {tk.at()} in {text!r}")
+        tk.k += 1
+        sign = tk.sign() if op == "+" else -tk.sign()
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from . import sylvester as sylvester_mod
 SCHEMA_VERSION = 1
 
 
-class InputError(ValueError):
+class InputError(SimilitudeError):
     """Malformed files or argument values; mapped to exit code 2."""
 
 
@@ -277,10 +277,7 @@ def _rigidity_result_dict(res: rigidity_mod.JetRigidityResult) -> dict:
 
 
 def cmd_rigidity(args) -> tuple[dict, str, int]:
-    try:
-        variety = rigidity_mod.parse_variety(args.variety)
-    except rigidity_mod.RigidityError as exc:
-        raise InputError(str(exc)) from exc
+    variety = rigidity_mod.parse_variety(args.variety)
     fam = rigidity_mod.build_family(args.ell)
     order = args.order if args.order is not None else rigidity_mod.default_order(variety, args.ell)
     res = rigidity_mod.jet_rigidity(fam.A, fam.B, args.relation, variety, order)
@@ -384,10 +381,7 @@ def cmd_verify_paper(args) -> tuple[dict, str, int]:
 
 def cmd_winding(args) -> tuple[dict, str, int]:
     samples = load_curve_file(args.curve)
-    try:
-        index = rigidity_mod.winding_number(samples)
-    except rigidity_mod.RigidityError as exc:
-        raise InputError(str(exc)) from exc
+    index = rigidity_mod.winding_number(samples)
     return {"samples": len(samples), "winding_number": index}, "computed", 0
 
 
@@ -497,7 +491,7 @@ def run(argv: list[str]) -> int:
     }
     try:
         result, verdict, code = args.handler(args)
-    except (InputError, SimilitudeError) as exc:
+    except SimilitudeError as exc:
         print(f"similitude: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -61,9 +61,9 @@ CONJ_VARS = ("z", "w", "u", "v")
 
 # Input caps, checked before any work.  MAX_ORDER admits the default order
 # (ell+3)(p+q) of every cusp with p <= 30 and ell <= 4 (at most 413).  On a
-# 2-CPU Xeon with the Fraction backend the full plane at order 256 takes about
-# 110 s and verify-paper at ell = 32 about 85 s; the clutching grid costs one
-# exact evaluation per height.
+# 2-CPU Xeon the full plane at order 256 took 94 s and verify-paper at
+# ell = 32 took 53-60 s; the clutching grid costs one exact evaluation per
+# height.
 MAX_ELL = 32
 MAX_ORDER = 512
 MAX_GRID = 4096

@@ -173,15 +173,14 @@ def local_similarity(
     if len(phi) != n or any(len(row) != n for row in phi):
         shape = f"{len(phi)}x{len(phi[0]) if phi else 0}"
         raise SimilarityError(f"Phi must be {n}x{n} like the families, got {shape}")
-    a_at = a.evaluate([pt])
-    b_at = b.evaluate([pt])
-    lhs = linalg.mat_mul(a_at, phi, GR_ZERO)
-    rhs = linalg.mat_mul(phi, b_at, GR_ZERO)
+    m = sylvester_matrix(a, b)  # checks that A and B are square of one size
+    lhs = linalg.mat_mul(a.evaluate([pt]), phi, GR_ZERO)
+    rhs = linalg.mat_mul(phi, b.evaluate([pt]), GR_ZERO)
     if lhs != rhs:
         raise SimilarityError("Phi does not intertwine at the point")
 
     try:
-        h_vec = holomorphic_kernel_section(sylvester_matrix(a, b), pt, vec(phi))
+        h_vec = holomorphic_kernel_section(m, pt, vec(phi))
     except SmithError as exc:
         raise ConstructionError(
             "construction fails: P(point) vec(Phi) differs from vec(Phi)"

@@ -660,6 +660,37 @@ class TestGrammar:
             parse_polynomial("z+1/0", ["z"])
         assert parse_gaussian_rational("0/5") == GR_ZERO
 
+    # (text, {(exponent of z, exponent of ix): coefficient}) over variables (z, ix)
+    ACCEPTED = [
+        ("1+2i*z", {(1, 0): g(1, 2)}),
+        ("1+2*z", {(1, 0): g(2), (0, 0): g(1)}),
+        ("1 + 2 i", {(0, 0): g(1, 2)}),
+        ("3/2+1/2i*z", {(1, 0): g(Fraction(3, 2), Fraction(1, 2))}),
+        ("-1-2i", {(0, 0): g(-1, -2)}),
+        ("i*z", {(1, 0): GR_I}),
+        ("-i", {(0, 0): -GR_I}),
+        ("ix^2+i*ix", {(0, 2): GR_ONE, (0, 1): GR_I}),
+        ("z--1", {(1, 0): GR_ONE, (0, 0): GR_ONE}),
+        ("z+-1", {(1, 0): GR_ONE, (0, 0): -GR_ONE}),
+        ("\u0663*z", {(1, 0): g(3)}),  # an Arabic-Indic digit three
+        ("0/5", {}),
+        ("z * z ^ 2", {(3, 0): GR_ONE}),
+    ]
+    REJECTED = [
+        "1+2ix", "z+-+1", "--z", "2*i", "z^-1", "2z", "z^2^3", "1/2/3", "1/0",
+        "\u00b2",  # a superscript 2 is a NAME, not a digit
+    ]
+
+    def test_grammar_table(self):
+        vs = ("z", "ix")
+        for text, terms in self.ACCEPTED:
+            assert parse_polynomial(text, vs) == Poly(vs, terms), text
+        for text in ("3/2+1/2i*z", "-1-2i"):
+            assert format_polynomial(parse_polynomial(text, vs)) == text
+        for text in self.REJECTED:
+            with pytest.raises(AlgebraError):
+                parse_polynomial(text, vs)
+
     @settings(max_examples=80, deadline=None)
     @given(st.builds(GaussianRational, RATIONALS, RATIONALS))
     @example(g(0, Fraction(-1, 2)))

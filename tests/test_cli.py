@@ -198,6 +198,25 @@ class TestExitCodes:
         assert (code, report) == (2, None)
         assert err.startswith("similitude: Phi must be 2x2") and shape in err
 
+    @pytest.mark.parametrize(
+        "b_grid,message",
+        [
+            ([["0", "0", "0"]] * 3, "A and B must have the same size"),
+            ([["0", "0"]] * 3, "A and B must be square"),
+        ],
+        ids=["3x3", "3x2"],
+    )
+    def test_b_of_another_shape_is_two(self, tmp_path, capsys, b_grid, message):
+        # B's shape is checked before A(point) Phi = Phi B(point) multiplies them
+        a = write(tmp_path, "a.json", PAIR_A)
+        b = write(tmp_path, "b.json", {"variables": ["z"], "matrix": b_grid})
+        phi = write(tmp_path, "phi.json", EYE)
+        code, report, err = invoke(
+            capsys, ["local-similarity", "--a", a, "--b", b, "--point", "0", "--phi", phi]
+        )
+        assert (code, report) == (2, None)
+        assert err == f"similitude: {message}\n"
+
     def test_non_integer_seed_is_two(self, tmp_path, capsys, monkeypatch):
         a = write(tmp_path, "a.json", NILP)
         monkeypatch.setenv("SIMILITUDE_SEED", "x")

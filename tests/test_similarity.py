@@ -21,7 +21,7 @@ from similitude.similarity import (
     wasow_check,
 )
 from similitude.smith import local_smith
-from similitude.sylvester import sylvester_matrix
+from similitude.sylvester import SylvesterError, sylvester_matrix
 
 g = GaussianRational
 EYE2 = [[GR_ONE, GR_ZERO], [GR_ZERO, GR_ONE]]
@@ -223,6 +223,17 @@ class TestLocalSimilarity:
         with pytest.raises(SimilarityError, match="intertwine") as info:
             local_similarity(a, b, GR_ZERO, EYE2)
         assert not isinstance(info.value, ConstructionError)
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [([["0"] * 3] * 3, "same size"), ([["0"] * 2] * 3, "square")],
+        ids=["3x3", "3x2"],
+    )
+    def test_b_of_another_shape(self, grid, message):
+        a = PolyMatrix.from_strings([["0", "1"], ["0", "0"]], ["z"])
+        b = PolyMatrix.from_strings(grid, ["z"])
+        with pytest.raises(SylvesterError, match=message):
+            local_similarity(a, b, GR_ZERO, EYE2)
 
     def test_uncertified_seed_is_a_construction_error(self):
         # Phi intertwines A(0) = 0 with itself, but no holomorphic H extends it
