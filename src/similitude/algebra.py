@@ -1266,8 +1266,7 @@ class PolyMatrix:
         if isinstance(other, PolyMatrix):
             if self.cols != other.rows:
                 raise AlgebraError("inner dimensions differ")
-            # a Poly zero plus a RationalFunction is a RationalFunction
-            return PolyMatrix(linalg.mat_mul(self.entries, other.entries, Poly.zero(self.variables)))
+            return PolyMatrix(linalg.mat_mul(self.entries, other.entries))
         if isinstance(other, (int, GaussianRational, Poly, RationalFunction)):
             return self.map(lambda p: p * other)
         return NotImplemented

@@ -64,7 +64,7 @@ from .algebra import (
 )
 from .similarity import characteristic_pencil, local_similarity, pointwise_similar
 from .smith import invariant_factors
-from .sylvester import ConstMatrix, commutant_basis_at, sylvester_matrix, unvec
+from .sylvester import ConstMatrix, sylvester_matrix, unvec
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_PROBES = 4
@@ -318,15 +318,17 @@ class InstabilityCandidates:
         return any(not q.evaluate([point]) for q in self.defining_polynomials if q)
 
 
-def _resultant(a: list, b: list, one, zero):
-    """Resultant via the Sylvester matrix determinant (coefficients in a domain)."""
+def _resultant(a: list, b: list):
+    """Resultant via the Sylvester matrix determinant (coefficients in a domain; a or b nonempty)."""
     m = len(a) - 1
     n = len(b) - 1
+    x = (a or b)[0]
     if m < 0 or n < 0:
-        return zero
+        return x * 0
     size = m + n
     if size == 0:
-        return one
+        return x ** 0
+    zero = x * 0
     rows = []
     # n shifted copies of a's coefficients, then m of b's, highest degree first
     for count, coeffs in ((n, a), (m, b)):
@@ -334,7 +336,7 @@ def _resultant(a: list, b: list, one, zero):
             row = [zero] * size
             row[i : i + len(coeffs)] = coeffs[::-1]
             rows.append(row)
-    return linalg.det(rows, one, zero)
+    return linalg.det(rows)
 
 
 def jordan_instability_candidates(a: PolyMatrix) -> InstabilityCandidates:
@@ -357,20 +359,19 @@ def jordan_instability_candidates(a: PolyMatrix) -> InstabilityCandidates:
         raise JordanError("candidates require a univariate family")
     vs = a.variables
     one = Poly.constant(vs, GR_ONE)
-    zero = Poly.zero(vs)
 
     defining: list[Poly] = []
 
     # (a) branching locus
     char = list(reversed(char_poly_coeffs(a))) + [one]
-    disc = _resultant(char, _u_derivative(char), one, zero)
+    disc = _resultant(char, _u_derivative(char))
     squarefree = bool(disc)
     if not squarefree:
         # the squarefree part of a monic polynomial over Q(i)[z] lies in
         # Q(i)[z][x] (Gauss's lemma), so as_poly cannot raise and the
         # resultant stays in Q(i)[z]
         part = [c.as_poly() for c in _u_squarefree([RationalFunction(c) for c in char])]
-        disc = _resultant(part, _u_derivative(part), one, zero)
+        disc = _resultant(part, _u_derivative(part))
     if disc.total_degree() > 0:
         defining.append(disc)
 
@@ -409,13 +410,12 @@ def _cyclic_minors(a: PolyMatrix) -> list[list[GaussianRational]]:
     """Coefficient lists of kappa_j = det[e_j, A e_j, ..., A^{n-1} e_j], one per j."""
     n = a.rows
     vs = a.variables
-    one, zero = Poly.constant(vs, GR_ONE), Poly.zero(vs)
     # column j of A^k is A^k e_j
     powers = [PolyMatrix.identity(n, vs).entries]
     for _ in range(n - 1):
-        powers.append(linalg.mat_mul(a.entries, powers[-1], zero))
+        powers.append(linalg.mat_mul(a.entries, powers[-1]))
     return [
-        linalg.det([[pk[i][j] for pk in powers] for i in range(n)], one, zero).coefficients()
+        linalg.det([[pk[i][j] for pk in powers] for i in range(n)]).coefficients()
         for j in range(n)
     ]
 
@@ -606,7 +606,7 @@ def stable_normalization(
     phi = seed.witness
 
     h = local_similarity(a, j, pt, phi).H
-    phi_inv = linalg.invert(phi, GR_ONE, GR_ZERO)
+    phi_inv = linalg.invert(phi)
     result = h * PolyMatrix.from_scalars(phi_inv, vs)
 
     _certify_commutant_conjugation(a, pt, result)
@@ -630,29 +630,18 @@ def _model_family(matched, vs, n) -> PolyMatrix:
 
 
 def _certify_commutant_conjugation(a: PolyMatrix, pt: GaussianRational, h: PolyMatrix):
-    """Exact membership of H^-1 C H in Com A(point) for a generic commutant basis C."""
-    vs = a.variables
-    n = a.rows
-    one = RationalFunction.constant(vs, GR_ONE)
-    zero = RationalFunction.constant(vs, GR_ZERO)
-    generic_kernel = linalg.nullspace(sylvester_matrix(a, a).to_func().entries, one, zero)
-    target = commutant_basis_at(a, pt)
-    h_inv_rows = linalg.invert([list(r) for r in h.entries], one, zero)
+    """Exact membership of X = H^-1 C H in Com A(point) for a generic commutant basis C.
+
+    A constant basis of Com A(point) spans every solution of A(point) X =
+    X A(point) over Q(i)(z), so X is a member exactly when it commutes.
+    """
+    generic_kernel = linalg.nullspace(sylvester_matrix(a, a).to_func().entries)
+    h_inv_rows = linalg.invert(h.entries)
     if h_inv_rows is None:
         raise JordanError("normalization is singular as a function family")
     h_inv = PolyMatrix(h_inv_rows)
-    columns = [
-        [RationalFunction.constant(vs, theta[i][jj]) for theta in target.basis]
-        for i in range(n)
-        for jj in range(n)
-    ]
-    # rows indexed like vec over (i, jj) row-major; consistent with rhs below
+    a_at = PolyMatrix.from_scalars(a.evaluate([pt]), a.variables)
     for kernel_vec in generic_kernel:
-        c = PolyMatrix(unvec(kernel_vec, n))
-        x = h_inv * c * h
-        rhs = [x.entries[i][jj] for i in range(n) for jj in range(n)]
-        sol = linalg.solve(columns, rhs, zero)
-        if sol is None:
-            raise JordanError(
-                "certification fails: conjugated commutant leaves Com A(point)"
-            )
+        x = h_inv * PolyMatrix(unvec(kernel_vec, a.rows)) * h
+        if a_at * x != x * a_at:
+            raise JordanError("certification fails: conjugated commutant leaves Com A(point)")

@@ -1,13 +1,17 @@
 """Exact elimination with duck-typed scalars; matrices are plain nested lists.
 
-Scalars must support +, -, *, /, unary minus and truthiness (falsy iff zero).
+Scalars must support +, -, *, /, unary minus and truthiness (falsy iff zero),
+and `x * 0` and `x ** 0` must give the zero and the one of x's ring, so the
+constants an answer needs are read from the entries.  Only
+`projected_nullspace` and `identity` take `one` and `zero`: their answers can
+hold values that no entry provides (an empty row list, or no entries at all).
 Callers own copies: every function here copies its input first.
 
 `rank` and `det` run `_bareiss`, fraction-free elimination whose divisions
 are all exact, so they need only an exact `/`: they work over the fields
 Q(i) (GaussianRational) and Q(i)(z) (RationalFunction) and over the rings
 Q(i)[z, ...] (Poly), where `/` is exact division.  `nullspace`,
-`projected_nullspace`, `solve`, `invert` and `reduced_basis` need a field:
+`projected_nullspace`, `invert` and `reduced_basis` need a field:
 they read their answers from `_rref`, the reduced row echelon form of sparse
 {column: entry} rows, which touches only stored nonzeros.  Dense inputs
 become sparse rows on entry; callers of `projected_nullspace` pass sparse
@@ -17,6 +21,8 @@ echelon form, so output is deterministic.
 
 from __future__ import annotations
 
+import operator
+from itertools import starmap
 from typing import Iterable, Mapping, Sequence
 
 
@@ -129,14 +135,16 @@ def _kernel(form: list[tuple[int, dict]], cols: int, one, zero) -> list[list]:
     return list(free.values())
 
 
-def nullspace(m: Sequence[Sequence], one, zero) -> list[list]:
+def nullspace(m: Sequence[Sequence]) -> list[list]:
     """Basis of the right kernel, one vector per free column.
 
-    Each basis vector has `one` in its free coordinate, in increasing column
+    Each basis vector has a one in its free coordinate, in increasing column
     order, so the result is deterministic.
     """
-    cols = len(m[0]) if m else 0
-    return _kernel(_rref(_sparse(m)), cols, one, zero)
+    if not m or not m[0]:
+        return []
+    x = m[0][0]
+    return _kernel(_rref(_sparse(m)), len(m[0]), x ** 0, x * 0)
 
 
 def projected_nullspace(rows: Iterable[Mapping], cols: int, k: int, one, zero) -> tuple[int, list]:
@@ -158,41 +166,26 @@ def projected_nullspace(rows: Iterable[Mapping], cols: int, k: int, one, zero) -
     return len(form), reduced_basis(_kernel(block, k, one, zero))
 
 
-def solve(m: Sequence[Sequence], rhs: Sequence, zero) -> list | None:
-    """One solution of m x = rhs, or None if inconsistent.
-
-    Free coordinates are set to zero.  The system is inconsistent exactly
-    when the reduced form of [m | rhs] has a pivot in the last column.
-    """
-    cols = len(m[0]) if m else 0
-    form = _rref(_sparse([list(row) + [b] for row, b in zip(m, rhs)]))
-    if form and form[-1][0] == cols:
-        return None
-    x = [zero] * cols
-    for pc, row in form:
-        x[pc] = row.get(cols, zero)
-    return x
-
-
-def det(m: Sequence[Sequence], one, zero):
+def det(m: Sequence[Sequence]):
     """Exact determinant: the last Bareiss pivot, signed by the row swaps."""
     n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return one
+    if n == 0 or any(len(row) != n for row in m):
+        raise ValueError("determinant requires a nonempty square matrix")
     r, last, swaps = _bareiss(_copy(m))
     if r < n:
-        return zero
+        return m[0][0] * 0
     return -last if swaps % 2 else last
 
 
-def invert(m: Sequence[Sequence], one, zero) -> list[list] | None:
+def invert(m: Sequence[Sequence]) -> list[list] | None:
     """Exact inverse, the right block of the reduced echelon form of [m | I]; None when singular."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse requires a square matrix")
-    form = _rref(_sparse([list(row) + unit for row, unit in zip(m, identity(n, one, zero))]))
+    rows = _sparse(m)
+    for i, row in enumerate(rows):
+        row[n + i] = m[i][0] ** 0
+    form = _rref(rows)
     if [pc for pc, _ in form] != list(range(n)):
         return None
     return _dense(form, n, 2 * n)
@@ -203,28 +196,20 @@ def reduced_basis(vectors: Sequence[Sequence]) -> list[list]:
     return _dense(_rref(_sparse(vectors)), 0, len(vectors[0]) if vectors else 0)
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero) -> list[list]:
-    out = []
-    for i in range(len(a)):
-        row = []
-        for j in range(len(b[0])):
-            acc = zero
-            for k in range(len(b)):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+def _dot(xs: Iterable, ys: Iterable):
+    """Sum of the products x * y, accumulated from the first; xs and ys are nonempty, of one length."""
+    products = starmap(operator.mul, zip(xs, ys, strict=True))
+    return sum(products, next(products))
+
+
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    columns = list(zip(*b, strict=True))
+    return [[_dot(row, col) for col in columns] for row in a]
 
 
 def identity(n: int, one, zero) -> list[list]:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_vec(a: Sequence[Sequence], v: Sequence, zero) -> list:
-    out = []
-    for row in a:
-        acc = zero
-        for x, y in zip(row, v):
-            acc = acc + x * y
-        out.append(acc)
-    return out
+def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
+    return [_dot(row, v) for row in a]

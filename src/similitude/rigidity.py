@@ -121,9 +121,7 @@ def verify_division_identity(ell: int) -> bool:
 class SmoothSimilarityReport:
     ell: int
     conjugation_exact: bool
-    grid_points: int
     max_abs_czcw: float
-    min_abs_det: float
     czcw_bound: Fraction
     determinant_nonvanishing: bool
     degree_gap: int
@@ -150,7 +148,6 @@ def verify_smooth_similarity(ell: int) -> SmoothSimilarityReport:
 
     side = 10
     max_czcw = 0.0
-    min_det = math.inf
     for jz in range(side):
         for jw in range(side):
             zz = 0.6 * cmath.exp(2j * math.pi * jz / side)
@@ -158,10 +155,7 @@ def verify_smooth_similarity(ell: int) -> SmoothSimilarityReport:
             norm2 = abs(zz) ** 2 + abs(ww) ** 2
             cz = zz.conjugate() * ww ** (2 + ell) / norm2
             cw = ww.conjugate() * zz ** (2 + ell) / norm2
-            prod = abs(cz * cw)
-            detval = abs(1 + cz * cw)
-            max_czcw = max(max_czcw, prod)
-            min_det = min(min_det, detval)
+            max_czcw = max(max_czcw, abs(cz * cw))
 
     bound = Fraction(1, 2 ** (3 + ell))
     if max_czcw > bound:
@@ -174,9 +168,7 @@ def verify_smooth_similarity(ell: int) -> SmoothSimilarityReport:
     return SmoothSimilarityReport(
         ell=ell,
         conjugation_exact=exact,
-        grid_points=side * side,
         max_abs_czcw=max_czcw,
-        min_abs_det=min_det,
         czcw_bound=bound,
         determinant_nonvanishing=bound < 1,
         degree_gap=gap_cz,
@@ -246,10 +238,10 @@ def parse_variety(text: str) -> Variety:
             raise RigidityError(f"cusp exponents must be integers: {text!r}") from None
         return Cusp(p=p, q=q)
     if text.startswith("lines:"):
-        slopes = tuple(
-            parse_gaussian_rational(s) for s in text[len("lines:"):].split(",") if s
-        )
-        return Lines(slopes=slopes)
+        items = text[len("lines:"):].split(",")
+        if "" in items:
+            raise RigidityError(f"empty line slope in {text!r}")
+        return Lines(slopes=tuple(parse_gaussian_rational(s) for s in items))
     raise RigidityError(f"unknown variety {text!r}")
 
 
@@ -309,7 +301,7 @@ class JetRigidityResult:
             [Poly(xs, {e: v[i * n + j] for e, v in zip(units, self.solution_space)}) for j in range(n)]
             for i in range(n)
         ]
-        return bool(linalg.det(entries, Poly.constant(xs, GR_ONE), Poly.zero(xs)))
+        return bool(linalg.det(entries))
 
 
 def _unknown_monomials(branches: list[tuple], order: int) -> list[tuple[int, int]]:
@@ -526,7 +518,7 @@ def vandermonde_check(t_list: Sequence[GaussianRational]) -> tuple[bool, Gaussia
     if m == 0:
         return True, GR_ONE
     grid = [[nodes[i] ** j for j in range(m)] for i in range(m)]
-    d = linalg.det(grid, GR_ONE, GR_ZERO)
+    d = linalg.det(grid)
     return bool(d), d
 
 

@@ -122,7 +122,7 @@ def _witness_search(a0: ConstMatrix, b0: ConstMatrix, seed: int):
     n = len(a0)
     if a0 == b0:
         return linalg.identity(n, GR_ONE, GR_ZERO), None
-    kernel = linalg.nullspace(_sylvester_entries(a0, b0), GR_ONE, GR_ZERO)
+    kernel = linalg.nullspace(_sylvester_entries(a0, b0))
     rng = random.Random(seed)
     for _ in range(WITNESS_RETRIES):
         combo = [GR_ZERO] * (n * n)
@@ -130,7 +130,7 @@ def _witness_search(a0: ConstMatrix, b0: ConstMatrix, seed: int):
             c = GaussianRational(rng.randint(-5, 5), 0)
             combo = [x + c * y for x, y in zip(combo, basis_vec)]
         candidate = unvec(combo, n)
-        if linalg.det(candidate, GR_ONE, GR_ZERO):
+        if linalg.det(candidate):
             return candidate, None
     return None, f"witness search exhausted after {WITNESS_RETRIES} draws"
 
@@ -174,8 +174,8 @@ def local_similarity(
         shape = f"{len(phi)}x{len(phi[0]) if phi else 0}"
         raise SimilarityError(f"Phi must be {n}x{n} like the families, got {shape}")
     m = sylvester_matrix(a, b)  # checks that A and B are square of one size
-    lhs = linalg.mat_mul(a.evaluate([pt]), phi, GR_ZERO)
-    rhs = linalg.mat_mul(phi, b.evaluate([pt]), GR_ZERO)
+    lhs = linalg.mat_mul(a.evaluate([pt]), phi)
+    rhs = linalg.mat_mul(phi, b.evaluate([pt]))
     if lhs != rhs:
         raise SimilarityError("Phi does not intertwine at the point")
 

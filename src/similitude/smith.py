@@ -266,7 +266,7 @@ def holomorphic_kernel_section(
     if len(vec) != m.cols:
         raise SmithError("vector length does not match matrix columns")
     at_pt = m.evaluate([pt])
-    image = linalg.mat_vec(at_pt, vec, GR_ZERO)
+    image = linalg.mat_vec(at_pt, vec)
     if any(image):
         raise SmithError("v not in kernel: M(point)·v is nonzero")
     fact = local_smith(m, pt)
@@ -383,11 +383,9 @@ def minor_gcd_valuation(m: PolyMatrix, point: GaussianRational, k: int) -> int |
     best: int | None = None
     rows = range(shifted.rows)
     cols = range(shifted.cols)
-    one = Poly.constant(m.variables, GR_ONE)
-    zero = Poly.zero(m.variables)
     for rsel in combinations(rows, k):
         for csel in combinations(cols, k):
-            d = linalg.det([[shifted.entries[i][j] for j in csel] for i in rsel], one, zero)
+            d = linalg.det([[shifted.entries[i][j] for j in csel] for i in rsel])
             if d:
                 v = d.valuation()
                 if best is None or v < best:

@@ -122,7 +122,7 @@ def generic_intertwiner_dim(a: PolyMatrix, b: PolyMatrix) -> int:
 def commutant_basis_at(a: PolyMatrix, point: GaussianRational) -> CommutantBasis:
     """Basis of the commutant of A(point) via the exact Sylvester nullspace."""
     pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
-    kernel = linalg.nullspace(_sylvester_entries(a.entries, a.entries, pt), GR_ONE, GR_ZERO)
+    kernel = linalg.nullspace(_sylvester_entries(a.entries, a.entries, pt))
     n = a.rows
     basis = tuple(unvec(v, n) for v in kernel)
     return CommutantBasis(point=pt, basis=basis)
@@ -133,8 +133,8 @@ def commutant_basis_at(a: PolyMatrix, point: GaussianRational) -> CommutantBasis
 
 
 def _commutes(phi: ConstMatrix, theta: ConstMatrix) -> bool:
-    lhs = linalg.mat_mul(phi, theta, GR_ZERO)
-    rhs = linalg.mat_mul(theta, phi, GR_ZERO)
+    lhs = linalg.mat_mul(phi, theta)
+    rhs = linalg.mat_mul(theta, phi)
     return all(
         lhs[i][j] == rhs[i][j] for i in range(len(phi)) for j in range(len(phi))
     )
@@ -160,7 +160,7 @@ def _ray_blocked(theta: ConstMatrix, mu: GaussianRational) -> bool:
         [Poly.constant(vs, x) + (ray if i == j else 0) for j, x in enumerate(row)]
         for i, row in enumerate(theta)
     ]
-    p = linalg.det(grid, Poly.constant(vs, GR_ONE), Poly.zero(vs)).coefficients()
+    p = linalg.det(grid).coefficients()
     g = _u_gcd_monic(
         _u_trim([GaussianRational(c.re) for c in p]), _u_trim([GaussianRational(c.im) for c in p])
     )
@@ -190,7 +190,7 @@ def path_to_identity(
         raise SylvesterError("steps must be positive")
     if not _commutes(phi, theta):
         raise SylvesterError("Theta does not commute with Phi")
-    if not linalg.det(theta, GR_ONE, GR_ZERO):
+    if not linalg.det(theta):
         raise SylvesterError("Theta is not invertible")
 
     for k in range(n + 1):
@@ -211,7 +211,7 @@ def path_to_identity(
         else:
             s = mu * (2 - t) + (t - 1)
             g = [[s if i == j else GR_ZERO for j in range(n)] for i in range(n)]
-        if not linalg.det(g, GR_ONE, GR_ZERO):
+        if not linalg.det(g):
             raise AssertionError("path sample is singular")
         if not _commutes(phi, g):
             raise AssertionError("path sample stopped commuting with Phi")

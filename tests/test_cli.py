@@ -112,6 +112,14 @@ class TestExitCodes:
         assert report is None
         assert "cusp" in err
 
+    @pytest.mark.parametrize("variety", ["lines:1,,2", "lines:1,2,"])
+    def test_empty_line_slope_is_two(self, capsys, variety):
+        code, report, err = invoke(
+            capsys, ["rigidity", "--ell", "0", "--relation", "AHeqHB", "--variety", variety]
+        )
+        assert (code, report) == (2, None)
+        assert "empty line slope" in err and variety in err
+
     @pytest.mark.parametrize(
         "argv",
         [

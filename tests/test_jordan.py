@@ -189,7 +189,7 @@ class TestSegreAt:
         # J_2(i) + (1/2 + i): the roots the snap once confused
         a0 = block_diag([jordan_block(2, g(0, 1)), jordan_block(1, g(Fraction(1, 2), 1))])
         p = rand_unimodular(random.Random(7), 3)
-        a0 = linalg.mat_mul(linalg.mat_mul(p, a0, GR_ZERO), linalg.invert(p, GR_ONE, GR_ZERO), GR_ZERO)
+        a0 = linalg.mat_mul(linalg.mat_mul(p, a0), linalg.invert(p))
         profile = segre_at(a0, mode="exact")
         assert [(str(ev.value), ev.multiplicity, ev.blocks) for ev in profile.eigenvalues] == [
             ("1i", 2, ((2, 1),)),
@@ -210,8 +210,8 @@ class TestSegreAt:
             lam = g(rng.randint(-2, 2))
             a0 = block_diag([jordan_block(s, lam) for s in sizes])
             u = rand_unimodular(rng, len(a0))
-            ui = linalg.invert(u, GR_ONE, GR_ZERO)
-            conj = linalg.mat_mul(ui, linalg.mat_mul(a0, u, GR_ZERO), GR_ZERO)
+            ui = linalg.invert(u)
+            conj = linalg.mat_mul(ui, linalg.mat_mul(a0, u))
             profile = segre_at(conj)
             n = len(a0)
             for ev in profile.eigenvalues:
@@ -222,7 +222,7 @@ class TestSegreAt:
                 power = linalg.identity(n, GR_ONE, GR_ZERO)
                 ranks = [n]
                 for _k in range(n):
-                    power = linalg.mat_mul(power, shifted, GR_ZERO)
+                    power = linalg.mat_mul(power, shifted)
                     ranks.append(linalg.rank(power))
                 # reconstruct ranks from reported blocks
                 for k in range(1, n + 1):
@@ -250,8 +250,8 @@ class TestSegreAt:
                 k = rng.choice([-2, -1, 1, 2])
                 p = [[p[i][col] + (k * p[c][col] if i == r else GR_ZERO) for col in range(n)]
                      for i in range(n)]
-            pinv = linalg.invert(p, GR_ONE, GR_ZERO)
-            a0 = linalg.mat_mul(p, linalg.mat_mul(j, pinv, GR_ZERO), GR_ZERO)
+            pinv = linalg.invert(p)
+            a0 = linalg.mat_mul(p, linalg.mat_mul(j, pinv))
 
             ours = {}
             for ev in segre_at(a0).eigenvalues:
@@ -322,7 +322,7 @@ def reference_defining(a):
     one = Poly.constant(vs, GR_ONE)
     char = [RationalFunction(c) for c in reversed(char_poly_coeffs(a))] + [RationalFunction(one)]
     part = [c.as_poly() for c in _u_squarefree(char)]
-    disc = _resultant(part, _u_derivative(part), one, Poly.zero(vs))
+    disc = _resultant(part, _u_derivative(part))
     out = [disc] if disc.total_degree() > 0 else []
     factors = invariant_factors(sylvester_matrix(a, a))
     if factors and factors[-1].total_degree() > 0:
@@ -376,9 +376,9 @@ def constant_conjugate(rng, n):
                 j[offset + i][offset + i + 1] = one * rng.choice([0, 1])
         offset += size
     p = rand_unimodular(rng, n)
-    pinv = linalg.invert(p, GR_ONE, GR_ZERO)
+    pinv = linalg.invert(p)
     lift = lambda m: [[Poly.constant(("z",), x) for x in row] for row in m]  # noqa: E731
-    return PolyMatrix(linalg.mat_mul(lift(p), linalg.mat_mul(j, lift(pinv), zero), zero))
+    return PolyMatrix(linalg.mat_mul(lift(p), linalg.mat_mul(j, lift(pinv))))
 
 
 class TestCertifiedLocus:
@@ -502,13 +502,13 @@ class TestStableNormalization:
         lam1 = RationalFunction(Poly.parse("z", ["z"]))
         lam2 = RationalFunction(Poly.parse("z+1", ["z"]))
         h = stable_normalization(m, GR_ZERO, [lam1, lam2])
-        assert linalg.det(h.evaluate([GR_ZERO]), GR_ONE, GR_ZERO)
+        assert linalg.det(h.evaluate([GR_ZERO]))
 
     def test_jordan_family_at_stable_point(self):
         lam1 = RationalFunction(Poly.parse("z", ["z"]))
         lam2 = RationalFunction(Poly.parse("0", ["z"]))
         h = stable_normalization(EX45, g(3), [lam1, lam2])
-        assert linalg.det(h.evaluate([g(3)]), GR_ONE, GR_ZERO)
+        assert linalg.det(h.evaluate([g(3)]))
 
     def test_wrong_eigenfunctions_rejected(self):
         lam1 = RationalFunction(Poly.parse("z", ["z"]))
@@ -520,3 +520,10 @@ class TestStableNormalization:
         lam1 = RationalFunction(Poly.parse("z", ["z"]))
         with pytest.raises(JordanError):
             stable_normalization(EX45, g(3), [lam1])
+
+    @pytest.mark.parametrize("h", [[["1", "0"], ["0", "1"]], [["1", "z"], ["0", "1"]]], ids=["identity", "shear"])
+    def test_certificate_rejects_a_wrong_normalization(self, h):
+        # Com A(3) is spanned by I and A(3); the generic commutant of A(z) holds
+        # A(z), and H^-1 A(z) H commutes with A(3) only at z = 3 for these H
+        with pytest.raises(JordanError, match="certification fails"):
+            jordan._certify_commutant_conjugation(EX45, g(3), PolyMatrix.from_strings(h, ["z"]))

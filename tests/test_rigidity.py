@@ -239,6 +239,10 @@ class TestJetRigidityLines:
         for bad in ("cusp:a,b", "cusp:4", "cusp:4,2", "plane"):
             with pytest.raises(RigidityError):
                 parse_variety(bad)
+        # an empty slope item is refused, not dropped
+        for bad in ("lines:1,,2", "lines:1,2,", "lines:"):
+            with pytest.raises(RigidityError, match=f"empty line slope in '{bad}'"):
+                parse_variety(bad)
 
 
 class TestJetRigidityRelations:
