@@ -26,12 +26,10 @@ from .jordan import (
     InstabilityCandidates,
     JordanError,
     JordanProfile,
-    StabilityReport,
     StabilityVerdict,
     is_jordan_stable,
     jordan_instability_candidates,
     segre_at,
-    stability_report,
     stable_normalization,
 )
 from .rigidity import (

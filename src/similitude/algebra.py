@@ -744,11 +744,10 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Poly:
 # ---------------------------------------------------------------------------
 # Univariate coefficient lists [c0, c1, ...] over any field: GaussianRational
 # or RationalFunction coefficients.  Zeros are taken from the coefficients, so
-# results hold no zero of another type.  _u_mul on GaussianRational lists
-# works on their integers (a, b, d): each output coefficient sums its
-# products over a common denominator and is normalised once, by _gr (Knuth,
-# TAOCP vol. 2, 4.5.1); every value is canonical, so the lists are those of
-# the generic loop that RationalFunction coefficients take.
+# results hold no zero of another type.  _u_mul alone is Q(i)-only: it works
+# on the integers (a, b, d) of its GaussianRational coefficients, and each
+# output coefficient sums its products over a common denominator and is
+# normalised once, by _gr (Knuth, TAOCP vol. 2, 4.5.1).
 
 
 def _u_trim(a: list) -> list:
@@ -823,17 +822,9 @@ def _u_squarefree(a: list) -> list:
 
 
 def _u_mul(a: list, b: list) -> list:
+    """a * b for lists of GaussianRational coefficients."""
     if not a or not b:
         return []
-    if type(a[0]) is not GaussianRational or type(b[0]) is not GaussianRational:
-        zero = a[0] - a[0]
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = out[i + j] + x * y
-        return out
     # Q(i): (p + qi)/d * (r + ti)/e = (pr - qt + (pt + qr)i)/(de), summed as integers
     n = len(a) + len(b) - 1
     re, im, den = [0] * n, [0] * n, [1] * n

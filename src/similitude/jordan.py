@@ -57,7 +57,6 @@ from .algebra import (
     _u_coprime_mod_p,
     _u_deflate,
     _u_derivative,
-    _u_mul,
     _u_order,
     _u_squarefree,
     rat,
@@ -219,8 +218,7 @@ def segre_at(
     if isinstance(a, PolyMatrix):
         if point is None:
             raise JordanError("a family needs an evaluation point")
-        pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
-        a0 = a.evaluate([pt] * len(a.variables))
+        a0 = a.evaluate([point] * len(a.variables))
     else:
         a0 = [list(row) for row in a]
     n = len(a0)
@@ -318,6 +316,12 @@ class InstabilityCandidates:
         return any(not q.evaluate([point]) for q in self.defining_polynomials if q)
 
 
+def _char_poly_rf(a: PolyMatrix) -> list[RationalFunction]:
+    """det(tI - A) as a coefficient list over Q(i)(z), constant term first."""
+    one = RationalFunction.constant(a.variables, GR_ONE)
+    return [RationalFunction(c) for c in reversed(char_poly_coeffs(a))] + [one]
+
+
 def _resultant(a: list, b: list):
     """Resultant via the Sylvester matrix determinant (coefficients in a domain; a or b nonempty)."""
     m = len(a) - 1
@@ -346,6 +350,10 @@ def jordan_instability_candidates(a: PolyMatrix) -> InstabilityCandidates:
     characteristic polynomial) and the commutant-jump locus (zeros of the last
     invariant factor of the self-intertwiner matrix M).
 
+    The locus is computed over Q(i)(z): the coefficients of char are lifted
+    there once, and the resultants and the minors below are Bareiss
+    determinants whose exact divisions cancel by the univariate gcd.
+
     When char is squarefree, the Smith form of M is skipped on a certificate.
     Let kappa_j = det[e_j, A e_j, ..., A^{n-1} e_j] for the basis vectors e_j.
     Off the roots of disc, A(xi) has n distinct eigenvalues; if disc and the
@@ -357,21 +365,19 @@ def jordan_instability_candidates(a: PolyMatrix) -> InstabilityCandidates:
     """
     if len(a.variables) != 1:
         raise JordanError("candidates require a univariate family")
-    vs = a.variables
-    one = Poly.constant(vs, GR_ONE)
 
     defining: list[Poly] = []
 
     # (a) branching locus
-    char = list(reversed(char_poly_coeffs(a))) + [one]
+    char = _char_poly_rf(a)
     disc = _resultant(char, _u_derivative(char))
     squarefree = bool(disc)
     if not squarefree:
-        # the squarefree part of a monic polynomial over Q(i)[z] lies in
-        # Q(i)[z][x] (Gauss's lemma), so as_poly cannot raise and the
-        # resultant stays in Q(i)[z]
-        part = [c.as_poly() for c in _u_squarefree([RationalFunction(c) for c in char])]
+        part = _u_squarefree(char)
         disc = _resultant(part, _u_derivative(part))
+    # the squarefree part of a monic polynomial over Q(i)[z] lies in
+    # Q(i)[z][t] (Gauss's lemma), so its discriminant is a polynomial
+    disc = disc.as_poly()
     if disc.total_degree() > 0:
         defining.append(disc)
 
@@ -407,17 +413,18 @@ def jordan_instability_candidates(a: PolyMatrix) -> InstabilityCandidates:
 
 
 def _cyclic_minors(a: PolyMatrix) -> list[list[GaussianRational]]:
-    """Coefficient lists of kappa_j = det[e_j, A e_j, ..., A^{n-1} e_j], one per j."""
+    """Coefficient lists of kappa_j = det[e_j, A e_j, ..., A^{n-1} e_j], one per j.
+
+    The determinants run over Q(i)(z); A has polynomial entries, so each
+    kappa_j is a polynomial, and its numerator is its coefficient list.
+    """
     n = a.rows
-    vs = a.variables
+    f = a.to_func()
     # column j of A^k is A^k e_j
-    powers = [PolyMatrix.identity(n, vs).entries]
+    powers = [PolyMatrix.identity(n, a.variables).to_func().entries]
     for _ in range(n - 1):
-        powers.append(linalg.mat_mul(a.entries, powers[-1]))
-    return [
-        linalg.det([[pk[i][j] for pk in powers] for i in range(n)]).coefficients()
-        for j in range(n)
-    ]
+        powers.append(linalg.mat_mul(f.entries, powers[-1]))
+    return [linalg.det([[pk[i][j] for pk in powers] for i in range(n)])._num for j in range(n)]
 
 
 def _isolating_boxes(p: Poly) -> list[tuple[complex, float]]:
@@ -444,27 +451,6 @@ class StabilityVerdict:
     probe_profiles: tuple[JordanProfile, ...]
     probe_points: tuple[GaussianRational, ...]
     candidates: InstabilityCandidates
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Candidate locus plus per-point verdicts; only candidates can be unstable."""
-
-    candidate_points: tuple[CandidatePoint, ...]
-    verdicts: tuple[StabilityVerdict, ...]
-
-
-def stability_report(
-    a: PolyMatrix,
-    points: list[GaussianRational],
-    probes: int = DEFAULT_PROBES,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> StabilityReport:
-    """Verdicts for several query points against one shared candidate locus."""
-    _check_settings(tolerance, probes)
-    cands = jordan_instability_candidates(a)
-    verdicts = tuple(_stability_verdict(a, p, cands, probes, tolerance) for p in points)
-    return StabilityReport(candidate_points=cands.points, verdicts=verdicts)
 
 
 def _check_settings(tolerance: float, probes: int = 1) -> None:
@@ -498,7 +484,8 @@ def is_jordan_stable(
     nearby offsets; a difference refutes stability, agreement leaves the point
     undetermined (a finite probe cannot quantify over a neighborhood).
     """
-    return stability_report(a, [point], probes, tolerance).verdicts[0]
+    _check_settings(tolerance, probes)
+    return _stability_verdict(a, point, jordan_instability_candidates(a), probes, tolerance)
 
 
 def _stability_verdict(
@@ -508,10 +495,9 @@ def _stability_verdict(
     probes: int,
     tolerance: float,
 ) -> StabilityVerdict:
-    pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
-    if not cands.contains(pt):
+    if not cands.contains(point):
         return StabilityVerdict(
-            point=pt,
+            point=point,
             verdict="stable",
             profile_at_point=None,
             probe_profiles=(),
@@ -519,16 +505,16 @@ def _stability_verdict(
             candidates=cands,
         )
     try:
-        base = segre_at(a, pt, mode="exact")
+        base = segre_at(a, point, mode="exact")
     except JordanError:
-        base = segre_at(a, pt, mode="numeric", tolerance=tolerance)
+        base = segre_at(a, point, mode="numeric", tolerance=tolerance)
     probe_pts = []
     for delta in _probe_offsets(probes):
-        candidate = pt + delta
+        candidate = point + delta
         shrink = 0
         while cands.contains(candidate) and shrink < 8:
             delta = delta * GaussianRational(rat(1, 7))
-            candidate = pt + delta
+            candidate = point + delta
             shrink += 1
         probe_pts.append(candidate)
     profiles = tuple(
@@ -536,7 +522,7 @@ def _stability_verdict(
     )
     differs = any(p.shape() != base.shape() for p in profiles)
     return StabilityVerdict(
-        point=pt,
+        point=point,
         verdict="unstable" if differs else "undetermined",
         profile_at_point=base,
         probe_profiles=profiles,
@@ -564,15 +550,14 @@ def stable_normalization(
     """
     if len(a.variables) != 1:
         raise JordanError("stable_normalization requires a univariate family")
-    pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
     vs = a.variables
     n = a.rows
 
-    profile = segre_at(a, pt, mode="exact")
+    profile = segre_at(a, point, mode="exact")
     for f in eigenfunctions:
-        if not f.defined_at([pt]):
+        if not f.defined_at([point]):
             raise JordanError("eigenvalue function not defined at the point")
-    values = [f.evaluate([pt]) for f in eigenfunctions]
+    values = [f.evaluate([point]) for f in eigenfunctions]
     if len(set(values)) != len(values):
         raise JordanError("eigenvalue functions must take distinct values at the point")
     by_value = {ev.value: ev for ev in profile.eigenvalues}
@@ -584,32 +569,32 @@ def stable_normalization(
     if by_value:
         raise JordanError("eigenvalue functions do not cover all eigenvalues at the point")
 
-    # verify char(A(z)) = prod (t - lambda_j(z))^{k_j} exactly
-    char_coeffs = char_poly_coeffs(a)
-    one = RationalFunction.constant(vs, GR_ONE)
-    product = [one]
+    # verify char(A(z)) = prod (t - lambda_j(z))^{k_j} exactly, by deflation
+    rest = _char_poly_rf(a)
     for f, ev in matched:
-        for _ in range(ev.multiplicity):
-            product = _u_mul(product, [-f, one])
-    expected = [RationalFunction(c) for c in reversed(char_coeffs)] + [one]
-    if len(product) != len(expected) or any(
-        product[i] != expected[i] for i in range(len(expected))
-    ):
-        raise JordanError("eigenfunction verification fails: product of factors is not char(A)")
+        order, rest = _u_order(rest, f)
+        if order != ev.multiplicity:
+            raise JordanError(
+                f"eigenfunction verification fails: t = {f} is a root of char(A) "
+                f"of order {order}, not {ev.multiplicity}"
+            )
+    # the multiplicities add up to n, so what is left of the monic char(A) is 1
+    if len(rest) != 1:
+        raise AssertionError("multiplicities do not add up to the degree of char(A)")
 
     j = _model_family(matched, vs, n)
-    j_at = j.evaluate([pt])
-    a_at = a.evaluate([pt])
+    j_at = j.evaluate([point])
+    a_at = a.evaluate([point])
     seed = pointwise_similar(a_at, j_at, want_witness=True, seed=0)
     if not seed.similar or seed.witness is None:
         raise JordanError("seed construction fails: A(point) and J(point) are not similar")
     phi = seed.witness
 
-    h = local_similarity(a, j, pt, phi).H
+    h = local_similarity(a, j, point, phi).H
     phi_inv = linalg.invert(phi)
     result = h * PolyMatrix.from_scalars(phi_inv, vs)
 
-    _certify_commutant_conjugation(a, pt, result)
+    _certify_commutant_conjugation(a, point, result)
     return result
 
 

@@ -513,22 +513,20 @@ def cusp_coefficient_support(p: int, q: int, ell: int) -> dict:
 
 def vandermonde_check(t_list: Sequence[GaussianRational]) -> tuple[bool, GaussianRational]:
     """Exact determinant of [t_i^j]; nonzero iff the nodes are pairwise distinct."""
-    nodes = [t if isinstance(t, GaussianRational) else GaussianRational(t) for t in t_list]
-    m = len(nodes)
+    m = len(t_list)
     if m == 0:
         return True, GR_ONE
-    grid = [[nodes[i] ** j for j in range(m)] for i in range(m)]
+    grid = [[t_list[i] ** j for j in range(m)] for i in range(m)]
     d = linalg.det(grid)
     return bool(d), d
 
 
 def vandermonde_product(t_list: Sequence[GaussianRational]) -> GaussianRational:
     """The closed form prod_{i<j} (t_j - t_i) of the same determinant."""
-    nodes = [t if isinstance(t, GaussianRational) else GaussianRational(t) for t in t_list]
     acc = GR_ONE
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            acc = acc * (nodes[j] - nodes[i])
+    for i in range(len(t_list)):
+        for j in range(i + 1, len(t_list)):
+            acc = acc * (t_list[j] - t_list[i])
     return acc
 
 

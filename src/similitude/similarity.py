@@ -33,7 +33,7 @@ from .algebra import (
     SimilitudeError,
 )
 from .smith import SmithError, _order_at, holomorphic_kernel_section, invariant_factors
-from .sylvester import ConstMatrix, _sylvester_entries, intertwiner_dim_at, sylvester_matrix, unvec, vec
+from .sylvester import ConstMatrix, _shape, _sylvester_entries, intertwiner_dim_at, sylvester_matrix, unvec, vec
 
 WITNESS_RETRIES = 32
 
@@ -139,15 +139,14 @@ def wasow_check(a: PolyMatrix, b: PolyMatrix, point: GaussianRational) -> WasowR
     """Constancy report for the intertwiner-kernel dimension near a point."""
     if len(a.variables) != 1:
         raise SimilarityError("wasow_check requires univariate families")
-    pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
     n2 = a.rows * a.rows
-    dim_at = intertwiner_dim_at(a, b, pt)
-    exponents = tuple(_order_at(s, pt)[0] for s in invariant_factors(sylvester_matrix(a, b)))
-    # M = U diag(s) V with U, V unimodular, so rank M(pt) counts the s_i(pt) != 0
+    dim_at = intertwiner_dim_at(a, b, point)
+    exponents = tuple(_order_at(s, point)[0] for s in invariant_factors(sylvester_matrix(a, b)))
+    # M = U diag(s) V with U, V unimodular, so rank M(point) counts the s_i(point) != 0
     if dim_at != n2 - exponents.count(0):
         raise AssertionError("rank at the point disagrees with the invariant factors")
     return WasowReport(
-        point=pt,
+        point=point,
         dim_at_point=dim_at,
         dim_generic=n2 - len(exponents),
         constant_near_point=not any(exponents),
@@ -168,21 +167,19 @@ def local_similarity(
     """
     if len(a.variables) != 1:
         raise SimilarityError("local_similarity requires univariate families")
-    pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
     n = a.rows
     if len(phi) != n or any(len(row) != n for row in phi):
-        shape = f"{len(phi)}x{len(phi[0]) if phi else 0}"
-        raise SimilarityError(f"Phi must be {n}x{n} like the families, got {shape}")
+        raise SimilarityError(f"Phi must be {n}x{n} like the families, got {_shape(phi)}")
     m = sylvester_matrix(a, b)  # checks that A and B are square of one size
-    lhs = linalg.mat_mul(a.evaluate([pt]), phi)
-    rhs = linalg.mat_mul(phi, b.evaluate([pt]))
+    lhs = linalg.mat_mul(a.evaluate([point]), phi)
+    rhs = linalg.mat_mul(phi, b.evaluate([point]))
     if lhs != rhs:
         raise SimilarityError("Phi does not intertwine at the point")
 
     try:
-        h_vec = holomorphic_kernel_section(m, pt, vec(phi))
+        h_vec = holomorphic_kernel_section(m, point, vec(phi))
     except SmithError as exc:
         raise ConstructionError(
             "construction fails: P(point) vec(Phi) differs from vec(Phi)"
         ) from exc
-    return LocalSimilarity(point=pt, H=PolyMatrix(unvec(h_vec, n)), seed=phi)
+    return LocalSimilarity(point=point, H=PolyMatrix(unvec(h_vec, n)), seed=phi)

@@ -117,10 +117,9 @@ def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
     """
     if len(m.variables) != 1:
         raise SmithError("local_smith requires a univariate matrix")
-    pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
     vs = m.variables
     m = m.to_func()
-    if not all(f.defined_at([pt]) for row in m.entries for f in row):
+    if not all(f.defined_at([point]) for row in m.entries for f in row):
         raise SmithError("matrix entries must lie in the local ring at the point")
 
     n, cols = m.rows, m.cols
@@ -135,7 +134,7 @@ def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
         for i, j in product(range(k, n), range(k, cols)):
             num = work[i][j]._num
             if num:
-                order = _u_order(num, pt)
+                order = _u_order(num, point)
                 if best is None or order[0] < best[0][0]:
                     best = (order, i, j)
                     if order[0] == 0:
@@ -152,7 +151,7 @@ def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
                 row[k], row[pj] = row[pj], row[k]
             f[k], f[pj] = f[pj], f[k]
 
-        # the pivot's numerator over (z - pt)^kappa stays coprime to its denominator
+        # the pivot's numerator over (z - point)^kappa stays coprime to its denominator
         unit = RationalFunction._raw(vs, unit_coeffs, work[k][k]._den)
         inv_unit = unit.inverse()
         for j in range(k, cols):
@@ -186,7 +185,7 @@ def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
         raise AssertionError("local Smith elimination left an entry off the diagonal")
 
     return SmithFactorization(
-        point=pt,
+        point=point,
         E=PolyMatrix(e),
         exponents=tuple(exponents),
         F=PolyMatrix(f),
@@ -261,19 +260,17 @@ def holomorphic_kernel_section(
     projection is still applied and the result certified a posteriori: if it
     fails to fix v at the point, the jump error is raised.
     """
-    pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
-    vec = [x if isinstance(x, GaussianRational) else GaussianRational(x) for x in v]
-    if len(vec) != m.cols:
+    if len(v) != m.cols:
         raise SmithError("vector length does not match matrix columns")
-    at_pt = m.evaluate([pt])
-    image = linalg.mat_vec(at_pt, vec)
+    at_pt = m.evaluate([point])
+    image = linalg.mat_vec(at_pt, v)
     if any(image):
         raise SmithError("v not in kernel: M(point)·v is nonzero")
-    fact = local_smith(m, pt)
-    const = [RationalFunction.constant(m.variables, x) for x in vec]
+    fact = local_smith(m, point)
+    const = [RationalFunction.constant(m.variables, x) for x in v]
     h = _apply_idempotent(fact.F.entries, fact.generic_rank, const)
-    at_point = [entry.evaluate([pt]) for entry in h]
-    if any(a != b for a, b in zip(at_point, vec)):
+    at_point = [entry.evaluate([point]) for entry in h]
+    if any(a != b for a, b in zip(at_point, v)):
         if not any(fact.exponents):
             raise AssertionError("projection failed to fix a kernel vector despite constant dimension")
         raise SmithError("kernel dimension jumps at the point")
@@ -378,8 +375,7 @@ def minor_gcd_valuation(m: PolyMatrix, point: GaussianRational, k: int) -> int |
     """
     if len(m.variables) != 1:
         raise SmithError("minor_gcd_valuation requires a univariate matrix")
-    pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
-    shifted = m.map(lambda p: p.shift_univariate(pt))
+    shifted = m.map(lambda p: p.shift_univariate(point))
     best: int | None = None
     rows = range(shifted.rows)
     cols = range(shifted.cols)

@@ -110,8 +110,7 @@ def sylvester_matrix(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 def intertwiner_dim_at(a: PolyMatrix, b: PolyMatrix, point: GaussianRational) -> int:
     """dim {Theta : Theta B(point) = A(point) Theta}, by exact elimination."""
-    pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
-    return a.rows * a.rows - linalg.rank(_sylvester_entries(a.entries, b.entries, pt))
+    return a.rows * a.rows - linalg.rank(_sylvester_entries(a.entries, b.entries, point))
 
 
 def generic_intertwiner_dim(a: PolyMatrix, b: PolyMatrix) -> int:
@@ -121,11 +120,10 @@ def generic_intertwiner_dim(a: PolyMatrix, b: PolyMatrix) -> int:
 
 def commutant_basis_at(a: PolyMatrix, point: GaussianRational) -> CommutantBasis:
     """Basis of the commutant of A(point) via the exact Sylvester nullspace."""
-    pt = point if isinstance(point, GaussianRational) else GaussianRational(point)
-    kernel = linalg.nullspace(_sylvester_entries(a.entries, a.entries, pt))
+    kernel = linalg.nullspace(_sylvester_entries(a.entries, a.entries, point))
     n = a.rows
     basis = tuple(unvec(v, n) for v in kernel)
-    return CommutantBasis(point=pt, basis=basis)
+    return CommutantBasis(point=point, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +169,11 @@ def _ray_blocked(theta: ConstMatrix, mu: GaussianRational) -> bool:
     return _sign_changes([c[0] for c in chain]) > _sign_changes([c[-1] for c in chain])
 
 
+def _shape(m: ConstMatrix) -> str:
+    """Rows x columns of the first row, for error messages."""
+    return f"{len(m)}x{len(m[0]) if m else 0}"
+
+
 def path_to_identity(
     phi: ConstMatrix, theta: ConstMatrix, steps: int
 ) -> list[ConstMatrix]:
@@ -186,6 +189,9 @@ def path_to_identity(
     commutes with Phi and its determinant is nonzero.
     """
     n = len(theta)
+    if not n or len(phi) != n or any(len(row) != n for row in (*phi, *theta)):
+        shapes = f"{_shape(phi)} and {_shape(theta)}"
+        raise SylvesterError(f"Phi and Theta must be nonempty square matrices of one size, got {shapes}")
     if steps < 1:
         raise SylvesterError("steps must be positive")
     if not _commutes(phi, theta):

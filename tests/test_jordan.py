@@ -416,6 +416,39 @@ class TestCertifiedLocus:
         assert len(runs) == smith_runs
 
 
+class TestBranchingLocusAgainstSympy:
+    def test_discriminant_is_the_sympy_resultant(self):
+        # an oracle that shares no code with the locus: sympy's charpoly and
+        # resultant, on families whose characteristic polynomial is squarefree
+        sympy = pytest.importorskip("sympy")
+        z, t = sympy.symbols("z t")
+
+        def to_sympy(p):
+            return sum(
+                (sympy.Rational(str(c.re)) + sympy.I * sympy.Rational(str(c.im))) * z ** e[0]
+                for e, c in p.terms.items()
+            )
+
+        rng = random.Random(71)
+        checked = kept = 0
+        while checked < 30:
+            make = (dense_family, colliding_diagonal)[checked % 2]
+            a = make(rng, 2 + checked % 4 // 2)
+            f = sympy.Matrix([[to_sympy(p) for p in row] for row in a.entries]).charpoly(t).as_expr()
+            expected = sympy.expand(sympy.resultant(f, sympy.diff(f, t), t))
+            if expected == 0:
+                continue  # char has a repeated factor
+            checked += 1
+            defining = jordan_instability_candidates(a).defining_polynomials
+            if sympy.Poly(expected, z).degree() > 0:
+                kept += 1
+                assert sympy.expand(to_sympy(defining[0]) - expected) == 0, a.to_strings()
+            else:
+                # n distinct eigenvalues everywhere: no branching and no jump
+                assert defining == (), a.to_strings()
+        assert 0 < kept < checked
+
+
 class TestStabilityVerdicts:
     def test_constant_family_everywhere_stable(self):
         const = PolyMatrix.from_strings([["1", "1"], ["0", "1"]], ["z"])
@@ -438,34 +471,11 @@ class TestStabilityVerdicts:
         assert is_jordan_stable(m, GR_ZERO).verdict == "stable"
 
     def test_report_never_marks_noncandidates_unstable(self):
-        from similitude.jordan import stability_report
-
-        points = [g(0), g(1), g(3), g(-2), g(0, 1)]
-        rep = stability_report(EX45, points)
-        candidate_keys = {
-            (c.exact.re, c.exact.im) for c in rep.candidate_points if c.exact is not None
-        }
-        for verdict in rep.verdicts:
-            key = (verdict.point.re, verdict.point.im)
-            if key not in candidate_keys:
-                assert verdict.verdict != "unstable"
-
-    def test_report_computes_the_locus_once(self, monkeypatch):
-        import similitude.jordan as jordan
-
-        points = [g(0), g(3), g(0, 1)]
-        singly = [is_jordan_stable(EX45, p) for p in points]
-        calls = []
-
-        def counted(a):
-            calls.append(a)
-            return jordan_instability_candidates(a)
-
-        monkeypatch.setattr(jordan, "jordan_instability_candidates", counted)
-        rep = jordan.stability_report(EX45, points)
-        assert len(calls) == 1
-        assert [v.verdict for v in rep.verdicts] == [v.verdict for v in singly]
-        assert [v.candidates for v in rep.verdicts] == [v.candidates for v in singly]
+        candidates = jordan_instability_candidates(EX45)
+        for point in [g(0), g(1), g(3), g(-2), g(0, 1)]:
+            verdict = is_jordan_stable(EX45, point)
+            if not candidates.contains(point):
+                assert verdict.verdict == "stable"
 
     def test_probe_offsets_match_the_numpy_formula(self):
         np = pytest.importorskip("numpy")
@@ -485,12 +495,8 @@ class TestStabilityVerdicts:
         [(4, float("nan")), (4, float("inf")), (4, 0.0), (4, -1.0), (0, 1e-9), (-3, 1e-9)],
     )
     def test_nonsense_settings_raise(self, probes, tolerance):
-        from similitude.jordan import stability_report
-
         with pytest.raises(JordanError):
             is_jordan_stable(EX45, GR_ZERO, probes=probes, tolerance=tolerance)
-        with pytest.raises(JordanError):
-            stability_report(EX45, [GR_ZERO], probes=probes, tolerance=tolerance)
         if probes > 0:
             with pytest.raises(JordanError, match="tolerance"):
                 segre_at(EX45, GR_ZERO, mode="numeric", tolerance=tolerance)
@@ -520,6 +526,18 @@ class TestStableNormalization:
         lam1 = RationalFunction(Poly.parse("z", ["z"]))
         with pytest.raises(JordanError):
             stable_normalization(EX45, g(3), [lam1])
+
+    @pytest.mark.parametrize(
+        "grid, eigenfunctions",
+        [([["z", "0"], ["0", "0"]], ["z^2", "0"]), ([["z", "1"], ["0", "z"]], ["z^2"])],
+        ids=["simple", "double"],
+    )
+    def test_eigenfunction_check_rejects_a_wrong_function(self, grid, eigenfunctions):
+        # z^2 takes the eigenvalue 1 of A(1) at 1, but t - z^2 does not divide char(A)
+        m = PolyMatrix.from_strings(grid, ["z"])
+        lams = [RationalFunction(Poly.parse(f, ["z"])) for f in eigenfunctions]
+        with pytest.raises(JordanError, match="eigenfunction verification fails"):
+            stable_normalization(m, GR_ONE, lams)
 
     @pytest.mark.parametrize("h", [[["1", "0"], ["0", "1"]], [["1", "z"], ["0", "1"]]], ids=["identity", "shear"])
     def test_certificate_rejects_a_wrong_normalization(self, h):

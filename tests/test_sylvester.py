@@ -267,6 +267,19 @@ class TestPathToIdentity:
         with pytest.raises(SylvesterError):
             path_to_identity(self.EYE, [[GR_ZERO, GR_ZERO], [GR_ZERO, GR_ZERO]], 8)
 
+    @pytest.mark.parametrize("phi_size, theta_size", [(2, 3), (3, 2)])
+    def test_rejects_sizes_that_differ(self, phi_size, theta_size):
+        phi = linalg.identity(phi_size, GR_ONE, GR_ZERO)
+        theta = linalg.identity(theta_size, GR_ONE, GR_ZERO)
+        shapes = f"{phi_size}x{phi_size} and {theta_size}x{theta_size}"
+        with pytest.raises(SylvesterError, match=shapes):
+            path_to_identity(phi, theta, 8)
+
+    def test_rejects_a_non_square_theta(self):
+        theta = [[GR_ONE, GR_ZERO, GR_ZERO], [GR_ZERO, GR_ONE, GR_ZERO]]
+        with pytest.raises(SylvesterError, match="2x2 and 2x3"):
+            path_to_identity(self.EYE, theta, 8)
+
     def test_vec_unvec_round_trip(self):
         rng = random.Random(59)
         m = rand_const(rng, 3)
