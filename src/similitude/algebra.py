@@ -164,6 +164,19 @@ class GaussianRational:
             return self.inverse() ** (-exponent)
         return _power(self, exponent, GR_ONE)
 
+    def sub_mul(self, c: "GaussianRational", y: "GaussianRational") -> "GaussianRational":
+        """self - c*y for GaussianRationals c and y, normalised once, by _gr."""
+        # c*y = (pr - qt + (pt + qr)i)/(ef), subtracted over a common denominator
+        p = c._a
+        q = c._b
+        r = y._a
+        t = y._b
+        d = self._d
+        e = c._d * y._d
+        if d == e:
+            return _gr(self._a - p * r + q * t, self._b - p * t - q * r, d)
+        return _gr(self._a * e - (p * r - q * t) * d, self._b * e - (p * t + q * r) * d, d * e)
+
     # -- predicates / conversions ------------------------------------------
 
     def __bool__(self) -> bool:
@@ -262,19 +275,28 @@ def format_gaussian_rational(value: GaussianRational) -> str:
 
     AlgebraError for an integer past Python's limit on converting int to text.
     """
-    re, im = value.re, value.im
+    a, b, d = value._a, value._b, value._d
     try:
-        if im == 0:
-            return str(re)
-        if re == 0:
-            return str(im) + "i"
-        sign = "+" if im > 0 else "-"
-        return str(re) + sign + str(abs(im)) + "i"
+        if not b:
+            return _format_rational(a, d)
+        if not a:
+            return _format_rational(b, d) + "i"
+        sign = "+" if b > 0 else "-"
+        return _format_rational(a, d) + sign + _format_rational(abs(b), d) + "i"
     except ValueError:
         raise AlgebraError(
             f"a result has an integer of more than {sys.get_int_max_str_digits()} digits, "
             "Python's limit for printing one"
         ) from None
+
+
+def _format_rational(n: int, d: int) -> str:
+    """n/d in lowest terms as str(Fraction(n, d)) prints it, for d > 0."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 # One token: a run of decimal digits (INT), a run of identifier characters
@@ -539,6 +561,10 @@ class Poly:
             raise AlgebraError("negative power of a polynomial")
         return _power(self, exponent, Poly.constant(self.variables, GR_ONE))
 
+    def sub_mul(self, c, y) -> "Poly":
+        """self - c*y."""
+        return self - c * y
+
     @classmethod
     def _raw(cls, variables, terms) -> "Poly":
         p = object.__new__(cls)
@@ -744,10 +770,13 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Poly:
 # ---------------------------------------------------------------------------
 # Univariate coefficient lists [c0, c1, ...] over any field: GaussianRational
 # or RationalFunction coefficients.  Zeros are taken from the coefficients, so
-# results hold no zero of another type.  _u_mul alone is Q(i)-only: it works
-# on the integers (a, b, d) of its GaussianRational coefficients, and each
-# output coefficient sums its products over a common denominator and is
-# normalised once, by _gr (Knuth, TAOCP vol. 2, 4.5.1).
+# results hold no zero of another type.  Every update r <- r - c*y is one call
+# of the scalars' r.sub_mul(c, y); on GaussianRationals it works on the
+# integers (a, b, d) of all three values and normalises the result once, by
+# _gr, where a product and then a difference would take two gcds (Knuth,
+# TAOCP vol. 2, 4.5.1).  _u_mul alone is Q(i)-only: it works on the same
+# integers, and each output coefficient sums its products over a common
+# denominator and is normalised once.
 
 
 def _u_trim(a: list) -> list:
@@ -776,7 +805,7 @@ def _u_sub_mul(a: list, q: list, b: list) -> list:
         if x:
             for j, y in enumerate(b):
                 if y:
-                    out[i + j] = out[i + j] - x * y
+                    out[i + j] = out[i + j].sub_mul(x, y)
     return _u_trim(out)
 
 
@@ -796,7 +825,7 @@ def _u_divmod(a: list, b: list) -> tuple[list, list]:
         if c:
             for i, bc in enumerate(low):
                 if bc:
-                    r[k + i] = r[k + i] - c * bc
+                    r[k + i] = r[k + i].sub_mul(c, bc)
     q.reverse()
     return _u_trim(q), _u_trim(r[:top])
 
@@ -848,10 +877,11 @@ def _u_mul(a: list, b: list) -> list:
 
 def _u_deflate(a: list, root) -> tuple[list, object]:
     """Synthetic division of nonempty a by (t - root): (quotient, a(root))."""
+    minus_root = -root
     acc = a[-1]
     q = [acc]
     for c in reversed(a[:-1]):
-        acc = acc * root + c
+        acc = c.sub_mul(minus_root, acc)
         q.append(acc)
     remainder = q.pop()
     q.reverse()
@@ -1126,6 +1156,10 @@ class RationalFunction:
         for _ in range(exponent):
             num, den = _u_mul(num, self._num), _u_mul(den, self._den)
         return RationalFunction._raw(self.variables, num, den)
+
+    def sub_mul(self, c, y) -> "RationalFunction":
+        """self - c*y."""
+        return self - c * y
 
     # -- predicates -----------------------------------------------------------
 

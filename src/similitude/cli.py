@@ -399,6 +399,8 @@ def cmd_clutching(args) -> tuple[dict, str, int]:
         "min_re_det_transition_band": report.min_re_det_transition_band,
         "chi_zero_band_all_one": report.chi_zero_band_all_one,
         "bound_holds": report.bound_holds,
+        "det_lower_bound": str(report.det_lower_bound),
+        "invertible_on_chart": report.invertible_on_chart,
     }
     return result, "bounded" if report.bound_holds else "unbounded", 0 if report.bound_holds else 1
 

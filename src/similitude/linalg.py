@@ -2,7 +2,10 @@
 
 Scalars must support +, -, *, /, unary minus and truthiness (falsy iff zero),
 and `x * 0` and `x ** 0` must give the zero and the one of x's ring, so the
-constants an answer needs are read from the entries.  Only
+constants an answer needs are read from the entries.  `_rref` also needs the
+fused update `x.sub_mul(c, y)` = x - c*y, its only update of a stored entry:
+GaussianRational computes it on its integers with one normalisation, and
+RationalFunction and Poly as `x - c * y`.  Only
 `projected_nullspace` and `identity` take `one` and `zero`: their answers can
 hold values that no entry provides (an empty row list, or no entries at all).
 Callers own copies: every function here copies its input first.
@@ -38,7 +41,7 @@ def _subtract(row: dict, f, other: Mapping) -> None:
     """row -= f * other in place, deleting the entries that cancel."""
     for j, x in other.items():
         y = row.get(j)
-        y = -(f * x) if y is None else y - f * x
+        y = -(f * x) if y is None else y.sub_mul(f, x)
         if y:
             row[j] = y
         else:

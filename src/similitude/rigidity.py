@@ -578,6 +578,8 @@ class ClutchingReport:
     bound_holds: bool
     min_re_det_exact: str
     samples: int
+    det_lower_bound: Fraction
+    invertible_on_chart: bool
 
 
 def clutching_invertibility(epsilon, grid_density: int) -> ClutchingReport:
@@ -587,9 +589,17 @@ def clutching_invertibility(epsilon, grid_density: int) -> ClutchingReport:
     function chi (1 below epsilon, 0 above 2 epsilon in the third coordinate).
     On the real sphere h h* = x1^2 + x2^2 = 1 - x3^2 exactly, so
     det C_+ = chi^2 (1 - x3^2) + (1 - chi)^2 is a rational number at rational
-    grid heights; the reported minima are exact.  The verified mechanism:
-    det = 1 where chi = 0, and the real part of det stays above 1/2 on the
-    chi in (0, 1] band at the pinned grid.
+    grid heights; the reported minima are exact.  `min_re_det`,
+    `min_re_det_transition_band` and `bound_holds` describe the grid: det = 1
+    where chi = 0, and at the pinned grid det stays above 1/2 on the
+    chi in (0, 1] band.  Its infimum on the band is below 1/2, so other grids
+    miss that bound.
+
+    `det_lower_bound` = (1 - 4 eps^2)/(2 - 4 eps^2) holds on the whole chart,
+    not only on the grid: for h = 1 - x3^2 the minimum over chi of
+    chi^2 h + (1 - chi)^2 is h/(1 + h), which grows with h, and h > 1 - 4 eps^2
+    on the band; chi = 1 gives 1 - x3^2 >= 1 - eps^2 and chi = 0 gives 1, both
+    larger.  `invertible_on_chart` is decided by that bound being positive.
     """
     eps = rat(epsilon)
     if not (0 < eps < rat(1, 4)):
@@ -625,6 +635,8 @@ def clutching_invertibility(epsilon, grid_density: int) -> ClutchingReport:
             if detval != 1:
                 chi_zero_ok = False
     bound = chi_zero_ok and min_band is not None and min_band >= rat(1, 2)
+    h = 1 - 4 * eps * eps
+    lower = h / (1 + h)
     return ClutchingReport(
         epsilon=eps,
         grid=n,
@@ -634,4 +646,6 @@ def clutching_invertibility(epsilon, grid_density: int) -> ClutchingReport:
         bound_holds=bound,
         min_re_det_exact=str(min_det),
         samples=samples,
+        det_lower_bound=lower,
+        invertible_on_chart=lower > 0,
     )

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -540,6 +541,102 @@ class TestUnivariateToolkit:
             order, rest = _u_order(a, root)
             assert (order, rest) == (k, cofactor)
             assert all(type(c) is field for c in rest)
+
+
+class TestSubMul:
+    """x.sub_mul(c, y) equals x - c * y for every scalar class."""
+
+    def test_gaussian_rational(self):
+        rng = random.Random(61)
+        # 2**70 parts pass 64 bits; denominators 1, 2, 3, 6 make x._d == c._d * y._d often
+        spans = [0, 1, 9, 2**70]
+        dens = [1, 1, 2, 3, 6, 3**45]
+
+        def draw():
+            span = rng.choice(spans)
+            x = g(rng.randint(-span, span), rng.randint(-span, span))
+            return x / rng.choice(dens)
+
+        fixed = [
+            (g(Fraction(1, 6), 5), g(Fraction(1, 2)), g(Fraction(-1, 3), 2)),  # 6 == 2 * 3
+            (g(Fraction(1, 6), 5), g(Fraction(1, 2)), g(Fraction(-1, 5), 2)),  # 6 != 2 * 5
+            (g(5, -7), g(2, -3), g(-4, 1)),  # all integers: d == 1 == 1 * 1
+            (g(1, 1), g(3, 4), g(3, 4) ** -1),  # the difference is i
+            (GR_ZERO, g(2, -1), g(-3, 5)),
+            (g(-7, 2) / 9, GR_ZERO, g(1, 1)),
+            (g(-7, 2) / 9, g(1, 1), GR_ZERO),
+            (g(3, 3), g(3), g(1, 1)),  # cancels to zero
+            (g(-(2**90), 2**65 + 1) / 3**41, g(2**64, -(2**66)) / 7, g(-(3**50), 2**71) / 2**69),
+        ]
+        triples = fixed + [(draw(), draw(), draw()) for _ in range(1500)]
+        branches = set()
+        for x, c, y in triples:
+            got = x.sub_mul(c, y)
+            want = x - c * y
+            assert got == want and canonical(got), (x, c, y)
+            branches.add(x._d == c._d * y._d)
+        assert branches == {True, False}
+
+    def test_rational_function_and_poly(self):
+        rng = random.Random(67)
+        for _ in range(40):
+            x, c, y = rand_quotient(rng), rand_quotient(rng), rand_quotient(rng)
+            got = x.sub_mul(c, y)
+            assert got == x - c * y and is_canonical(got)
+        vs = ("z", "w")
+        for _ in range(40):
+            x, c, y = (rand_poly(rng, vs, 3) for _ in range(3))
+            assert x.sub_mul(c, y) == x - c * y
+        assert x.sub_mul(x ** 0, x) == Poly.zero(vs)
+
+    def test_deflate_and_order_over_rational_functions(self):
+        # stable_normalization deflates char(A) in Q(i)(z)[t] by t - lambda(z)
+        rf = RationalFunction
+        lam, mu = rf(Z, Z + 1), rf(Z * 2 - GR_I, Z - 2)
+        one = lam ** 0
+        a = generic(generic([-lam, one], [-lam, one]), [-mu, one])
+        assert _u_order(a, lam) == (2, [-mu, one])
+        assert _u_order(a, mu) == (1, generic([-lam, one], [-lam, one]))
+        q, rem = _u_deflate(a, one)
+        assert rem == a[0] + a[1] + a[2] + a[3]
+        # a = q * (t - 1) + rem
+        qt = generic(q, [-one, one])
+        assert [qt[0] + rem] + qt[1:] == a
+        assert _u_deflate(a, lam * 0)[1] == a[0]
+
+
+class TestFormatting:
+    def test_matches_the_fraction_composition(self):
+        rng = random.Random(71)
+        fixed = [
+            g(0), g(5), g(-5), g(0, 1), g(0, -2), g(3, -4), g(-3, 4),
+            g(Fraction(1, 2), 0), g(0, Fraction(-3, 7)), g(2, 3) / 4, g(6, 4) / 9,
+            g(Fraction(1, 2), Fraction(1, 3)), g(-(2**80), 2**70) / 3**30,
+        ]
+        assert str(g(2, 3) / 4) == "1/2+3/4i"  # the parts reduce differently
+        assert str(g(6, 4) / 9) == "2/3+4/9i"
+        assert str(g(Fraction(1, 2), Fraction(1, 3))) == "1/2+1/3i"
+        assert str(g(3, -4)) == "3-4i" and str(g(0, -2)) == "-2i"
+        randoms = [
+            g(rng.randint(-12, 12) * rng.randint(0, 1), rng.randint(-12, 12) * rng.randint(0, 1))
+            / rng.choice([1, 2, 4, 6, 12, 35])
+            for _ in range(400)
+        ]
+        for x in fixed + randoms:
+            assert format_gaussian_rational(x) == ref_str((x.re, x.im)), (x._a, x._b, x._d)
+
+    @pytest.mark.parametrize(
+        "value",
+        [g(10**5000), g(1, 10**5000), g(Fraction(10**5000, 3), 1), g(1, 2) / 10**5000],
+        ids=["real", "imaginary", "fraction", "denominator"],
+    )
+    def test_past_the_printing_limit(self, value):
+        with pytest.raises(AlgebraError) as info:
+            format_gaussian_rational(value)
+        assert str(info.value) == (
+            f"a result has an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "Python's limit for printing one"
+        )
 
 
 class TestCoprimeModP:

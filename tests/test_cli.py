@@ -499,6 +499,13 @@ class TestSubcommands:
         assert report["verdict"] == "bounded"
         assert report["result"]["epsilon"] == "1/8"
         assert report["result"]["min_re_det_exact"] == "550513183/1073741824"
+        assert report["result"]["det_lower_bound"] == "15/31"
+        assert report["result"]["invertible_on_chart"] is True
+        # at grid 9 the grid misses the bound 1/2; the chart-wide verdict stands
+        code, report, _ = invoke(capsys, ["clutching", "--epsilon", "1/8", "--grid", "9"])
+        assert (code, report["verdict"]) == (1, "unbounded")
+        assert report["result"]["det_lower_bound"] == "15/31"
+        assert report["result"]["invertible_on_chart"] is True
 
     def test_verify_paper_enumerates_checks(self, capsys):
         code, report, _ = invoke(capsys, ["verify-paper", "--ell", "0"])

@@ -1,0 +1,43 @@
+"""tools/paired_time.py: two source trees side by side, timed per operation kind."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("paired_time", ROOT / "tools" / "paired_time.py")
+paired_time = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(paired_time)
+
+
+def test_src_against_itself_on_three_ops():
+    ops = paired_time.gen.generate("smith-wasow", 501)[:3]
+    old = paired_time.import_tree(str(ROOT / "src"), "similitude_paired_old")
+    new = paired_time.import_tree(str(ROOT / "src"), "similitude_paired_new")
+    # two separate copies of the package, neither of them `similitude`
+    old_gr = sys.modules["similitude_paired_old.algebra"].GaussianRational
+    new_gr = sys.modules["similitude_paired_new.algebra"].GaussianRational
+    assert old_gr is not new_gr and old.__name__ == "similitude_paired_old.cli"
+
+    totals, differing = paired_time.paired_times(old, new, ops, rounds=2)
+    assert differing == []
+    assert {kind: entry[0] for kind, entry in totals.items()} == {
+        "smith": 1,
+        "wasow": 1,
+        "local-similarity": 1,
+    }
+    assert all(entry[1] > 0 and entry[2] > 0 for entry in totals.values())
+    table = paired_time.format_table(totals)
+    assert table[0].split() == ["kind", "ops", "old_s", "new_s", "old/new"]
+    assert [line.split()[0] for line in table[1:]] == ["local-similarity", "smith", "wasow", "total"]
+    assert table[-1].split()[1] == "3"
+
+    class ExitsOneMore:
+        """A tree whose every exit code is one higher: its reports differ on every op."""
+
+        @staticmethod
+        def run(argv):
+            return new.run(argv) + 1
+
+    _, differing = paired_time.paired_times(old, ExitsOneMore, ops, rounds=1)
+    assert differing == [op.op_id for op in ops]

@@ -481,6 +481,25 @@ class TestClutching:
         with pytest.raises(RigidityError):
             clutching_invertibility("1/2", 8)
 
+    @pytest.mark.parametrize("grid", [2**k for k in range(1, 13)] + [9])
+    def test_exact_bound_is_below_every_grid_minimum(self, grid):
+        report = clutching_invertibility("1/8", grid)
+        assert report.det_lower_bound == Fraction(15, 31)
+        assert report.det_lower_bound <= Fraction(report.min_re_det_exact)
+        if report.min_re_det_transition_band == report.min_re_det_transition_band:  # not nan
+            assert float(report.det_lower_bound) <= report.min_re_det_transition_band
+        # the chart-wide verdict does not depend on the grid; bound_holds does
+        assert report.invertible_on_chart
+        if grid in (9, 64):
+            assert not report.bound_holds
+
+    def test_exact_bound_tends_to_three_sevenths(self):
+        for k in (3, 6, 12):
+            eps = Fraction(1, 4) - Fraction(1, 10**k)
+            bound = clutching_invertibility(eps, 2).det_lower_bound
+            assert bound == (1 - 4 * eps * eps) / (2 - 4 * eps * eps)
+            assert 0 < bound - Fraction(3, 7) < Fraction(1, 10**k)
+
 
 class TestJetRigidityPreconditions:
     def test_unknown_relation(self):

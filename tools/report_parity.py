@@ -41,25 +41,32 @@ def import_cli(src_dir: str):
     return cli
 
 
+def run_op(cli, op, workdir: str) -> tuple[int, str]:
+    """(exit code, standard output) of one operation whose inputs are in workdir."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run(op.resolved_argv(workdir))
+    return code, out.getvalue()
+
+
+def report_line(op, code: int, stdout: str, workdir: str) -> str:
+    """The sorted-key JSON line {"op", "code", "report"} of one operation's output."""
+    report = json.loads(stdout) if stdout else None
+    if report is not None:
+        report.pop("timings", None)
+        report["arguments"] = {
+            k: v for k, v in report["arguments"].items()
+            if not (isinstance(v, str) and v.startswith(workdir))
+        }
+    return json.dumps({"op": op.op_id, "code": code, "report": report}, sort_keys=True)
+
+
 def report_lines(cli, ops) -> list[str]:
-    """One sorted-key JSON line per operation: {"op", "code", "report"}."""
+    """One line per operation, by `report_line`."""
     os.environ["SIMILITUDE_SEED"] = "0"
-    lines = []
     with tempfile.TemporaryDirectory() as workdir:
         gen.write_inputs(ops, workdir)
-        for op in ops:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = cli.run(op.resolved_argv(workdir))
-            report = json.loads(out.getvalue()) if out.getvalue() else None
-            if report is not None:
-                report.pop("timings", None)
-                report["arguments"] = {
-                    k: v for k, v in report["arguments"].items()
-                    if not (isinstance(v, str) and v.startswith(workdir))
-                }
-            lines.append(json.dumps({"op": op.op_id, "code": code, "report": report}, sort_keys=True))
-    return lines
+        return [report_line(op, *run_op(cli, op, workdir), workdir) for op in ops]
 
 
 def differing_ops(old: list[str], new: list[str]) -> list[int]:
