@@ -5,18 +5,25 @@ with E, F invertible at xi and entries in the local ring at xi (rational
 functions whose denominators do not vanish there).  The exponents are the
 local invariant exponents: their prefix sums equal the (z-xi)-adic valuations
 of the gcds of k x k minors, which tests verify independently.  It works at xi
-itself, with no change of variables: an entry's valuation, and its unit part,
-come from repeated synthetic division of its numerator by (z - xi).
+itself, with no change of variables: the order of an entry of the echelon
+below, and its unit part, come from repeated synthetic division by (z - xi).
 
-The holomorphic idempotent P = F^-1 * diag(0, I) * F has an image that agrees
-with ker M(z) away from xi and is contained in it at xi; when all exponents
-vanish the agreement includes xi and holomorphic_kernel_section extends any
-kernel vector at xi to an exact polynomial-family kernel section.  F is never
-inverted: local_smith's F is U * Pi, a permutation followed by a unit
-upper-triangular U whose rows r.. are unit vectors (each row operation adds
-rows that are still unit vectors), so P * v is one back substitution through
-F.  holomorphic_kernel_section applies P to its vector that way without
-building P, and kernel_projection builds P one column P * e_c at a time.
+All three local functions run on one fraction-free echelon (`_local_echelon`):
+Bareiss's elimination over Q(i)[z] of diag(L)·M, where L_i is the lcm of row
+i's denominators (a unit at xi), pivoting on an entry of least order at xi.
+Its entries are minors, so every division in it is exact, and the Schur
+complement S_k of step k is the Bareiss matrix over the previous pivot.
+local_smith reads E's column k as S_k[:, k] / (z-xi)^k_k (row i divided by
+L_i again) and F's row k as S_k[k, :] / S_k[k][k], and normalises each entry
+once, at the end.  The holomorphic idempotent P = F^-1 * diag(0, I) * F has
+an image that agrees with ker M(z) away from xi and is contained in it at
+xi; when all exponents vanish the agreement includes xi and
+holomorphic_kernel_section extends any kernel vector at xi to an exact
+polynomial-family kernel section.  P * v solves the echelon's first r rows
+with the free coordinates of v: back substitution on polynomials x_k times
+the leading r x r minor (exact by Cramer's rule), one division per entry at
+the end.  Neither it nor kernel_projection, which builds P one column
+P * e_c at a time, builds E or F.
 
 invariant_factors is the global Smith form over Q(i)[x] (Euclidean pivoting
 to a diagonal, then gcd/lcm pairs for the divisibility chain); it serves the
@@ -40,6 +47,10 @@ from .algebra import (
     PolyMatrix,
     RationalFunction,
     SimilitudeError,
+    _RF_ONE,
+    _cancel,
+    _monic,
+    _u_deflate,
     _u_divmod,
     _u_gcd_monic,
     _u_mul,
@@ -103,149 +114,234 @@ def _order_at(p: Poly, pt: GaussianRational) -> tuple[int, list] | None:
     return _u_order(p.coefficients(), pt) if p else None
 
 
+@dataclass(frozen=True)
+class _Echelon:
+    """Fraction-free local echelon of a univariate matrix at `point`.
+
+    `scaled` is diag(L)·M as coefficient lists, L_i the monic lcm of row i's
+    denominators (a unit at the point, [1] for a polynomial row).  Bareiss's
+    elimination of it with local pivoting leaves row k of `rows` (positions
+    k.. in the final column order `col_of`) as the Bareiss row B_k[k, :], and
+    `columns[k]` keeps B_k[i][k] for the positions i >= k at step k, with the
+    original row of each.  B_k = p_{k-1}·S_k for the Schur complement S_k and
+    the previous pivot p_{k-1}, so `orders[k]`, the order of the pivot p_k at
+    the point, exceeds the order of S_k[k][k] by orders[k-1].
+    """
+
+    variables: tuple
+    lcms: list
+    scaled: list
+    rows: list
+    row_of: list
+    col_of: list
+    columns: list
+    orders: list
+
+    @property
+    def rank(self) -> int:
+        return len(self.orders)
+
+    @property
+    def det(self) -> list:
+        """The last pivot p_{r-1}, the leading r x r minor of the permuted diag(L)·M."""
+        return self.rows[-1][len(self.rows) - 1] if self.rows else _RF_ONE
+
+    def exponents(self) -> tuple[int, ...]:
+        """kappa_k = ord S_k[k][k] = orders[k] - orders[k-1], nondecreasing."""
+        out = tuple(b - a for a, b in zip([0, *self.orders], self.orders))
+        if any(a > b for a, b in zip(out, out[1:])):
+            raise AssertionError("local Smith exponents came out decreasing")
+        return out
+
+
+def _exact_quotient(a: list, b: list) -> list:
+    """a / b for coefficient lists where b divides a."""
+    q, r = _u_divmod(a, b)
+    if r:
+        raise AssertionError("fraction-free elimination: a division left a remainder")
+    return q
+
+
+def _deflate_exactly(p: list, point: GaussianRational, times: int) -> list:
+    """p / (z - point)^times, where the order of p at the point is at least times."""
+    for _ in range(times):
+        p, remainder = _u_deflate(p, point)
+        if remainder:
+            raise AssertionError("fraction-free elimination: a Schur column fell below the pivot's order")
+    return p
+
+
+def _fraction(vs: tuple, num: list, den: list) -> RationalFunction:
+    """num/den in normal form: one cancellation and one monic scaling."""
+    if not num:
+        return RationalFunction._raw(vs, [], _RF_ONE)
+    return RationalFunction._raw(vs, *_monic(*_cancel(num, den)))
+
+
+def _local_echelon(m: PolyMatrix, point: GaussianRational) -> _Echelon:
+    """Bareiss's fraction-free elimination of M over Q(i)[z] (Math. Comp. 22, 1968).
+
+    At step k the pivot is an entry of least order at the point (ties broken
+    by the smallest (row, col)), moved to (k, k), and every later entry
+    becomes (p_k·B[i][j] - B[i][k]·B[k][j]) / p_{k-1}, an exact division:
+    each B_k[i][j] is a minor of the permuted diag(L)·M.  Its order exceeds
+    that of the Schur complement entry by the common offset orders[k-1], so
+    the pivots are those of elimination over the local ring.
+    """
+    if len(m.variables) != 1:
+        raise SmithError("local_smith requires a univariate matrix")
+    lcms, scaled = [], []
+    for row in m.entries:
+        pairs = [(f._num, f._den) if isinstance(f, RationalFunction) else (f.coefficients(), _RF_ONE) for f in row]
+        if any(len(den) > 1 and not _u_deflate(den, point)[1] for _, den in pairs):
+            raise SmithError("matrix entries must lie in the local ring at the point")
+        lcm = _RF_ONE
+        for _, den in pairs:
+            if len(den) > 1:
+                lcm = _u_mul(lcm, _exact_quotient(den, _u_gcd_monic(lcm, den)))
+        lcms.append(lcm)
+        scaled.append([num if len(lcm) == 1 else _u_mul(num, _exact_quotient(lcm, den)) for num, den in pairs])
+
+    n, cols = m.rows, m.cols
+    work = [list(row) for row in scaled]
+    row_of, col_of = list(range(n)), list(range(cols))
+    columns, orders = [], []
+    prev, offset = _RF_ONE, 0  # the previous pivot and its order
+    for k in range(min(n, cols)):
+        best = None
+        for i, j in product(range(k, n), range(k, cols)):
+            p = work[i][j]
+            if p:
+                order = _u_order(p, point)[0]
+                if order < offset:
+                    raise AssertionError("fraction-free elimination: an entry fell below the previous pivot's order")
+                if best is None or order < best[0]:
+                    best = (order, i, j)
+                    if order == offset:
+                        break
+        if best is None:
+            break
+        offset, pi, pj = best
+        if pi != k:
+            work[k], work[pi] = work[pi], work[k]
+            row_of[k], row_of[pi] = row_of[pi], row_of[k]
+        if pj != k:
+            for row in work:
+                row[k], row[pj] = row[pj], row[k]
+            col_of[k], col_of[pj] = col_of[pj], col_of[k]
+        orders.append(offset)
+        columns.append([(row_of[i], work[i][k]) for i in range(k, n)])
+
+        top = work[k]
+        pivot = top[k]
+        for i in range(k + 1, n):
+            row = work[i]
+            c = row[k]
+            row[k] = []
+            for j in range(k + 1, cols):
+                x = _u_mul(pivot, row[j])
+                if c:
+                    x = _u_sub_mul(x, c, top[j])
+                row[j] = _exact_quotient(x, prev) if k and x else x
+        prev = pivot
+    return _Echelon(m.variables, lcms, scaled, work[: len(orders)], row_of, col_of, columns, orders)
+
+
 def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
     """Local Smith factorization of a univariate matrix family at `point`.
 
     Accepts polynomial entries or rational-function entries from the local
-    ring at the point (denominators nonvanishing there).  Pivots on a
-    minimal-valuation entry (ties broken by smallest (row, col)) and clears
-    with row/column operations that are invertible over the local ring, so E
-    and F are exact units at the point.  The zeros the clearing creates are
-    set, not computed: after the row sweep column k is zero off the pivot
-    (rows below were just cleared, rows above at their own steps), so the
-    column sweep changes row k of the work matrix only.
+    ring at the point (denominators nonvanishing there).  From the echelon of
+    `_local_echelon`, E's column k is the Schur column S_k[:, k] / (z-xi)^k_k
+    and F's row k is S_k[k, :] / S_k[k][k], both read from the Bareiss rows
+    (S_k = B_k / p_{k-1}) and each entry normalised once; E's row i is
+    divided by the row's denominator lcm L_i again.  Past the rank, E's
+    columns and F's rows are unit vectors of the final permutations.
     """
-    if len(m.variables) != 1:
-        raise SmithError("local_smith requires a univariate matrix")
-    vs = m.variables
-    m = m.to_func()
-    if not all(f.defined_at([point]) for row in m.entries for f in row):
-        raise SmithError("matrix entries must lie in the local ring at the point")
-
+    ech = _local_echelon(m, point)
+    vs, r = ech.variables, ech.rank
     n, cols = m.rows, m.cols
-    work = [list(row) for row in m.entries]
-    e = [list(row) for row in PolyMatrix.identity(n, vs).to_func().entries]
-    f = [list(row) for row in PolyMatrix.identity(cols, vs).to_func().entries]
-    zero = RationalFunction.constant(vs, GR_ZERO)
-
-    exponents: list[int] = []
-    for k in range(min(n, cols)):
-        best = None
-        for i, j in product(range(k, n), range(k, cols)):
-            num = work[i][j]._num
-            if num:
-                order = _u_order(num, point)
-                if best is None or order[0] < best[0][0]:
-                    best = (order, i, j)
-                    if order[0] == 0:
-                        break
-        if best is None:
-            break
-        (kappa, unit_coeffs), pi, pj = best
-        if pi != k:
-            work[k], work[pi] = work[pi], work[k]
-            for row in e:
-                row[k], row[pi] = row[pi], row[k]
-        if pj != k:
-            for row in work:
-                row[k], row[pj] = row[pj], row[k]
-            f[k], f[pj] = f[pj], f[k]
-
-        # the pivot's numerator over (z - point)^kappa stays coprime to its denominator
-        unit = RationalFunction._raw(vs, unit_coeffs, work[k][k]._den)
-        inv_unit = unit.inverse()
-        for j in range(k, cols):
-            work[k][j] = work[k][j] * inv_unit
-        for r in range(n):
-            e[r][k] = e[r][k] * unit
-
-        pivot_inv = work[k][k].inverse()
-        for i in range(k + 1, n):
-            if work[i][k]:
-                factor = work[i][k] * pivot_inv
-                work[i][k] = zero
-                for j in range(k + 1, cols):
-                    if work[k][j]:
-                        work[i][j] = work[i][j] - factor * work[k][j]
-                for r in range(n):
-                    if e[r][i]:
-                        e[r][k] = e[r][k] + factor * e[r][i]
+    zero = RationalFunction._raw(vs, [], _RF_ONE)
+    one = RationalFunction._raw(vs, [GR_ONE], _RF_ONE)
+    e = [[zero] * n for _ in range(n)]
+    f = [[zero] * cols for _ in range(cols)]
+    below = _RF_ONE  # the unit part of the previous pivot
+    for k in range(r):
+        # E[row][k] = B_k[i][k] / ((z - xi)^orders[k] · below · L_row)
+        for row, p in ech.columns[k]:
+            if p:
+                num = _deflate_exactly(p, point, ech.orders[k])
+                e[row][k] = _fraction(vs, num, _u_mul(below, ech.lcms[row]))
+        top = ech.rows[k]
+        f[k][ech.col_of[k]] = one
         for j in range(k + 1, cols):
-            if work[k][j]:
-                factor = work[k][j] * pivot_inv
-                work[k][j] = zero
-                for c in range(cols):
-                    if f[j][c]:
-                        f[k][c] = f[k][c] + factor * f[j][c]
-        exponents.append(kappa)
-
-    if any(a > b for a, b in zip(exponents, exponents[1:])):
-        raise AssertionError("local Smith exponents came out decreasing")
-    if any(work[i][j] for i in range(n) for j in range(cols) if i != j):
-        raise AssertionError("local Smith elimination left an entry off the diagonal")
-
+            f[k][ech.col_of[j]] = _fraction(vs, top[j], top[k])
+        below = _deflate_exactly(top[k], point, ech.orders[k])
+    for k in range(r, n):
+        e[ech.row_of[k]][k] = one
+    for k in range(r, cols):
+        f[k][ech.col_of[k]] = one
     return SmithFactorization(
         point=point,
         E=PolyMatrix(e),
-        exponents=tuple(exponents),
+        exponents=ech.exponents(),
         F=PolyMatrix(f),
-        generic_rank=len(exponents),
+        generic_rank=r,
     )
 
 
-def _apply_idempotent(f: list[list], r: int, v: list) -> list:
-    """P·v for P = F^-1 diag(0_r, I) F, by back substitution through F.
+def _kernel_numerators(ech: _Echelon, v: list) -> list:
+    """N_k = x_k·p_{r-1} for the x with R x = 0 and x_j = v[col_of[j]], j >= r.
 
-    local_smith starts from F = I, swaps rows k and pj at step k and then
-    adds multiples of rows j > k to row k, while those rows are still unit
-    vectors.  So F = U·Π: row k is e_π(k) plus multiples of the e_π(j), j > k,
-    and rows r.. are unit vectors.  Read bottom-up, each row has exactly one
-    nonzero column that no lower row owns, and that entry is 1.  Then
-    x = Π·P·v solves U x = diag(0_r, I)·F·v: x_k = v_π(k) for k >= r and
-    x_k = -sum_{j>k} F[k][π(j)]·x_j below, and h_π(k) = x_k.  No inverse,
-    echelon form or P is built.
+    R is the echelon's r x cols upper trapezoid, whose rows span the rows of
+    diag(L)·M over Q(i)(z), and p_{r-1} = R[r-1][r-1] is the leading r x r
+    minor of the permuted matrix, so each N_k is a polynomial by Cramer's rule
+    and N_k = -(p_{r-1}·sum_{j>=r} R[k][j] v_j + sum_{k<j<r} R[k][j] N_j) / R[k][k]
+    is an exact division.  x is Π·P·v for the idempotent P = F^-1 diag(0, I) F.
     """
-    m = len(f)
-    pi = [0] * m
-    owned: set[int] = set()
-    for k in range(m - 1, -1, -1):
-        row = f[k]
-        free = [c for c in range(m) if c not in owned and row[c]]
-        if len(free) != 1 or row[free[0]] != 1 or (k >= r and any(row[c] for c in owned)):
-            raise AssertionError("Smith factor F is not a permuted unit upper-triangular matrix")
-        pi[k] = free[0]
-        owned.add(free[0])
-    x = [v[pi[k]] for k in range(m)]
+    r, rows = ech.rank, ech.rows
+    cols = len(ech.col_of)
+    tail = [(j, v[ech.col_of[j]]) for j in range(r, cols) if v[ech.col_of[j]]]
+    det = ech.det
+    out = [None] * r
     for k in range(r - 1, -1, -1):
-        row = f[k]
-        acc = x[k] - x[k]
-        for j in range(k + 1, m):
-            c = row[pi[j]]
-            if c and x[j]:
-                acc = acc - c * x[j]
-        x[k] = acc
-    h = [None] * m
-    for k in range(m):
-        h[pi[k]] = x[k]
+        row = rows[k]
+        acc = []
+        for j, x in tail:
+            if row[j]:
+                acc = _u_sub_mul(acc, [x], row[j])
+        acc = _u_mul(det, acc)
+        for j in range(k + 1, r):
+            acc = _u_sub_mul(acc, row[j], out[j])
+        out[k] = _exact_quotient(acc, row[k]) if acc else acc
+    return out
+
+
+def _kernel_vector(ech: _Echelon, v: list) -> list[RationalFunction]:
+    """P·v as rational functions, each entry normalised once."""
+    vs, r = ech.variables, ech.rank
+    h = [None] * len(ech.col_of)
+    for k, num in enumerate(_kernel_numerators(ech, v)):
+        h[ech.col_of[k]] = _fraction(vs, num, ech.det)
+    for k in range(r, len(ech.col_of)):
+        x = v[ech.col_of[k]]
+        h[ech.col_of[k]] = RationalFunction._raw(vs, [x] if x else [], _RF_ONE)
     return h
 
 
 def kernel_projection(m: PolyMatrix, point: GaussianRational) -> KernelProjection:
     """The idempotent P = F^-1 diag(0_r, I_{m-r}) F from the local factorization.
 
-    Built one column P·e_c at a time by back substitution through F = U·Π
-    (see `_apply_idempotent`).
+    Built one column P·e_c at a time by fraction-free back substitution
+    through the echelon (see `_kernel_numerators`); F itself is never built.
     """
-    fact = local_smith(m, point)
-    f = fact.F.entries
-    one = RationalFunction.constant(m.variables, GR_ONE)
-    zero = RationalFunction.constant(m.variables, GR_ZERO)
+    ech = _local_echelon(m, point)
     columns = [
-        _apply_idempotent(f, fact.generic_rank, [one if i == c else zero for i in range(m.cols)])
+        _kernel_vector(ech, [GR_ONE if i == c else GR_ZERO for i in range(m.cols)])
         for c in range(m.cols)
     ]
     p = [[col[i] for col in columns] for i in range(m.cols)]
-    return KernelProjection(point=fact.point, P=PolyMatrix(p), exponents=fact.exponents)
+    return KernelProjection(point=point, P=PolyMatrix(p), exponents=ech.exponents())
 
 
 def holomorphic_kernel_section(
@@ -253,8 +349,8 @@ def holomorphic_kernel_section(
 ) -> list[RationalFunction]:
     """Extend v in ker M(point) to h(z) with M h = 0 exactly and h(point) = v.
 
-    h = P·v for the idempotent P of `kernel_projection`, computed by back
-    substitution through the Smith factor F = U·Π without building P.  When
+    h = P·v for the idempotent P of `kernel_projection`, by fraction-free
+    back substitution through the echelon, without building P, E or F.  When
     the kernel dimension is constant near the point (all local Smith
     exponents zero) success is guaranteed.  With a dimension jump the
     projection is still applied and the result certified a posteriori: if it
@@ -262,16 +358,18 @@ def holomorphic_kernel_section(
     """
     if len(v) != m.cols:
         raise SmithError("vector length does not match matrix columns")
-    at_pt = m.evaluate([point])
-    image = linalg.mat_vec(at_pt, v)
-    if any(image):
-        raise SmithError("v not in kernel: M(point)·v is nonzero")
-    fact = local_smith(m, point)
-    const = [RationalFunction.constant(m.variables, x) for x in v]
-    h = _apply_idempotent(fact.F.entries, fact.generic_rank, const)
-    at_point = [entry.evaluate([point]) for entry in h]
-    if any(a != b for a, b in zip(at_point, v)):
-        if not any(fact.exponents):
+    ech = _local_echelon(m, point)
+    # diag(L)·M at the point, by Horner; L(point) != 0, so it has M(point)'s kernel
+    for row in ech.scaled:
+        acc = GR_ZERO
+        for p, x in zip(row, v):
+            if p and x:
+                acc = acc + _u_deflate(p, point)[1] * x
+        if acc:
+            raise SmithError("v not in kernel: M(point)·v is nonzero")
+    h = _kernel_vector(ech, list(v))
+    if any(entry.evaluate([point]) != x for entry, x in zip(h, v)):
+        if not any(ech.exponents()):
             raise AssertionError("projection failed to fix a kernel vector despite constant dimension")
         raise SmithError("kernel dimension jumps at the point")
     return h
@@ -375,6 +473,10 @@ def minor_gcd_valuation(m: PolyMatrix, point: GaussianRational, k: int) -> int |
     """
     if len(m.variables) != 1:
         raise SmithError("minor_gcd_valuation requires a univariate matrix")
+    if k < 0:
+        raise SmithError(f"minor size must be nonnegative, got {k}")
+    if k == 0:
+        return 0  # the empty minor is 1
     shifted = m.map(lambda p: p.shift_univariate(point))
     best: int | None = None
     rows = range(shifted.rows)

@@ -176,14 +176,22 @@ class TestWasowCheck:
         assert jumps >= 4
 
     def test_builds_no_rational_function(self, monkeypatch):
+        # both constructors: the public one and _raw, which takes lists
+        # already in normal form
         calls = []
         original = RationalFunction.__init__
+        original_raw = RationalFunction._raw.__func__
 
         def counting(self, *args, **kwargs):
             calls.append(1)
             original(self, *args, **kwargs)
 
+        def counting_raw(cls, *args):
+            calls.append(1)
+            return original_raw(cls, *args)
+
         monkeypatch.setattr(RationalFunction, "__init__", counting)
+        monkeypatch.setattr(RationalFunction, "_raw", classmethod(counting_raw))
         jump = PolyMatrix.from_strings([["0", "z"], ["0", "0"]], ["z"])
         for a, b, pt in ((EX45, EX45, GR_ZERO), (jump, jump, GR_ZERO), (EX45, EX45, g(1, 1))):
             wasow_check(a, b, pt)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import similitude.linalg as linalg
+import similitude.smith as smith
 from similitude.algebra import (
     GR_ONE,
     GR_ZERO,
@@ -17,7 +18,7 @@ from similitude.algebra import (
 )
 from similitude.smith import (
     SmithError,
-    _apply_idempotent,
+    _local_echelon,
     _order_at,
     holomorphic_kernel_section,
     invariant_factors,
@@ -83,7 +84,7 @@ class TestLocalSmith:
             assert linalg.det(fact.E.evaluate([xi]))
             assert linalg.det(fact.F.evaluate([xi]))
             assert all(a <= b for a, b in zip(fact.exponents, fact.exponents[1:]))
-            for k in range(1, fact.generic_rank + 1):
+            for k in range(fact.generic_rank + 1):
                 assert sum(fact.exponents[:k]) == minor_gcd_valuation(m, xi, k)
 
 
@@ -308,6 +309,15 @@ def _assert_permuted_unit_triangular(f, r):
     assert all(sum(1 for x in f[k] if x) == 1 for k in range(r, n))
 
 
+def _corrupt_pivot(ech):
+    ech.rows[0][0] = [*ech.rows[0][0], GR_ONE]  # p + z^(deg p + 1)
+
+
+def _corrupt_schur_column(ech):
+    row, p = ech.columns[0][1]
+    ech.columns[0][1] = (row, [GR_ONE, *p[1:]])
+
+
 class TestBackSubstitutionThroughF:
     """kernel_projection and holomorphic_kernel_section against the explicit
     F^-1 diag(0, I) F, on square and non-square families at constant and jump
@@ -340,6 +350,20 @@ class TestBackSubstitutionThroughF:
             local = z - Poly.constant(vs, xi)
             grid = [list(row) for row in grid]
             grid[-1] = [x * g(rng.randint(1, 2)) + y * local for x, y in zip(grid[0], grid[-1])]
+            out.append((PolyMatrix(grid), xi))
+        # rational entries with poles off xi: each row is scaled by the lcm of
+        # its denominators, a unit at xi
+        dens = [Poly.parse(d, ["z"]) for d in ("1", "z+3", "z^2+5", "2*z-7")]
+        for rows, cols in ((2, 2), (2, 3), (3, 2), (3, 4)):
+            xi = rng.choice(points)
+            grid = [
+                [RationalFunction(rand_poly(rng, 1), rng.choice(dens)) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            out.append((PolyMatrix(grid), xi))
+            # the last row is c times the first at xi: a jump
+            c, local = g(rng.randint(1, 2)), RationalFunction(z - Poly.constant(vs, xi))
+            grid[-1] = [x * c + y * local for x, y in zip(grid[0], grid[-1])]
             out.append((PolyMatrix(grid), xi))
         # the golden pairs: a jump that a kernel vector survives, and one it does not
         jump_a = PolyMatrix.from_strings([["0", "z"], ["0", "0"]], ["z"])
@@ -376,18 +400,33 @@ class TestBackSubstitutionThroughF:
         assert outcomes == {(False, "section"), (True, "section"), (True, "raised")}
 
     @pytest.mark.parametrize(
-        "grid",
+        "corrupt, run, message",
         [
-            [["1", "0"], ["1", "1"]],  # a row at or below r that is not a unit vector
-            [["2", "0"], ["0", "1"]],  # a pivot entry other than 1
-            [["0", "1"], ["0", "1"]],  # singular: a row owns no column
+            pytest.param(
+                _corrupt_pivot, lambda m: kernel_projection(m, GR_ZERO), "remainder", id="pivot-projection"
+            ),
+            pytest.param(
+                _corrupt_pivot,
+                lambda m: holomorphic_kernel_section(m, GR_ZERO, [g(0), g(1), g(0)]),
+                "remainder",
+                id="pivot-section",
+            ),
+            pytest.param(
+                _corrupt_schur_column, lambda m: local_smith(m, GR_ZERO), "below the pivot's order", id="schur-column"
+            ),
         ],
     )
-    def test_rejects_a_factor_of_another_shape(self, grid):
-        f = PolyMatrix.from_strings(grid, ["z"]).to_func().entries
-        v = [RationalFunction.constant(("z",), GR_ONE)] * 2
-        with pytest.raises(AssertionError, match="permuted unit upper-triangular"):
-            _apply_idempotent(f, 1, v)
+    def test_a_corrupted_echelon_is_caught(self, monkeypatch, corrupt, run, message):
+        # rank 2 with pivot orders (1, 2) at 0, and z in both rows of column 0;
+        # (0, 1, 0) spans the limit of ker M(z) at 0, so the section exists
+        m = PolyMatrix.from_strings([["z", "z^2", "z"], ["z", "0", "z^2"]], ["z"])
+        ech = _local_echelon(m, GR_ZERO)
+        assert ech.orders == [1, 2] and len(ech.columns[0]) == 2
+        run(m)
+        corrupt(ech)
+        monkeypatch.setattr(smith, "_local_echelon", lambda *_: ech)
+        with pytest.raises(AssertionError, match=message):
+            run(m)
 
 
 class TestInvariantFactors:
@@ -488,7 +527,7 @@ class TestExponentsFromInvariantFactors:
             m = rand_unimodular(rng, rows) * PolyMatrix(grid) * rand_unimodular(rng, cols)
             valuations = tuple(_order_at(s, xi)[0] for s in invariant_factors(m))
             assert valuations == tuple(sorted(ks)) == local_smith(m, xi).exponents, m.to_strings()
-            for j in range(1, len(ks) + 1):
+            for j in range(len(ks) + 1):
                 assert sum(valuations[:j]) == minor_gcd_valuation(m, xi, j)
             jumps += any(valuations)
         assert jumps >= 30
@@ -588,6 +627,12 @@ class TestUnivariatePreconditions:
         m = PolyMatrix.identity(2, ("z", "w"))
         with pytest.raises(SmithError, match="local_smith requires a univariate matrix"):
             local_smith(m, GR_ZERO)
+
+    def test_minor_size_zero_and_negative(self):
+        m = PolyMatrix.from_strings([["z", "0"], ["0", "z^2"]], ["z"])
+        assert minor_gcd_valuation(m, GR_ZERO, 0) == 0
+        with pytest.raises(SmithError, match="nonnegative"):
+            minor_gcd_valuation(m, GR_ZERO, -1)
 
     def test_invariant_factors_needs_univariate_polynomials(self):
         with pytest.raises(SmithError, match="invariant_factors requires a univariate polynomial matrix"):
