@@ -774,9 +774,10 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Poly:
 # of the scalars' r.sub_mul(c, y); on GaussianRationals it works on the
 # integers (a, b, d) of all three values and normalises the result once, by
 # _gr, where a product and then a difference would take two gcds (Knuth,
-# TAOCP vol. 2, 4.5.1).  _u_mul alone is Q(i)-only: it works on the same
+# TAOCP vol. 2, 4.5.1).  _u_mul is Q(i)-only: it works on the same
 # integers, and each output coefficient sums its products over a common
-# denominator and is normalised once.
+# denominator and is normalised once.  So are the fraction-free (Bareiss)
+# step and determinant built on it, which Q(i)[z] matrices share.
 
 
 def _u_trim(a: list) -> list:
@@ -830,6 +831,14 @@ def _u_divmod(a: list, b: list) -> tuple[list, list]:
     return _u_trim(q), _u_trim(r[:top])
 
 
+def _u_exact_quotient(a: list, b: list) -> list:
+    """a / b for coefficient lists where b divides a."""
+    q, r = _u_divmod(a, b)
+    if r:
+        raise AssertionError("fraction-free elimination: a division left a remainder")
+    return q
+
+
 def _u_gcd_monic(a: list, b: list) -> list:
     a, b = list(a), list(b)
     while b:
@@ -873,6 +882,46 @@ def _u_mul(a: list, b: list) -> list:
                     im[k] = im[k] * f + (p * t + q * r) * g
                     den[k] = g * f
     return [_gr(x, y, z) for x, y, z in zip(re, im, den)]
+
+
+def _u_bareiss_step(work: list, k: int, prev: list) -> None:
+    """Step k of Bareiss's elimination (Math. Comp. 22, 1968) on rows of Q(i) lists, in place.
+
+    With the pivot p = work[k][k] and prev the pivot of step k - 1 (unused at
+    k = 0), each entry below and right of p becomes
+    (p·B[i][j] - B[i][k]·B[k][j]) / prev, a minor of the input, so the
+    division is exact; the entries under p are cleared.
+    """
+    top = work[k]
+    pivot = top[k]
+    for row in work[k + 1 :]:
+        c = row[k]
+        row[k] = []
+        for j in range(k + 1, len(top)):
+            x = _u_mul(pivot, row[j])
+            if c:
+                x = _u_sub_mul(x, c, top[j])
+            row[j] = _u_exact_quotient(x, prev) if k and x else x
+
+
+def _u_det(m: list) -> list:
+    """Determinant of a square matrix of Q(i) coefficient lists, by Bareiss steps.
+
+    Step k pivots on the first nonzero entry of column k from row k down; a
+    row swap flips the sign, and a column with no pivot makes it zero.
+    """
+    work = [list(row) for row in m]
+    prev, sign = [GR_ONE], 1
+    for k in range(len(work)):
+        i = next((i for i in range(k, len(work)) if work[i][k]), None)
+        if i is None:
+            return []
+        if i != k:
+            work[k], work[i] = work[i], work[k]
+            sign = -sign
+        _u_bareiss_step(work, k, prev)
+        prev = work[k][k]
+    return prev if sign > 0 else [-c for c in prev]
 
 
 def _u_deflate(a: list, root) -> tuple[list, object]:

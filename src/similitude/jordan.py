@@ -20,6 +20,11 @@ and every nearby block change would strictly raise the commutant dimension
 non-candidates are provably stable.  Probing candidates can refute stability
 but never certify it, hence the honest "undetermined" verdict.
 
+The locus is computed on Q(i)[z] coefficient lists: the characteristic
+polynomial by Faddeev-LeVerrier, the discriminants and cyclic-vector minors
+as fraction-free determinants (algebra._u_det).  Q(i)(z) is used only in the
+squarefree step below.
+
 Three exact certificates shortcut the locus; each falls back to the general
 path when it does not hold, so the answers are the same either way:
   - a nonzero discriminant of the characteristic polynomial itself proves it
@@ -44,6 +49,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from . import linalg
 from .algebra import (
@@ -54,9 +60,13 @@ from .algebra import (
     PolyMatrix,
     RationalFunction,
     SimilitudeError,
+    _RF_ONE,
+    _u_add,
     _u_coprime_mod_p,
     _u_deflate,
     _u_derivative,
+    _u_det,
+    _u_mul,
     _u_order,
     _u_squarefree,
     rat,
@@ -126,31 +136,33 @@ def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]]
 
 
 # ---------------------------------------------------------------------------
-# Characteristic polynomial (Faddeev-LeVerrier, division-free up to integers)
+# Characteristic polynomial (Faddeev-LeVerrier on coefficient lists)
 
 
-def char_poly_coeffs(a: PolyMatrix) -> list[Poly]:
-    """Coefficients [c_1, ..., c_n] of det(tI - A) = t^n + c_1 t^{n-1} + ... + c_n.
+def char_poly_coeffs(a: PolyMatrix) -> list[list[GaussianRational]]:
+    """det(tI - A) of a univariate family as a list over t, constant term first.
 
-    Entries are polynomials in the family parameters; the recurrence divides
-    only by integers, so everything stays exact.
+    Each coefficient is a Q(i)[z] coefficient list, the last one [1].  With
+    M_0 = 0 and c_0 = 1, M_k = A (M_{k-1} + c_{k-1} I) and c_k = -tr(M_k) / k
+    (Faddeev-LeVerrier); the recurrence divides only by integers.
     """
     if a.rows != a.cols:
         raise JordanError(f"Jordan data needs a square family, got {a.rows}x{a.cols}")
-    n = a.rows
-    vs = a.variables
-    eye = PolyMatrix.identity(n, vs)
-    coeffs: list[Poly] = []
-    m = PolyMatrix.zeros(n, n, vs)
-    c = Poly.constant(vs, GR_ONE)
-    for k in range(1, n + 1):
-        m = a * (m + eye * c)
-        trace = Poly.zero(vs)
-        for i in range(n):
-            trace = trace + m.entries[i][i]
-        c = trace * GaussianRational(rat(-1, k))
-        coeffs.append(c)
-    return coeffs
+    lists = [[p.coefficients() for p in row] for row in a.entries]
+    m = [[[] for _ in lists] for _ in lists]
+    coeffs = [[GR_ONE]]
+    for k in range(1, a.rows + 1):
+        for i, row in enumerate(m):
+            row[i] = _u_add(row[i], coeffs[-1])
+        m = _mat_mul(lists, m)
+        scale = GaussianRational(rat(-1, k))
+        coeffs.append([c * scale for c in reduce(_u_add, (row[i] for i, row in enumerate(m)))])
+    return coeffs[::-1]
+
+
+def _mat_mul(a: list, b: list) -> list:
+    """A·B for square matrices of coefficient lists."""
+    return [[reduce(_u_add, (_u_mul(x, y[j]) for x, y in zip(row, b))) for j in range(len(b))] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -316,31 +328,29 @@ class InstabilityCandidates:
         return any(not q.evaluate([point]) for q in self.defining_polynomials if q)
 
 
-def _char_poly_rf(a: PolyMatrix) -> list[RationalFunction]:
-    """det(tI - A) as a coefficient list over Q(i)(z), constant term first."""
-    one = RationalFunction.constant(a.variables, GR_ONE)
-    return [RationalFunction(c) for c in reversed(char_poly_coeffs(a))] + [one]
+def _t_derivative(p: list) -> list:
+    """d/dt of a polynomial in t over Q(i)[z], as a list over t of coefficient lists."""
+    return [[c * k for c in p[k]] for k in range(1, len(p))]
 
 
-def _resultant(a: list, b: list):
-    """Resultant via the Sylvester matrix determinant (coefficients in a domain; a or b nonempty)."""
+def _resultant(a: list, b: list) -> list:
+    """Resultant in t of nonempty a and b over Q(i)[z], as lists over t of coefficient lists.
+
+    The determinant of their Sylvester matrix, a Q(i)[z] coefficient list.
+    """
     m = len(a) - 1
     n = len(b) - 1
-    x = (a or b)[0]
-    if m < 0 or n < 0:
-        return x * 0
     size = m + n
     if size == 0:
-        return x ** 0
-    zero = x * 0
+        return [GR_ONE]
     rows = []
     # n shifted copies of a's coefficients, then m of b's, highest degree first
     for count, coeffs in ((n, a), (m, b)):
         for i in range(count):
-            row = [zero] * size
+            row = [[]] * size
             row[i : i + len(coeffs)] = coeffs[::-1]
             rows.append(row)
-    return linalg.det(rows)
+    return _u_det(rows)
 
 
 def jordan_instability_candidates(a: PolyMatrix) -> InstabilityCandidates:
@@ -350,9 +360,10 @@ def jordan_instability_candidates(a: PolyMatrix) -> InstabilityCandidates:
     characteristic polynomial) and the commutant-jump locus (zeros of the last
     invariant factor of the self-intertwiner matrix M).
 
-    The locus is computed over Q(i)(z): the coefficients of char are lifted
-    there once, and the resultants and the minors below are Bareiss
-    determinants whose exact divisions cancel by the univariate gcd.
+    Computed on Q(i)[z] coefficient lists: the resultants and the minors
+    below are fraction-free (Bareiss) determinants, each division exact and
+    asserted.  Q(i)(z) is used only in the Euclidean squarefree step, which
+    runs only when the discriminant of char itself is zero.
 
     When char is squarefree, the Smith form of M is skipped on a certificate.
     Let kappa_j = det[e_j, A e_j, ..., A^{n-1} e_j] for the basis vectors e_j.
@@ -369,20 +380,22 @@ def jordan_instability_candidates(a: PolyMatrix) -> InstabilityCandidates:
     defining: list[Poly] = []
 
     # (a) branching locus
-    char = _char_poly_rf(a)
-    disc = _resultant(char, _u_derivative(char))
+    vs = a.variables
+    char = char_poly_coeffs(a)
+    disc = _resultant(char, _t_derivative(char))
     squarefree = bool(disc)
     if not squarefree:
-        part = _u_squarefree(char)
-        disc = _resultant(part, _u_derivative(part))
-    # the squarefree part of a monic polynomial over Q(i)[z] lies in
-    # Q(i)[z][t] (Gauss's lemma), so its discriminant is a polynomial
-    disc = disc.as_poly()
-    if disc.total_degree() > 0:
-        defining.append(disc)
+        part = _u_squarefree([RationalFunction._raw(vs, c, _RF_ONE) for c in char])
+        # a monic polynomial's squarefree part lies in Q(i)[z][t] (Gauss's lemma)
+        if any(len(c._den) > 1 for c in part):
+            raise AssertionError("the squarefree part of char is not over Q(i)[z]")
+        part = [c._num for c in part]
+        disc = _resultant(part, _t_derivative(part))
+    if len(disc) > 1:
+        defining.append(Poly.from_coefficients(vs, disc))
 
     # (b) commutant-jump locus
-    if not (squarefree and _u_coprime_mod_p(disc.coefficients(), _cyclic_minors(a))):
+    if not (squarefree and _u_coprime_mod_p(disc, _cyclic_minors(a))):
         factors = invariant_factors(sylvester_matrix(a, a))
         if factors:
             last = factors[-1]
@@ -413,18 +426,14 @@ def jordan_instability_candidates(a: PolyMatrix) -> InstabilityCandidates:
 
 
 def _cyclic_minors(a: PolyMatrix) -> list[list[GaussianRational]]:
-    """Coefficient lists of kappa_j = det[e_j, A e_j, ..., A^{n-1} e_j], one per j.
-
-    The determinants run over Q(i)(z); A has polynomial entries, so each
-    kappa_j is a polynomial, and its numerator is its coefficient list.
-    """
+    """Coefficient lists of kappa_j = det[e_j, A e_j, ..., A^{n-1} e_j], one per j."""
     n = a.rows
-    f = a.to_func()
+    lists = [[p.coefficients() for p in row] for row in a.entries]
     # column j of A^k is A^k e_j
-    powers = [PolyMatrix.identity(n, a.variables).to_func().entries]
+    powers = [[[[GR_ONE] if i == j else [] for j in range(n)] for i in range(n)]]
     for _ in range(n - 1):
-        powers.append(linalg.mat_mul(f.entries, powers[-1]))
-    return [linalg.det([[pk[i][j] for pk in powers] for i in range(n)])._num for j in range(n)]
+        powers.append(_mat_mul(lists, powers[-1]))
+    return [_u_det([[pk[i][j] for pk in powers] for i in range(n)]) for j in range(n)]
 
 
 def _isolating_boxes(p: Poly) -> list[tuple[complex, float]]:
@@ -570,7 +579,7 @@ def stable_normalization(
         raise JordanError("eigenvalue functions do not cover all eigenvalues at the point")
 
     # verify char(A(z)) = prod (t - lambda_j(z))^{k_j} exactly, by deflation
-    rest = _char_poly_rf(a)
+    rest = [RationalFunction._raw(vs, c, _RF_ONE) for c in char_poly_coeffs(a)]
     for f, ev in matched:
         order, rest = _u_order(rest, f)
         if order != ev.multiplicity:

@@ -50,8 +50,10 @@ from .algebra import (
     _RF_ONE,
     _cancel,
     _monic,
+    _u_bareiss_step,
     _u_deflate,
     _u_divmod,
+    _u_exact_quotient,
     _u_gcd_monic,
     _u_mul,
     _u_order,
@@ -154,14 +156,6 @@ class _Echelon:
         return out
 
 
-def _exact_quotient(a: list, b: list) -> list:
-    """a / b for coefficient lists where b divides a."""
-    q, r = _u_divmod(a, b)
-    if r:
-        raise AssertionError("fraction-free elimination: a division left a remainder")
-    return q
-
-
 def _deflate_exactly(p: list, point: GaussianRational, times: int) -> list:
     """p / (z - point)^times, where the order of p at the point is at least times."""
     for _ in range(times):
@@ -182,8 +176,8 @@ def _local_echelon(m: PolyMatrix, point: GaussianRational) -> _Echelon:
     """Bareiss's fraction-free elimination of M over Q(i)[z] (Math. Comp. 22, 1968).
 
     At step k the pivot is an entry of least order at the point (ties broken
-    by the smallest (row, col)), moved to (k, k), and every later entry
-    becomes (p_k·B[i][j] - B[i][k]·B[k][j]) / p_{k-1}, an exact division:
+    by the smallest (row, col)), moved to (k, k), and `_u_bareiss_step` makes
+    every later entry (p_k·B[i][j] - B[i][k]·B[k][j]) / p_{k-1}, an exact division:
     each B_k[i][j] is a minor of the permuted diag(L)·M.  Its order exceeds
     that of the Schur complement entry by the common offset orders[k-1], so
     the pivots are those of elimination over the local ring.
@@ -198,9 +192,9 @@ def _local_echelon(m: PolyMatrix, point: GaussianRational) -> _Echelon:
         lcm = _RF_ONE
         for _, den in pairs:
             if len(den) > 1:
-                lcm = _u_mul(lcm, _exact_quotient(den, _u_gcd_monic(lcm, den)))
+                lcm = _u_mul(lcm, _u_exact_quotient(den, _u_gcd_monic(lcm, den)))
         lcms.append(lcm)
-        scaled.append([num if len(lcm) == 1 else _u_mul(num, _exact_quotient(lcm, den)) for num, den in pairs])
+        scaled.append([num if len(lcm) == 1 else _u_mul(num, _u_exact_quotient(lcm, den)) for num, den in pairs])
 
     n, cols = m.rows, m.cols
     work = [list(row) for row in scaled]
@@ -232,18 +226,8 @@ def _local_echelon(m: PolyMatrix, point: GaussianRational) -> _Echelon:
         orders.append(offset)
         columns.append([(row_of[i], work[i][k]) for i in range(k, n)])
 
-        top = work[k]
-        pivot = top[k]
-        for i in range(k + 1, n):
-            row = work[i]
-            c = row[k]
-            row[k] = []
-            for j in range(k + 1, cols):
-                x = _u_mul(pivot, row[j])
-                if c:
-                    x = _u_sub_mul(x, c, top[j])
-                row[j] = _exact_quotient(x, prev) if k and x else x
-        prev = pivot
+        _u_bareiss_step(work, k, prev)
+        prev = work[k][k]
     return _Echelon(m.variables, lcms, scaled, work[: len(orders)], row_of, col_of, columns, orders)
 
 
@@ -313,7 +297,7 @@ def _kernel_numerators(ech: _Echelon, v: list) -> list:
         acc = _u_mul(det, acc)
         for j in range(k + 1, r):
             acc = _u_sub_mul(acc, row[j], out[j])
-        out[k] = _exact_quotient(acc, row[k]) if acc else acc
+        out[k] = _u_exact_quotient(acc, row[k]) if acc else acc
     return out
 
 

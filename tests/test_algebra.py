@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from similitude import linalg
 from similitude.algebra import (
     AlgebraError,
     GR_I,
@@ -20,13 +21,16 @@ from similitude.algebra import (
     RationalFunction,
     _P,
     _S,
+    _u_add,
     _u_coprime_mod_p,
     _u_deflate,
     _u_derivative,
+    _u_det,
     _u_divmod,
     _u_gcd_monic,
     _u_mul,
     _u_order,
+    _u_trim,
     format_gaussian_rational,
     format_polynomial,
     generic_rank,
@@ -541,6 +545,38 @@ class TestUnivariateToolkit:
             order, rest = _u_order(a, root)
             assert (order, rest) == (k, cofactor)
             assert all(type(c) is field for c in rest)
+
+
+class TestListDeterminant:
+    def test_matches_linalg_det_over_rational_functions(self):
+        # per size 1-7: random matrices with entries of degree <= 3, the same
+        # with a zero leading entry (the pivot search swaps rows and flips the
+        # sign) and a singular one, whose last row combines the others
+        rng = random.Random(53)
+        vs = ("z",)
+
+        def entry():
+            if rng.random() < 0.2:
+                return []
+            return _u_trim([rand_scalar(rng, 3) / g(rng.randint(1, 3)) for _ in range(rng.randint(1, 4))])
+
+        swaps = 0
+        for n in range(1, 8):
+            for _ in range(3):
+                m = [[entry() for _ in range(n)] for _ in range(n)]
+                lead = [[[] if (i, j) == (0, 0) else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+                combined = [[] for _ in range(n)]
+                for row in m[:-1]:
+                    c = entry() or [GR_ONE]
+                    combined = [_u_add(x, _u_mul(c, y)) for x, y in zip(combined, row)]
+                singular = m[:-1] + [combined]
+                for case in (m, lead, singular):
+                    want = linalg.det([[RationalFunction(Poly.from_coefficients(vs, x)) for x in row] for row in case])
+                    assert want.is_polynomial()
+                    assert _u_det(case) == want._num, case
+                assert not _u_det(singular)
+                swaps += bool(_u_det(lead))
+        assert swaps >= 10
 
 
 class TestSubMul:

@@ -8,18 +8,17 @@ import pytest
 import similitude.jordan as jordan
 import similitude.linalg as linalg
 from similitude.algebra import (
+    AlgebraError,
     GR_ONE,
     GR_ZERO,
     GaussianRational,
     Poly,
     PolyMatrix,
     RationalFunction,
-    _u_derivative,
     _u_squarefree,
 )
 from similitude.jordan import (
     JordanError,
-    _resultant,
     char_poly_coeffs,
     gaussian_rational_roots,
     is_jordan_stable,
@@ -146,10 +145,23 @@ class TestRootExtraction:
 
 class TestCharPoly:
     def test_matches_sympy_charpoly(self):
+        # constant families (constant matrices with the variable z), then
+        # families of sizes 1-4 with entries of degree <= 2
         sympy = pytest.importorskip("sympy")
+        z, t = sympy.symbols("z t")
 
         def to_sympy(x):
             return sympy.Rational(str(x.re)) + sympy.I * sympy.Rational(str(x.im))
+
+        def check(a):
+            ours = char_poly_coeffs(a)
+            assert len(ours) == a.rows + 1 and ours[-1] == [GR_ONE]
+            got = sum(to_sympy(c) * z**e * t**k for k, p in enumerate(ours) for e, c in enumerate(p))
+            oracle = sympy.Matrix(
+                [[sum(to_sympy(c) * z**e for e, c in enumerate(p.coefficients())) for p in row]
+                 for row in a.entries]
+            )
+            assert sympy.expand(got - oracle.charpoly(t).as_expr()) == 0, a.to_strings()
 
         rng = random.Random(97)
         for trial in range(24):
@@ -158,12 +170,25 @@ class TestCharPoly:
                 [g(rng.randint(-4, 4), rng.randint(-2, 2)) / rng.randint(1, 3) for _ in range(n)]
                 for _ in range(n)
             ]
-            ours = char_poly_coeffs(PolyMatrix.from_scalars(a0))
-            oracle = sympy.Matrix([[to_sympy(x) for x in row] for row in a0])
-            expected = oracle.charpoly(sympy.Symbol("t")).all_coeffs()
-            got = [sympy.Integer(1)] + [to_sympy(c.constant_value()) for c in ours]
-            assert len(got) == len(expected)
-            assert all(sympy.expand(x - y) == 0 for x, y in zip(got, expected))
+            check(PolyMatrix.from_scalars(a0, ("z",)))
+        for trial in range(24):
+            n = 1 + trial % 4  # 1x1 to 4x4
+            grid = [
+                [
+                    Poly.from_coefficients(
+                        ("z",),
+                        [g(rng.randint(-3, 3), rng.randint(-1, 1)) / rng.randint(1, 2)
+                         for _ in range(rng.randint(0, 3))],
+                    )
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+            check(PolyMatrix(grid))
+
+    def test_requires_a_univariate_family(self):
+        with pytest.raises(AlgebraError, match="univariate"):
+            char_poly_coeffs(PolyMatrix.from_strings([["x", "y"], ["1", "0"]], ["x", "y"]))
 
 
 class TestSegreAt:
@@ -317,12 +342,23 @@ class TestCandidates:
 
 
 def reference_defining(a):
-    """The candidate locus's defining polynomials by the path with no certificate."""
+    """The candidate locus's defining polynomials by the path with no certificate.
+
+    The discriminant is the Sylvester determinant over Poly, by `linalg.det`,
+    which the locus itself does not use.
+    """
     vs = a.variables
-    one = Poly.constant(vs, GR_ONE)
-    char = [RationalFunction(c) for c in reversed(char_poly_coeffs(a))] + [RationalFunction(one)]
+    char = [RationalFunction(Poly.from_coefficients(vs, c)) for c in char_poly_coeffs(a)]
     part = [c.as_poly() for c in _u_squarefree(char)]
-    disc = _resultant(part, _u_derivative(part))
+    deriv = [part[k] * k for k in range(1, len(part))]
+    m, n = len(part) - 1, len(deriv) - 1
+    rows = []
+    for count, coeffs in ((n, part), (m, deriv)):
+        for i in range(count):
+            row = [Poly.zero(vs)] * (m + n)
+            row[i : i + len(coeffs)] = coeffs[::-1]
+            rows.append(row)
+    disc = linalg.det(rows)
     out = [disc] if disc.total_degree() > 0 else []
     factors = invariant_factors(sylvester_matrix(a, a))
     if factors and factors[-1].total_degree() > 0:
@@ -414,6 +450,48 @@ class TestCertifiedLocus:
         )
         jordan_instability_candidates(PolyMatrix.from_strings(grid, ["z"]))
         assert len(runs) == smith_runs
+
+    @pytest.mark.parametrize(
+        "grid, squarefree",
+        [
+            ([["z", "1"], ["0", "0"]], True),  # the cyclic-vector certificate holds
+            ([["z", "-2*z"], ["0", "-z"]], True),  # the Smith form runs
+            ([["1", "z"], ["0", "1"]], False),  # eigenvalue function 1, twice
+            ([["z", "1", "0"], ["0", "z", "0"], ["1", "z", "z^2"]], False),  # z, twice
+        ],
+    )
+    def test_builds_rational_functions_only_in_the_squarefree_step(self, monkeypatch, grid, squarefree):
+        # both constructors: the public one and _raw, which takes lists
+        # already in normal form
+        calls, after_squarefree = [], []
+        original = RationalFunction.__init__
+        original_raw = RationalFunction._raw.__func__
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            original(self, *args, **kwargs)
+
+        def counting_raw(cls, *args):
+            calls.append(1)
+            return original_raw(cls, *args)
+
+        def squarefree_part(a):
+            # root extraction takes squarefree parts over Q(i) too
+            part = _u_squarefree(a)
+            if isinstance(a[0], RationalFunction):
+                after_squarefree.append(len(calls))
+            return part
+
+        a = PolyMatrix.from_strings(grid, ["z"])
+        monkeypatch.setattr(RationalFunction, "__init__", counting)
+        monkeypatch.setattr(RationalFunction, "_raw", classmethod(counting_raw))
+        monkeypatch.setattr(jordan, "_u_squarefree", squarefree_part)
+        jordan_instability_candidates(a)
+        if squarefree:
+            assert not calls and not after_squarefree
+        else:
+            # the lift of char to Q(i)(z) and its squarefree part, nothing after
+            assert after_squarefree == [len(calls)] and calls
 
 
 class TestBranchingLocusAgainstSympy:

@@ -330,6 +330,19 @@ class TestBackSubstitutionThroughF:
         z = Poly.variable(vs, "z")
         points = [g(0), g(1), g(-1), g(0, 1)]
         out = []
+
+        def jump(grid, c, xi, local):
+            # the last row (the last column, when there are more rows than
+            # columns) becomes c times the first plus local times itself,
+            # which agrees with c times the first at xi: the rank drops there
+            if len(grid) <= len(grid[0]):
+                grid = grid[:-1] + [[x * c + y * local for x, y in zip(grid[0], grid[-1])]]
+            else:
+                grid = [row[:-1] + [row[0] * c + row[-1] * local] for row in grid]
+            m = PolyMatrix(grid)
+            assert any(local_smith(m, xi).exponents), m.to_strings()
+            return m, xi
+
         for _ in range(4):
             # square: a conjugate pair's intertwiner matrix
             a = PolyMatrix([[rand_poly(rng, 1) for _ in range(2)] for _ in range(2)])
@@ -346,11 +359,7 @@ class TestBackSubstitutionThroughF:
             xi = rng.choice(points)
             grid = [[rand_poly(rng, 1) for _ in range(cols)] for _ in range(rows)]
             out.append((PolyMatrix(grid), xi))
-            # the last row agrees with a multiple of the first at xi: a jump
-            local = z - Poly.constant(vs, xi)
-            grid = [list(row) for row in grid]
-            grid[-1] = [x * g(rng.randint(1, 2)) + y * local for x, y in zip(grid[0], grid[-1])]
-            out.append((PolyMatrix(grid), xi))
+            out.append(jump(grid, g(rng.randint(1, 2)), xi, z - Poly.constant(vs, xi)))
         # rational entries with poles off xi: each row is scaled by the lcm of
         # its denominators, a unit at xi
         dens = [Poly.parse(d, ["z"]) for d in ("1", "z+3", "z^2+5", "2*z-7")]
@@ -361,10 +370,7 @@ class TestBackSubstitutionThroughF:
                 for _ in range(rows)
             ]
             out.append((PolyMatrix(grid), xi))
-            # the last row is c times the first at xi: a jump
-            c, local = g(rng.randint(1, 2)), RationalFunction(z - Poly.constant(vs, xi))
-            grid[-1] = [x * c + y * local for x, y in zip(grid[0], grid[-1])]
-            out.append((PolyMatrix(grid), xi))
+            out.append(jump(grid, g(rng.randint(1, 2)), xi, RationalFunction(z - Poly.constant(vs, xi))))
         # the golden pairs: a jump that a kernel vector survives, and one it does not
         jump_a = PolyMatrix.from_strings([["0", "z"], ["0", "0"]], ["z"])
         jump_b = PolyMatrix.from_strings([["0", "z^2"], ["0", "0"]], ["z"])
