@@ -130,6 +130,8 @@ def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]]
                 mult, work = _u_order(work, c)
                 roots.append((c, mult))
                 break
+            if bound >= clear:  # a part that moves past here has a denominator above D^2
+                break
     roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
     cofactor = Poly.from_coefficients(p.variables, work)
     return roots, cofactor

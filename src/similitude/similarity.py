@@ -7,8 +7,9 @@ sampling of the intertwiner kernel.
 
 wasow_check operationalizes the constancy criterion: the kernel dimension of
 the intertwiner representation matrix is constant near a point exactly when
-all its local Smith exponents there vanish.  For polynomial families these are
-the valuations at the point of its invariant factors over Q(i)[z].
+all its local Smith exponents there vanish.  They come from the local echelon
+behind local_smith (smith._local_echelon), not from a global Smith form, and
+the rank at the point over Q(i) cross-checks them.
 
 local_similarity builds the holomorphic solution H of A H = H B with
 H(point) = Phi by projecting vec(Phi) through the kernel-bundle idempotent.
@@ -32,7 +33,7 @@ from .algebra import (
     PolyMatrix,
     SimilitudeError,
 )
-from .smith import SmithError, _order_at, holomorphic_kernel_section, invariant_factors
+from .smith import SmithError, _local_echelon, holomorphic_kernel_section, invariant_factors
 from .sylvester import ConstMatrix, _shape, _sylvester_entries, intertwiner_dim_at, sylvester_matrix, unvec, vec
 
 WITNESS_RETRIES = 32
@@ -136,15 +137,19 @@ def _witness_search(a0: ConstMatrix, b0: ConstMatrix, seed: int):
 
 
 def wasow_check(a: PolyMatrix, b: PolyMatrix, point: GaussianRational) -> WasowReport:
-    """Constancy report for the intertwiner-kernel dimension near a point."""
+    """Constancy report for the intertwiner-kernel dimension near a point.
+
+    Entries of A and B must lie in the local ring at the point (polynomials,
+    or rational functions with no pole there); a pole raises SmithError.
+    """
     if len(a.variables) != 1:
         raise SimilarityError("wasow_check requires univariate families")
     n2 = a.rows * a.rows
+    exponents = _local_echelon(sylvester_matrix(a, b), point).exponents()
     dim_at = intertwiner_dim_at(a, b, point)
-    exponents = tuple(_order_at(s, point)[0] for s in invariant_factors(sylvester_matrix(a, b)))
-    # M = U diag(s) V with U, V unimodular, so rank M(point) counts the s_i(point) != 0
+    # M = E diag((z-point)^k) F, E and F invertible at the point: rank M(point) counts k = 0
     if dim_at != n2 - exponents.count(0):
-        raise AssertionError("rank at the point disagrees with the invariant factors")
+        raise AssertionError("rank at the point disagrees with the local Smith exponents")
     return WasowReport(
         point=point,
         dim_at_point=dim_at,

@@ -8,9 +8,10 @@ of the gcds of k x k minors, which tests verify independently.  It works at xi
 itself, with no change of variables: the order of an entry of the echelon
 below, and its unit part, come from repeated synthetic division by (z - xi).
 
-All three local functions run on one fraction-free echelon (`_local_echelon`):
-Bareiss's elimination over Q(i)[z] of diag(L)·M, where L_i is the lcm of row
-i's denominators (a unit at xi), pivoting on an entry of least order at xi.
+Every question at one point, the Wasow test's exponents included, runs on
+one fraction-free echelon (`_local_echelon`): Bareiss's elimination over
+Q(i)[z] of diag(L)·M, where L_i is the lcm of row i's denominators (a unit at
+xi), pivoting on an entry of least order at xi.
 Its entries are minors, so every division in it is exact, and the Schur
 complement S_k of step k is the Bareiss matrix over the previous pivot.
 local_smith reads E's column k as S_k[:, k] / (z-xi)^k_k (row i divided by
@@ -26,10 +27,10 @@ the end.  Neither it nor kernel_projection, which builds P one column
 P * e_c at a time, builds E or F.
 
 invariant_factors is the global Smith form over Q(i)[x] (Euclidean pivoting
-to a diagonal, then gcd/lcm pairs for the divisibility chain); it serves the
-pointwise similarity test, rank-drop loci and the Wasow test, whose local
-exponents at xi are the (x-xi)-adic valuations of the invariant factors (the
-Smith form localizes).
+to a diagonal, then gcd/lcm pairs for the divisibility chain).  It serves only
+global answers: pointwise similarity, exact Jordan profiles and the commutant
+jump locus.  Its valuations at xi are the local exponents (the Smith form
+localizes), the tests' independent oracle for the echelon.
 """
 
 from __future__ import annotations
@@ -105,15 +106,6 @@ class KernelProjection:
 
     def constant_kernel_dimension(self) -> bool:
         return all(k == 0 for k in self.exponents)
-
-
-def _order_at(p: Poly, pt: GaussianRational) -> tuple[int, list] | None:
-    """Vanishing order k of a univariate p at pt and the coefficients of p / (z-pt)^k.
-
-    None for the zero polynomial.  A rational function in the local ring at pt
-    has its numerator's order.
-    """
-    return _u_order(p.coefficients(), pt) if p else None
 
 
 @dataclass(frozen=True)

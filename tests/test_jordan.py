@@ -94,6 +94,25 @@ class TestRootExtraction:
         assert roots == []
         assert cofactor.total_degree() == 2
 
+    def test_snap_bounds_stop_at_d_squared(self, monkeypatch):
+        # once a bound reaches D^2 (here 1 and 9) a failed snap is final: a
+        # part that moves at a larger bound has a denominator above D^2
+        calls = []
+        original = Fraction.limit_denominator
+
+        def counting(self, *args):
+            calls.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(Fraction, "limit_denominator", counting)
+        cases = (("t^2-2", [], 4), ("t^3-1/3*t^2-2*t+2/3", [("1/3", 1)], 12))
+        for text, roots_wanted, calls_wanted in cases:
+            calls.clear()
+            roots, cofactor = gaussian_rational_roots(Poly.parse(text, ["t"]))
+            assert [(str(r), m) for r, m in roots] == roots_wanted
+            assert cofactor == Poly.parse("t^2-2", ["t"])
+            assert len(calls) == calls_wanted
+
     def test_roots_with_large_denominators(self):
         # products of linear factors whose roots have denominators up to 10^6,
         # times a cofactor with no root in Q(i): the denominator filter on the

@@ -1,6 +1,7 @@
 """tools/paired_time.py: two source trees side by side, timed per operation kind."""
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -41,3 +42,33 @@ def test_src_against_itself_on_three_ops():
 
     _, differing = paired_time.paired_times(old, ExitsOneMore, ops, rounds=1)
     assert differing == [op.op_id for op in ops]
+
+
+def test_warm_up_runs_on_both_trees_before_the_first_timed_op(monkeypatch, capsys):
+    # the trees share sys.modules, so a lazy import paid inside a timed op
+    # would fall on one side only
+    src = str(ROOT / "src")
+    import_tree = paired_time.import_tree
+    calls = []
+
+    class Recording:
+        def __init__(self, name):
+            self.name = name
+            self.cli = import_tree(src, f"{name}_warm")
+
+        def run(self, argv):
+            calls.append((self.name, [os.path.basename(a) if a.startswith("/") else a for a in argv]))
+            return self.cli.run(argv)
+
+    ops = paired_time.gen.generate("jordan-locus", 301)[:2]
+    monkeypatch.setattr(paired_time, "import_tree", lambda src_dir, name: Recording(name))
+    monkeypatch.setattr(paired_time.gen, "generate", lambda workload, seed: ops)
+    assert paired_time.main([src, src, "--workload", "jordan-locus", "--seed", "301"]) == 0
+    warm = [
+        (name, [a.lstrip("@") for a in op.argv])
+        for op in paired_time.gen.warmup("jordan-locus")
+        for name in ("similitude_old", "similitude_new")
+    ]
+    assert calls[: len(warm)] == warm
+    assert len(calls) == len(warm) + 2 * len(ops)
+    assert "reports identical: yes (2 of 2 ops)" in capsys.readouterr().out

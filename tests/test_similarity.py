@@ -12,6 +12,7 @@ from similitude.algebra import (
     Poly,
     PolyMatrix,
     RationalFunction,
+    _u_order,
 )
 from similitude.similarity import (
     ConstructionError,
@@ -20,7 +21,7 @@ from similitude.similarity import (
     pointwise_similar,
     wasow_check,
 )
-from similitude.smith import local_smith
+from similitude.smith import SmithError, invariant_factors, local_smith, minor_gcd_valuation
 from similitude.sylvester import SylvesterError, sylvester_matrix
 
 g = GaussianRational
@@ -148,13 +149,16 @@ class TestWasowCheck:
                 report.dim_at_point == report.dim_generic
             )
 
-    def test_exponents_match_local_smith(self):
-        # wasow_check reads them from the invariant factors, local_smith from a
-        # factorization at the point; on even cases A(pt) is scalar, so the
-        # commutant dimension jumps there
+    def test_exponents_match_invariant_factors_and_minor_gcds(self):
+        # wasow_check reads the exponents from the local echelon; the
+        # valuations at the point of the global invariant factors, and the
+        # minor-gcd valuations for their prefix sums, are independent of it.
+        # On even cases A(pt) = B(pt) is scalar, so M(pt) = 0 and the
+        # commutant dimension jumps there.  The last family is 3I + (z-pt)^2 N,
+        # whose M is (z-pt)^2 times a constant matrix: every exponent is 2
         rng = random.Random(97)
         z = Poly.variable(("z",), "z")
-        jumps = 0
+        families = []
         for case in range(12):
             pt = g(rng.choice([0, 1, -1]), rng.choice([0, 1]))
             c = g(rng.randint(-2, 2))
@@ -170,10 +174,35 @@ class TestWasowCheck:
                 ]
             )
             b = a if rng.random() < 0.5 else PolyMatrix([list(col) for col in zip(*a.entries)])
+            families.append((a, b, pt))
+        pt = g(1, -1)
+        square = (z - pt) ** 2
+        three = Poly.constant(("z",), g(3))
+        a = PolyMatrix([[three + square, square * g(2)], [square * g(-1), three]])
+        families.append((a, a, pt))
+        jumps = 0
+        for a, b, pt in families:
+            m = sylvester_matrix(a, b)
             report = wasow_check(a, b, pt)
-            assert report.smith_exponents == local_smith(sylvester_matrix(a, b), pt).exponents
+            valuations = tuple(_u_order(s.coefficients(), pt)[0] for s in invariant_factors(m))
+            assert report.smith_exponents == valuations, (a.to_strings(), b.to_strings(), str(pt))
+            assert report.dim_generic == 4 - len(valuations)
+            for j in range(len(valuations) + 1):
+                assert sum(valuations[:j]) == minor_gcd_valuation(m, pt, j)
             jumps += not report.constant_near_point
         assert jumps >= 4
+        assert report.smith_exponents == (2, 2)
+
+    def test_rational_function_entries_in_the_local_ring(self):
+        # dividing A and B by the unit z - 1 of the local ring at 0 scales M
+        # by it, which moves no exponent and no rank; at 1 it is a pole
+        one = Poly.constant(("z",), GR_ONE)
+        unit = Poly.variable(("z",), "z") - one
+        jump = PolyMatrix.from_strings([["0", "z"], ["0", "0"]], ["z"])
+        scaled = PolyMatrix([[RationalFunction(p, unit) for p in row] for row in jump.entries])
+        assert wasow_check(scaled, scaled, GR_ZERO) == wasow_check(jump, jump, GR_ZERO)
+        with pytest.raises(SmithError, match="local ring"):
+            wasow_check(scaled, scaled, GR_ONE)
 
     def test_builds_no_rational_function(self, monkeypatch):
         # both constructors: the public one and _raw, which takes lists

@@ -5,10 +5,14 @@
 Both trees are imported side by side under distinct package names, which
 works because the package uses only relative imports.  The inputs of the
 workload's operations (from `perfbench/gen.py`, imported, never modified)
-are written once.  Each round runs every operation on both sides; the side
-that goes first alternates from one operation to the next and from one round
-to the next, so a drift in the host's speed falls on both sides alike.  Each
-call is timed by the process's CPU time.
+are written once.  Before the first round both trees run the workload's
+warm-up calls (`gen.warmup`), untimed, as `perfbench/run.py` does at set-up:
+the trees share `sys.modules`, so a one-time cost such as a lazy import of
+numpy would otherwise fall on whichever side runs the first operation that
+needs it.  Each round runs every operation on both sides; the side that goes
+first alternates from one operation to the next and from one round to the
+next, so a drift in the host's speed falls on both sides alike.  Each call is
+timed by the process's CPU time.
 
 Output: one line per operation kind with its count, each side's total CPU
 seconds over all rounds and their ratio old/new (above 1: the new tree is
@@ -44,6 +48,16 @@ def import_tree(src_dir: str, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return importlib.import_module(f"{name}.cli")
+
+
+def warm_up(clis, workload: str) -> None:
+    """Run the workload's warm-up operations on every tree in clis, untimed."""
+    warm = gen.warmup(workload)
+    with tempfile.TemporaryDirectory() as workdir:
+        gen.write_inputs(warm, workdir)
+        for op in warm:
+            for cli in clis:
+                report_parity.run_op(cli, op, workdir)
 
 
 def paired_times(old_cli, new_cli, ops, rounds: int) -> tuple[dict, list[int]]:
@@ -96,6 +110,7 @@ def main(argv=None) -> int:
         parser.error("--rounds must be at least 1")
     old_cli = import_tree(args.old, "similitude_old")
     new_cli = import_tree(args.new, "similitude_new")
+    warm_up((old_cli, new_cli), args.workload)
     ops = gen.generate(args.workload, args.seed)
     totals, differing = paired_times(old_cli, new_cli, ops, args.rounds)
     for line in format_table(totals):
