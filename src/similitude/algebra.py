@@ -890,13 +890,12 @@ def _u_bareiss_step(work: list, k: int, prev: list) -> None:
     With the pivot p = work[k][k] and prev the pivot of step k - 1 (unused at
     k = 0), each entry below and right of p becomes
     (p·B[i][j] - B[i][k]·B[k][j]) / prev, a minor of the input, so the
-    division is exact; the entries under p are cleared.
+    division is exact; the entries B[i][k] under p are left in place.
     """
     top = work[k]
     pivot = top[k]
     for row in work[k + 1 :]:
         c = row[k]
-        row[k] = []
         for j in range(k + 1, len(top)):
             x = _u_mul(pivot, row[j])
             if c:
@@ -1032,6 +1031,10 @@ def poly_divmod_univariate(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 # Rational functions
 
 
+# the denominator of every polynomial; a stored list is never mutated
+_RF_ONE = [GR_ONE]
+
+
 def _cancel(num: list, den: list) -> tuple[list, list]:
     """(num/g, den/g) for g the monic gcd of coefficient lists num != [] and den."""
     if len(num) > 1 and len(den) > 1:
@@ -1050,8 +1053,9 @@ def _monic(num: list, den: list) -> tuple[list, list]:
     return [c * inv for c in num], [c * inv for c in den]
 
 
-# the denominator of every polynomial; a stored list is never mutated
-_RF_ONE = [GR_ONE]
+def _normal_form(num: list, den: list) -> tuple[list, list]:
+    """num/den in RationalFunction's normal form: coprime, den monic, zero as [] over [1]."""
+    return _monic(*_cancel(num, den)) if num else ([], _RF_ONE)
 
 
 class RationalFunction:
@@ -1077,11 +1081,7 @@ class RationalFunction:
         if not denominator:
             raise AlgebraError("zero denominator")
         self.variables = numerator.variables
-        num = numerator.coefficients()
-        if not num:
-            self._num, self._den = num, _RF_ONE
-        else:
-            self._num, self._den = _monic(*_cancel(num, denominator.coefficients()))
+        self._num, self._den = _normal_form(numerator.coefficients(), denominator.coefficients())
 
     @classmethod
     def _raw(cls, variables: tuple, num: list, den: list) -> "RationalFunction":
@@ -1229,11 +1229,6 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return len(self._den) == 1
 
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial():
-            raise AlgebraError("rational function has a nontrivial denominator")
-        return self.numerator
-
     # -- evaluation ------------------------------------------------------------
 
     def defined_at(self, point: Sequence[GaussianRational]) -> bool:
@@ -1265,8 +1260,8 @@ class PolyMatrix:
 
     The arithmetic is generic over the entries, Poly or RationalFunction; a
     sum or product with a RationalFunction operand has RationalFunction
-    entries.  identity, zeros and from_scalars give Poly entries, and
-    to_func lifts them.
+    entries.  identity and from_scalars give Poly entries, and to_func
+    lifts them.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -1301,10 +1296,6 @@ class PolyMatrix:
     def identity(n: int, variables: Sequence[str]) -> "PolyMatrix":
         one, zero = Poly.constant(variables, GR_ONE), Poly.zero(variables)
         return PolyMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(rows: int, cols: int, variables: Sequence[str]) -> "PolyMatrix":
-        return PolyMatrix([[Poly.zero(variables)] * cols for _ in range(rows)])
 
     @staticmethod
     def from_scalars(grid: Sequence[Sequence[GaussianRational]], variables: Sequence[str] = ()) -> "PolyMatrix":

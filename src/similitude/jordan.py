@@ -1,13 +1,14 @@
 """Jordan structure of matrix families: profiles, stability loci, normalization.
 
 segre_at recovers the per-eigenvalue Jordan block multisets of A(point).
-Exact mode reads them from the elementary divisors: with s_1 | ... | s_n the
-invariant factors of tI - A(point), the blocks of an eigenvalue lambda are its
-nonzero orders in the s_j (Gantmacher, The Theory of Matrices, vol. 1,
-ch. VI), and s_n must split over Q(i).  Numeric mode clusters floating
-eigenvalues within a tolerance, reports cluster radii, and counts blocks from
-the rank sequence of powers: with r_k = rank (A - lambda I)^k and r_0 = n, the
-number of blocks of size k is r_{k-1} - 2 r_k + r_{k+1}.
+Exact mode reads them from local data of the pencil tI - A(point): its
+determinant char(A(point)) must split over Q(i), and the blocks of an
+eigenvalue lambda are the nonzero local Smith exponents of the pencil at
+lambda (smith._local_echelon), lambda's orders in the invariant factors
+(Gantmacher, The Theory of Matrices, vol. 1, ch. VI).  Numeric mode clusters
+floating eigenvalues within a tolerance, reports cluster radii, and counts
+blocks from the rank sequence of powers: with r_k = rank (A - lambda I)^k
+and r_0 = n, the number of blocks of size k is r_{k-1} - 2 r_k + r_{k+1}.
 
 jordan_instability_candidates returns a finite superset of the points where a
 univariate family can fail to be Jordan stable: (a) the roots of the
@@ -72,7 +73,7 @@ from .algebra import (
     rat,
 )
 from .similarity import characteristic_pencil, local_similarity, pointwise_similar
-from .smith import invariant_factors
+from .smith import _local_echelon, invariant_factors
 from .sylvester import ConstMatrix, sylvester_matrix, unvec
 
 DEFAULT_TOLERANCE = 1e-9
@@ -227,7 +228,15 @@ def segre_at(
     mode: str = "exact",
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> JordanProfile:
-    """Jordan profile of A(point) (or of a constant matrix when point is None)."""
+    """Jordan profile of A(point) (or of a constant matrix when point is None).
+
+    Exact mode takes char = det(tI - A(point)) as a fraction-free determinant
+    (algebra._u_det) and its Q(i) roots with their multiplicities; it raises
+    JordanError when char does not split over Q(i).  An eigenvalue's block
+    sizes are the nonzero exponents of the local echelon of tI - A(point)
+    there, and they must add up to its multiplicity.  Numeric mode needs no
+    splitting.
+    """
     _check_settings(tolerance)
     if isinstance(a, PolyMatrix):
         if point is None:
@@ -244,24 +253,23 @@ def segre_at(
 
 
 def _segre_exact(a0: ConstMatrix, n: int) -> JordanProfile:
-    # the elementary divisors: an eigenvalue's block sizes are its orders in
-    # the invariant factors s_1 | ... | s_n of tI - A0, and s_n has every root
-    factors = invariant_factors(characteristic_pencil(a0))
-    roots, cofactor = gaussian_rational_roots(factors[-1])
+    pencil = characteristic_pencil(a0)
+    char = _u_det([[p.coefficients() for p in row] for row in pencil.entries])
+    roots, cofactor = gaussian_rational_roots(Poly.from_coefficients(pencil.variables, char))
     if cofactor.total_degree() > 0:
         raise JordanError("characteristic polynomial does not split over Q(i)")
     out = []
-    for value, _ in roots:
-        sizes = [k for k in (_u_order(s.coefficients(), value)[0] for s in factors) if k]
+    for value, multiplicity in roots:
+        sizes = [k for k in _local_echelon(pencil, value).exponents() if k]
+        if sum(sizes) != multiplicity:
+            raise AssertionError(f"the Jordan blocks of {value} do not add up to its multiplicity")
         out.append(
             EigenvalueBlocks(
                 value=value,
-                multiplicity=sum(sizes),
+                multiplicity=multiplicity,
                 blocks=tuple(sorted(Counter(sizes).items())),
             )
         )
-    if sum(ev.multiplicity for ev in out) != n:
-        raise AssertionError("multiplicities do not add up to the matrix size")
     return JordanProfile(size=n, eigenvalues=tuple(out), mode="exact")
 
 
@@ -496,16 +504,7 @@ def is_jordan_stable(
     undetermined (a finite probe cannot quantify over a neighborhood).
     """
     _check_settings(tolerance, probes)
-    return _stability_verdict(a, point, jordan_instability_candidates(a), probes, tolerance)
-
-
-def _stability_verdict(
-    a: PolyMatrix,
-    point: GaussianRational,
-    cands: InstabilityCandidates,
-    probes: int,
-    tolerance: float,
-) -> StabilityVerdict:
+    cands = jordan_instability_candidates(a)
     if not cands.contains(point):
         return StabilityVerdict(
             point=point,

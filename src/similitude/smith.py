@@ -8,16 +8,18 @@ of the gcds of k x k minors, which tests verify independently.  It works at xi
 itself, with no change of variables: the order of an entry of the echelon
 below, and its unit part, come from repeated synthetic division by (z - xi).
 
-Every question at one point, the Wasow test's exponents included, runs on
+Every question at one point, the Wasow test's exponents and the Jordan
+blocks of A(xi) (jordan.segre_at, on the pencil tI - A(xi)) included, runs on
 one fraction-free echelon (`_local_echelon`): Bareiss's elimination over
 Q(i)[z] of diag(L)·M, where L_i is the lcm of row i's denominators (a unit at
 xi), pivoting on an entry of least order at xi.
 Its entries are minors, so every division in it is exact, and the Schur
 complement S_k of step k is the Bareiss matrix over the previous pivot.
 local_smith reads E's column k as S_k[:, k] / (z-xi)^k_k (row i divided by
-L_i again) and F's row k as S_k[k, :] / S_k[k][k], and normalises each entry
-once, at the end.  The holomorphic idempotent P = F^-1 * diag(0, I) * F has
-an image that agrees with ker M(z) away from xi and is contained in it at
+L_i again) and F's row k as S_k[k, :] / S_k[k][k], both from the one Bareiss
+matrix, and puts each entry once in RationalFunction's normal form
+(algebra._normal_form).  The holomorphic idempotent P = F^-1 * diag(0, I) * F
+has an image that agrees with ker M(z) away from xi and is contained in it at
 xi; when all exponents vanish the agreement includes xi and
 holomorphic_kernel_section extends any kernel vector at xi to an exact
 polynomial-family kernel section.  P * v solves the echelon's first r rows
@@ -28,9 +30,9 @@ P * e_c at a time, builds E or F.
 
 invariant_factors is the global Smith form over Q(i)[x] (Euclidean pivoting
 to a diagonal, then gcd/lcm pairs for the divisibility chain).  It serves only
-global answers: pointwise similarity, exact Jordan profiles and the commutant
-jump locus.  Its valuations at xi are the local exponents (the Smith form
-localizes), the tests' independent oracle for the echelon.
+pointwise similarity and the commutant jump locus.  Its valuations at xi are
+the local exponents (the Smith form localizes), the tests' independent oracle
+for the echelon.
 """
 
 from __future__ import annotations
@@ -49,8 +51,7 @@ from .algebra import (
     RationalFunction,
     SimilitudeError,
     _RF_ONE,
-    _cancel,
-    _monic,
+    _normal_form,
     _u_bareiss_step,
     _u_deflate,
     _u_divmod,
@@ -113,11 +114,12 @@ class _Echelon:
     """Fraction-free local echelon of a univariate matrix at `point`.
 
     `scaled` is diag(L)·M as coefficient lists, L_i the monic lcm of row i's
-    denominators (a unit at the point, [1] for a polynomial row).  Bareiss's
-    elimination of it with local pivoting leaves row k of `rows` (positions
-    k.. in the final column order `col_of`) as the Bareiss row B_k[k, :], and
-    `columns[k]` keeps B_k[i][k] for the positions i >= k at step k, with the
-    original row of each.  B_k = p_{k-1}·S_k for the Schur complement S_k and
+    denominators (a unit at the point, [1] for a polynomial row).  `rows` is
+    the Bareiss matrix of its elimination with local pivoting, row i holding
+    original row row_of[i] in the final column order `col_of`.  For k below
+    the rank, row k at positions k.. is the Bareiss row B_k[k, :], and column
+    k at rows k.. is B_k[:, k]: later steps swap only whole rows below k and
+    never write column k.  B_k = p_{k-1}·S_k for the Schur complement S_k and
     the previous pivot p_{k-1}, so `orders[k]`, the order of the pivot p_k at
     the point, exceeds the order of S_k[k][k] by orders[k-1].
     """
@@ -128,7 +130,6 @@ class _Echelon:
     rows: list
     row_of: list
     col_of: list
-    columns: list
     orders: list
 
     @property
@@ -138,7 +139,8 @@ class _Echelon:
     @property
     def det(self) -> list:
         """The last pivot p_{r-1}, the leading r x r minor of the permuted diag(L)·M."""
-        return self.rows[-1][len(self.rows) - 1] if self.rows else _RF_ONE
+        r = self.rank
+        return self.rows[r - 1][r - 1] if r else _RF_ONE
 
     def exponents(self) -> tuple[int, ...]:
         """kappa_k = ord S_k[k][k] = orders[k] - orders[k-1], nondecreasing."""
@@ -155,13 +157,6 @@ def _deflate_exactly(p: list, point: GaussianRational, times: int) -> list:
         if remainder:
             raise AssertionError("fraction-free elimination: a Schur column fell below the pivot's order")
     return p
-
-
-def _fraction(vs: tuple, num: list, den: list) -> RationalFunction:
-    """num/den in normal form: one cancellation and one monic scaling."""
-    if not num:
-        return RationalFunction._raw(vs, [], _RF_ONE)
-    return RationalFunction._raw(vs, *_monic(*_cancel(num, den)))
 
 
 def _local_echelon(m: PolyMatrix, point: GaussianRational) -> _Echelon:
@@ -191,7 +186,7 @@ def _local_echelon(m: PolyMatrix, point: GaussianRational) -> _Echelon:
     n, cols = m.rows, m.cols
     work = [list(row) for row in scaled]
     row_of, col_of = list(range(n)), list(range(cols))
-    columns, orders = [], []
+    orders = []
     prev, offset = _RF_ONE, 0  # the previous pivot and its order
     for k in range(min(n, cols)):
         best = None
@@ -216,11 +211,10 @@ def _local_echelon(m: PolyMatrix, point: GaussianRational) -> _Echelon:
                 row[k], row[pj] = row[pj], row[k]
             col_of[k], col_of[pj] = col_of[pj], col_of[k]
         orders.append(offset)
-        columns.append([(row_of[i], work[i][k]) for i in range(k, n)])
 
         _u_bareiss_step(work, k, prev)
         prev = work[k][k]
-    return _Echelon(m.variables, lcms, scaled, work[: len(orders)], row_of, col_of, columns, orders)
+    return _Echelon(m.variables, lcms, scaled, work, row_of, col_of, orders)
 
 
 def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
@@ -229,8 +223,8 @@ def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
     Accepts polynomial entries or rational-function entries from the local
     ring at the point (denominators nonvanishing there).  From the echelon of
     `_local_echelon`, E's column k is the Schur column S_k[:, k] / (z-xi)^k_k
-    and F's row k is S_k[k, :] / S_k[k][k], both read from the Bareiss rows
-    (S_k = B_k / p_{k-1}) and each entry normalised once; E's row i is
+    and F's row k is S_k[k, :] / S_k[k][k], both read from the one Bareiss
+    matrix (S_k = B_k / p_{k-1}) and each entry normalised once; E's row i is
     divided by the row's denominator lcm L_i again.  Past the rank, E's
     columns and F's rows are unit vectors of the final permutations.
     """
@@ -243,15 +237,17 @@ def local_smith(m: PolyMatrix, point: GaussianRational) -> SmithFactorization:
     f = [[zero] * cols for _ in range(cols)]
     below = _RF_ONE  # the unit part of the previous pivot
     for k in range(r):
-        # E[row][k] = B_k[i][k] / ((z - xi)^orders[k] · below · L_row)
-        for row, p in ech.columns[k]:
+        # E[row][k] = B_k[i][k] / ((z - xi)^orders[k] · below · L_row), row = row_of[i]
+        for i in range(k, n):
+            p = ech.rows[i][k]
             if p:
+                row = ech.row_of[i]
                 num = _deflate_exactly(p, point, ech.orders[k])
-                e[row][k] = _fraction(vs, num, _u_mul(below, ech.lcms[row]))
+                e[row][k] = RationalFunction._raw(vs, *_normal_form(num, _u_mul(below, ech.lcms[row])))
         top = ech.rows[k]
         f[k][ech.col_of[k]] = one
         for j in range(k + 1, cols):
-            f[k][ech.col_of[j]] = _fraction(vs, top[j], top[k])
+            f[k][ech.col_of[j]] = RationalFunction._raw(vs, *_normal_form(top[j], top[k]))
         below = _deflate_exactly(top[k], point, ech.orders[k])
     for k in range(r, n):
         e[ech.row_of[k]][k] = one
@@ -298,7 +294,7 @@ def _kernel_vector(ech: _Echelon, v: list) -> list[RationalFunction]:
     vs, r = ech.variables, ech.rank
     h = [None] * len(ech.col_of)
     for k, num in enumerate(_kernel_numerators(ech, v)):
-        h[ech.col_of[k]] = _fraction(vs, num, ech.det)
+        h[ech.col_of[k]] = RationalFunction._raw(vs, *_normal_form(num, ech.det))
     for k in range(r, len(ech.col_of)):
         x = v[ech.col_of[k]]
         h[ech.col_of[k]] = RationalFunction._raw(vs, [x] if x else [], _RF_ONE)

@@ -22,11 +22,11 @@ from .algebra import (
     GaussianRational,
     GR_ONE,
     GR_ZERO,
-    Poly,
     PolyMatrix,
     RationalFunction,
     SimilitudeError,
     _u_derivative,
+    _u_det,
     _u_divmod,
     _u_gcd_monic,
     _u_trim,
@@ -152,13 +152,12 @@ def _ray_blocked(theta: ConstMatrix, mu: GaussianRational) -> bool:
     sign changes along its Sturm chain from s = 0 to s = inf; g(0) != 0
     because p(0) = det Theta.
     """
-    vs = ("s",)
-    ray = Poly.monomial(vs, (1,), mu)
+    # Theta + s mu I as Q(i)[s] coefficient lists
     grid = [
-        [Poly.constant(vs, x) + (ray if i == j else 0) for j, x in enumerate(row)]
+        [[x, mu] if i == j else [x] if x else [] for j, x in enumerate(row)]
         for i, row in enumerate(theta)
     ]
-    p = linalg.det(grid).coefficients()
+    p = _u_det(grid)
     g = _u_gcd_monic(
         _u_trim([GaussianRational(c.re) for c in p]), _u_trim([GaussianRational(c.im) for c in p])
     )

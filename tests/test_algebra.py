@@ -850,15 +850,15 @@ class TestGrammar:
 class TestMatrixShapes:
     def test_sum_and_difference_need_equal_shapes(self):
         square = PolyMatrix.identity(2, ("z",))
-        wide = PolyMatrix.zeros(2, 3, ("z",))
+        wide = PolyMatrix.from_strings([["0", "0", "0"]] * 2, ["z"])
         for op in (lambda x, y: x + y, lambda x, y: x - y):
             with pytest.raises(AlgebraError, match="matrix shapes differ"):
                 op(square, wide)
             with pytest.raises(AlgebraError, match="matrix shapes differ"):
-                op(wide, PolyMatrix.zeros(3, 3, ("z",)))
+                op(wide, PolyMatrix.from_strings([["0", "0", "0"]] * 3, ["z"]))
 
     def test_product_needs_matching_inner_dimensions(self):
-        wide = PolyMatrix.zeros(2, 3, ("z",))
+        wide = PolyMatrix.from_strings([["0", "0", "0"]] * 2, ["z"])
         with pytest.raises(AlgebraError, match="inner dimensions differ"):
             wide * wide
-        assert (wide * PolyMatrix.zeros(3, 1, ("z",))).to_strings() == [["0"], ["0"]]
+        assert (wide * PolyMatrix.from_strings([["0"]] * 3, ["z"])).to_strings() == [["0"], ["0"]]

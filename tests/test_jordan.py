@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,7 +27,7 @@ from similitude.jordan import (
     segre_at,
     stable_normalization,
 )
-from similitude.smith import invariant_factors
+from similitude.smith import _local_echelon, invariant_factors
 from similitude.sylvester import intertwiner_dim_at, sylvester_matrix
 
 g = GaussianRational
@@ -247,6 +248,34 @@ class TestSegreAt:
         numeric = segre_at(m, GR_ZERO, mode="numeric")
         assert len(numeric.eigenvalues) == 2
 
+    def test_exact_mode_runs_one_local_echelon_per_eigenvalue(self, monkeypatch):
+        # char by a list determinant, each eigenvalue's blocks from the local
+        # echelon of tI - A(xi) there, and no global Smith form
+        smith_runs, echelon_points = [], []
+        monkeypatch.setattr(jordan, "invariant_factors", lambda m: smith_runs.append(1) or invariant_factors(m))
+        monkeypatch.setattr(
+            jordan, "_local_echelon", lambda m, pt: echelon_points.append(pt) or _local_echelon(m, pt)
+        )
+        a0 = block_diag([jordan_block(2, g(0, 1)), jordan_block(1, g(0, 1)), jordan_block(1, g(3))])
+        profile = segre_at(a0)
+        assert [(ev.value, ev.multiplicity, ev.blocks) for ev in profile.eigenvalues] == [
+            (g(0, 1), 3, ((1, 1), (2, 1))),
+            (g(3), 1, ((1, 1),)),
+        ]
+        assert segre_at(EX45, GR_ZERO).eigenvalues[0].blocks == ((2, 1),)
+        assert echelon_points == [g(0, 1), g(3), GR_ZERO]
+        assert not smith_runs
+
+    def test_blocks_that_miss_the_multiplicity_are_caught(self, monkeypatch):
+        # an echelon that loses the largest block of each eigenvalue
+        monkeypatch.setattr(
+            jordan,
+            "_local_echelon",
+            lambda m, pt: SimpleNamespace(exponents=lambda: _local_echelon(m, pt).exponents()[:-1]),
+        )
+        with pytest.raises(AssertionError, match="do not add up to its multiplicity"):
+            segre_at(EX45, GR_ZERO)
+
     def test_block_rank_duality(self):
         rng = random.Random(83)
         for _ in range(10):
@@ -368,7 +397,9 @@ def reference_defining(a):
     """
     vs = a.variables
     char = [RationalFunction(Poly.from_coefficients(vs, c)) for c in char_poly_coeffs(a)]
-    part = [c.as_poly() for c in _u_squarefree(char)]
+    part = _u_squarefree(char)
+    assert all(c.is_polynomial() for c in part)
+    part = [c.numerator for c in part]
     deriv = [part[k] * k for k in range(1, len(part))]
     m, n = len(part) - 1, len(deriv) - 1
     rows = []

@@ -64,7 +64,7 @@ class TestLocalSmith:
         assert fact.reconstruct() == m.to_func()
 
     def test_zero_matrix(self):
-        m = PolyMatrix.zeros(2, 3, ("z",))
+        m = PolyMatrix.from_strings([["0", "0", "0"]] * 2, ["z"])
         fact = local_smith(m, GR_ZERO)
         assert fact.exponents == ()
         assert fact.generic_rank == 0
@@ -188,7 +188,8 @@ class TestLocalSmithAtThePoint:
             for _ in range(3):
                 m = self._family(rng, xi, rational)
                 if not rational:
-                    m = PolyMatrix([[f.as_poly() for f in row] for row in m.entries])
+                    assert all(f.is_polynomial() for row in m.entries for f in row)
+                    m = PolyMatrix([[f.numerator for f in row] for row in m.entries])
                 fact = local_smith(m, xi)
                 exponents, e, f = _smith_by_change_of_variables(m, xi)
                 assert fact.exponents == exponents
@@ -213,7 +214,7 @@ class TestKernelProjection:
         assert proj.P.is_zero()
 
     def test_full_kernel(self):
-        m = PolyMatrix.zeros(2, 2, ("z",))
+        m = PolyMatrix.from_strings([["0", "0"]] * 2, ["z"])
         proj = kernel_projection(m, GR_ZERO)
         assert proj.P == PolyMatrix.identity(2, ("z",)).to_func()
 
@@ -314,8 +315,8 @@ def _corrupt_pivot(ech):
 
 
 def _corrupt_schur_column(ech):
-    row, p = ech.columns[0][1]
-    ech.columns[0][1] = (row, [GR_ONE, *p[1:]])
+    p = ech.rows[1][0]  # B_0[1][0], left in place under the first pivot
+    ech.rows[1][0] = [GR_ONE, *p[1:]]
 
 
 class TestBackSubstitutionThroughF:
@@ -427,7 +428,7 @@ class TestBackSubstitutionThroughF:
         # (0, 1, 0) spans the limit of ker M(z) at 0, so the section exists
         m = PolyMatrix.from_strings([["z", "z^2", "z"], ["z", "0", "z^2"]], ["z"])
         ech = _local_echelon(m, GR_ZERO)
-        assert ech.orders == [1, 2] and len(ech.columns[0]) == 2
+        assert ech.orders == [1, 2] and ech.rows[1][0] == [GR_ZERO, GR_ONE]
         run(m)
         corrupt(ech)
         monkeypatch.setattr(smith, "_local_echelon", lambda *_: ech)

@@ -180,7 +180,7 @@ class TestIntertwinerDims:
 
 class TestCommutantBasis:
     def test_zero_matrix_full_basis(self):
-        zero = PolyMatrix.zeros(2, 2, ("z",))
+        zero = PolyMatrix.from_strings([["0", "0"]] * 2, ["z"])
         basis = commutant_basis_at(zero, GR_ZERO)
         assert basis.dimension == 4
 
