@@ -90,15 +90,21 @@ class JordanError(SimilitudeError):
 # Exact Gaussian-rational root extraction
 
 
+_SNAP_BOUNDS = (1, 10, 100, 10**4, 10**6, 10**9, 10**12)
+
+
 def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]], Poly]:
     """All roots of a univariate p lying in Q(i), with multiplicities.
 
     Numeric root candidates (of the squarefree part) are snapped to nearby
-    Gaussian rationals of growing denominator.  A snap is accepted only when
-    it lies within half the distance from its approximation to the nearest
-    other approximation, and when it satisfies p exactly; multiplicities come
-    from exact deflation.  Returns the roots and the (monic) cofactor with no
-    Q(i) roots of small height.
+    Gaussian rationals: each coordinate's best approximations of denominator
+    at most 1, 10, ..., 10^12, all read from one continued-fraction expansion
+    (_snaps).  A snap is accepted only when it lies within half the distance
+    from its approximation to the nearest other approximation, and when it
+    satisfies p exactly; multiplicities come from exact deflation.  Each
+    accepted root is deflated from the squarefree part too, and when what is
+    left of that is linear, its root is read exactly as -c_0 / c_1.  Returns
+    the roots and the (monic) cofactor with no Q(i) roots of small height.
     """
     if len(p.variables) != 1 or not p:
         raise JordanError("root extraction requires a nonzero univariate polynomial")
@@ -114,28 +120,70 @@ def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]]
     clear = math.lcm(*(c._d for c in work))
     clear *= clear
 
-    import numpy as np
-
-    numeric = np.roots([c.to_complex() for c in reversed(squarefree)]) if len(squarefree) > 1 else []
     roots: list[tuple[GaussianRational, int]] = []
+    numeric = []
+    if len(squarefree) > 2:
+        import numpy as np
+
+        numeric = np.roots([c.to_complex() for c in reversed(squarefree)])
     for idx, approx in enumerate(numeric):
         # every other root lies next to its own approximation, at least
         # 2 * reach from this one, so a snap within reach cannot be one of them
         reach = min((abs(approx - x) for j, x in enumerate(numeric) if j != idx), default=math.inf) / 2
-        for bound in (1, 10, 100, 10**4, 10**6, 10**9, 10**12):
-            c = GaussianRational(
-                Fraction(approx.real).limit_denominator(bound),
-                Fraction(approx.imag).limit_denominator(bound),
-            )
-            if abs(c.to_complex() - approx) < reach and not clear % c._d and not _u_deflate(work, c)[1]:
-                mult, work = _u_order(work, c)
-                roots.append((c, mult))
-                break
+        snaps = zip(_SNAP_BOUNDS, _snaps(approx.real), _snaps(approx.imag))
+        for bound, (re_num, re_den), (im_num, im_den) in snaps:
+            if (
+                abs(complex(re_num / re_den, im_num / im_den) - approx) < reach
+                and not clear % re_den
+                and not clear % im_den
+            ):
+                c = GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
+                if not _u_deflate(work, c)[1]:
+                    mult, work = _u_order(work, c)
+                    squarefree = _u_deflate(squarefree, c)[0]
+                    roots.append((c, mult))
+                    break
             if bound >= clear:  # a part that moves past here has a denominator above D^2
                 break
+    if len(squarefree) == 2:  # one distinct root left: no snap is needed
+        root = -squarefree[0] / squarefree[1]
+        mult, work = _u_order(work, root)
+        roots.append((root, mult))
     roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
     cofactor = Poly.from_coefficients(p.variables, work)
     return roots, cofactor
+
+
+def _snaps(x: float):
+    """For each bound of _SNAP_BOUNDS in turn, Fraction(x).limit_denominator(bound) as (p, q).
+
+    One continued-fraction expansion of x serves every bound (Knuth, TAOCP
+    vol. 2, 4.5.3): the convergents p0/q0, p1/q1 and the complete quotient
+    n/d reached under one bound are where the expansion resumes under the
+    next.  Within a bound the answer is x itself when its denominator fits,
+    else the closer of the last convergent p1/q1 and the semiconvergent
+    (p0 + k p1)/(q0 + k q1) with the largest k that fits, p1/q1 on a tie.
+    x lies between the two, which are 1/(q1 q) apart, q = q0 + k q1, and
+    |x - p1/q1| = d / (q1 den); so p1/q1 is the closer or tied exactly when
+    2 d q <= den.
+    """
+    num, den = x.as_integer_ratio()
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    for bound in _SNAP_BOUNDS:
+        if den <= bound:
+            yield num, den
+            continue
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > bound:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (bound - q0) // q1
+        q = q0 + k * q1
+        yield (p1, q1) if 2 * d * q <= den else (p0 + k * p1, q)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +195,8 @@ def char_poly_coeffs(a: PolyMatrix) -> list[list[GaussianRational]]:
 
     Each coefficient is a Q(i)[z] coefficient list, the last one [1].  With
     M_0 = 0 and c_0 = 1, M_k = A (M_{k-1} + c_{k-1} I) and c_k = -tr(M_k) / k
-    (Faddeev-LeVerrier); the recurrence divides only by integers.
+    (Faddeev-LeVerrier); the recurrence divides only by integers.  Only the
+    trace of the last product M_n is read, so only its diagonal is formed.
     """
     if a.rows != a.cols:
         raise JordanError(f"Jordan data needs a square family, got {a.rows}x{a.cols}")
@@ -157,9 +206,13 @@ def char_poly_coeffs(a: PolyMatrix) -> list[list[GaussianRational]]:
     for k in range(1, a.rows + 1):
         for i, row in enumerate(m):
             row[i] = _u_add(row[i], coeffs[-1])
-        m = _mat_mul(lists, m)
+        if k < a.rows:
+            m = _mat_mul(lists, m)
+            trace = reduce(_u_add, (row[i] for i, row in enumerate(m)))
+        else:
+            trace = reduce(_u_add, (_u_mul(x, y[i]) for i, row in enumerate(lists) for x, y in zip(row, m)))
         scale = GaussianRational(rat(-1, k))
-        coeffs.append([c * scale for c in reduce(_u_add, (row[i] for i, row in enumerate(m)))])
+        coeffs.append([c * scale for c in trace])
     return coeffs[::-1]
 
 

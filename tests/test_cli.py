@@ -288,9 +288,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "matrix, argv, digits",
         [
-            # the float screen for the roots of the discriminant 4(10^400 + z)
-            ([["0", "1"], [BIG + "+z", "0"]], ["candidates"], "401"),
-            ([["0", "1"], [BIG + "+z", "0"]], ["check", "--point", "1"], "401"),
+            # the float screen for the roots of the discriminant 4(10^400 + z^2)
+            ([["0", "1"], [BIG + "+z^2", "0"]], ["candidates"], "401"),
+            ([["0", "1"], [BIG + "+z^2", "0"]], ["check", "--point", "1"], "401"),
             # the numeric profiles at the probes near 0
             ([[BIG + "*z", "1"], ["z", "0"]], ["check", "--point", "0"], r"\d+"),
         ],
@@ -302,6 +302,13 @@ class TestExitCodes:
         assert (code, report) == (2, None)
         assert err.startswith("similitude: ") and err.count("\n") == 1
         assert re.search(f"a {digits}-digit part is beyond float range", err) and self.BIG not in err
+
+    def test_jordan_linear_discriminant_past_float_range(self, tmp_path, capsys):
+        # the root of the linear discriminant 4(10^400 + z) is read exactly
+        a = write(tmp_path, "a.json", {"variables": ["z"], "matrix": [["0", "1"], [self.BIG + "+z", "0"]]})
+        code, report, _ = invoke(capsys, ["jordan", "candidates", "--matrix", a])
+        assert code == 0
+        assert report["result"]["candidates"] == [{"exact": "-" + self.BIG}]
 
     def test_witness_seed_env_override(self, tmp_path, capsys, monkeypatch):
         a = write(tmp_path, "a.json", {"variables": [], "matrix": [["2", "1"], ["0", "3"]]})

@@ -98,21 +98,65 @@ class TestRootExtraction:
     def test_snap_bounds_stop_at_d_squared(self, monkeypatch):
         # once a bound reaches D^2 (here 1 and 9) a failed snap is final: a
         # part that moves at a larger bound has a denominator above D^2
-        calls = []
-        original = Fraction.limit_denominator
+        snaps = []
+        original = jordan._snaps
 
-        def counting(self, *args):
-            calls.append(1)
-            return original(self, *args)
+        def counting(x):
+            for snap in original(x):
+                snaps.append(snap)
+                yield snap
 
-        monkeypatch.setattr(Fraction, "limit_denominator", counting)
+        def refuse(self, *args):
+            raise AssertionError("root extraction calls Fraction.limit_denominator")
+
+        monkeypatch.setattr(jordan, "_snaps", counting)
+        monkeypatch.setattr(Fraction, "limit_denominator", refuse)
         cases = (("t^2-2", [], 4), ("t^3-1/3*t^2-2*t+2/3", [("1/3", 1)], 12))
-        for text, roots_wanted, calls_wanted in cases:
-            calls.clear()
+        for text, roots_wanted, snaps_wanted in cases:
+            snaps.clear()
             roots, cofactor = gaussian_rational_roots(Poly.parse(text, ["t"]))
             assert [(str(r), m) for r, m in roots] == roots_wanted
             assert cofactor == Poly.parse("t^2-2", ["t"])
-            assert len(calls) == calls_wanted
+            assert len(snaps) == snaps_wanted
+
+    def test_snaps_match_limit_denominator(self):
+        # the one continued-fraction expansion gives limit_denominator's
+        # answer at every bound of the ladder
+        rng = random.Random(31)
+        values = [0.0, -0.0, 1.0, -7.0, 2.0**40, 0.375, -1.1875, 3 / 64, 1e-300, -1e-300, 1e15, -1e15]
+        values += [1e15 + 0.5, 123456.789, 2.0**-1074, 1 / 3, -2 / 7, 3.141592653589793]
+        # a float is dyadic, so it can lie midway between the last convergent
+        # and the semiconvergent only at bound 1, the one power of 2 in the
+        # ladder: m + 1/2 is midway between m and m + 1, and the tie goes to m
+        values += [m + 0.5 for m in range(-20, 20)]
+        values += [rng.uniform(-5, 5) for _ in range(300)]
+        values += [rng.randint(-10**6, 10**6) / rng.randint(1, 10**6) for _ in range(300)]
+        values += [rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300) for _ in range(100)]
+        for x in values:
+            got = list(jordan._snaps(x))
+            want = [Fraction(x).limit_denominator(bound) for bound in jordan._SNAP_BOUNDS]
+            assert got == [(f.numerator, f.denominator) for f in want], x
+
+    def test_linear_parts_are_exact(self, monkeypatch):
+        # (t - v)^k (t - 2) with v = 1/(10^13 + 37): no snap up to 10^12 is
+        # v, so v comes from the linear squarefree part t - v the snaps leave
+        t = Poly.variable(("t",), "t")
+        v = g(Fraction(1, 10**13 + 37))
+        for mult in (1, 2):
+            roots, cofactor = gaussian_rational_roots((t - Poly.constant(("t",), v)) ** mult * (t - 2))
+            assert roots == [(v, mult), (g(2), 1)]
+            assert cofactor.coefficients() == [GR_ONE]
+
+        # a power of one linear factor is read off its squarefree part,
+        # with no numeric root at all
+        def refuse(*args):
+            raise AssertionError("a linear squarefree part reached np.roots")
+
+        monkeypatch.setattr("numpy.roots", refuse)
+        w = g(Fraction(3, 10**30 + 1), Fraction(-1, 7))
+        roots, cofactor = gaussian_rational_roots((t - Poly.constant(("t",), w)) ** 3 * g(5, 1))
+        assert roots == [(w, 3)]
+        assert cofactor.coefficients() == [GR_ONE]
 
     def test_roots_with_large_denominators(self):
         # products of linear factors whose roots have denominators up to 10^6,

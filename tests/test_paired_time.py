@@ -72,3 +72,23 @@ def test_warm_up_runs_on_both_trees_before_the_first_timed_op(monkeypatch, capsy
     assert calls[: len(warm)] == warm
     assert len(calls) == len(warm) + 2 * len(ops)
     assert "reports identical: yes (2 of 2 ops)" in capsys.readouterr().out
+
+
+def test_one_collection_before_each_timed_call(monkeypatch):
+    # the garbage one call leaves would otherwise be collected inside the
+    # next timed call, and the fixed alternation of sides puts that on one side
+    events = []
+
+    class Recording:
+        def __init__(self, cli):
+            self.cli = cli
+
+        def run(self, argv):
+            events.append("run")
+            return self.cli.run(argv)
+
+    cli = paired_time.import_tree(str(ROOT / "src"), "similitude_paired_gc")
+    ops = paired_time.gen.generate("smith-wasow", 501)[:3]
+    monkeypatch.setattr(paired_time.gc, "collect", lambda: events.append("collect"))
+    paired_time.paired_times(Recording(cli), Recording(cli), ops, rounds=2)
+    assert events == ["collect", "run"] * (len(ops) * 2 * 2)

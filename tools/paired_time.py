@@ -12,7 +12,12 @@ numpy would otherwise fall on whichever side runs the first operation that
 needs it.  Each round runs every operation on both sides; the side that goes
 first alternates from one operation to the next and from one round to the
 next, so a drift in the host's speed falls on both sides alike.  Each call is
-timed by the process's CPU time.
+timed by the process's CPU time, after an untimed `gc.collect()`: without
+it, the garbage one call leaves is collected inside whichever call comes
+next, and because the sides alternate in a fixed pattern, that cost lands
+on one side: two copies of one tree read 0.87 and 0.90 old/new on the
+light `commutant` ops of `jordan-locus` seed 301 (2 and 3 rounds), and
+0.99-1.01 on every kind with the collection.
 
 Output: one line per operation kind with its count, each side's total CPU
 seconds over all rounds and their ratio old/new (above 1: the new tree is
@@ -24,6 +29,7 @@ some report differs, after printing the ids of those operations.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import os
@@ -73,6 +79,7 @@ def paired_times(old_cli, new_cli, ops, rounds: int) -> tuple[dict, list[int]]:
                 first = (k + r) % 2
                 for side in (first, 1 - first):
                     cli = (old_cli, new_cli)[side]
+                    gc.collect()
                     start = time.process_time()
                     code, stdout = report_parity.run_op(cli, op, workdir)
                     seconds[side] = time.process_time() - start
