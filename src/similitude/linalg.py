@@ -2,8 +2,9 @@
 
 Scalars must support +, -, *, /, unary minus and truthiness (falsy iff zero),
 and `x * 0` and `x ** 0` must give the zero and the one of x's ring, so the
-constants an answer needs are read from the entries.  `_rref` also needs the
-fused update `x.sub_mul(c, y)` = x - c*y, its only update of a stored entry:
+constants an answer needs are read from the entries.  The row update of
+both sparse eliminations, `_subtract`, also needs the fused update
+`x.sub_mul(c, y)` = x - c*y, its only update of a stored entry:
 GaussianRational computes it on its integers with one normalisation, and
 RationalFunction and Poly as `x - c * y`.  Only
 `projected_nullspace` and `identity` take `one` and `zero`: their answers can
@@ -14,12 +15,14 @@ Callers own copies: every function here copies its input first.
 are all exact, so they need only an exact `/`: they work over the fields
 Q(i) (GaussianRational) and Q(i)(z) (RationalFunction) and over the rings
 Q(i)[z, ...] (Poly), where `/` is exact division.  `nullspace`,
-`projected_nullspace`, `invert` and `reduced_basis` need a field:
-they read their answers from `_rref`, the reduced row echelon form of sparse
-{column: entry} rows, which touches only stored nonzeros.  Dense inputs
-become sparse rows on entry; callers of `projected_nullspace` pass sparse
-rows.  There is never roundoff, and a matrix has exactly one reduced row
-echelon form, so output is deterministic.
+`projected_nullspace`, `invert` and `reduced_basis` need a field.
+`nullspace`, `invert` and `reduced_basis` read their answers from `_rref`,
+the reduced row echelon form of sparse {column: entry} rows, which touches
+only stored nonzeros; dense inputs become sparse rows on entry.
+`projected_nullspace` takes sparse rows, eliminates them forward only, and
+runs `_rref` on the at most k rows that lead in the last k columns, which
+are all it reads.  There is never roundoff, and a matrix has exactly one
+reduced row echelon form, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -154,19 +157,32 @@ def projected_nullspace(rows: Iterable[Mapping], cols: int, k: int, one, zero) -
     """(rank, `reduced_basis` of the kernel projected onto the last k columns).
 
     `rows` are the sparse rows of a matrix with `cols` columns (a column may
-    appear in no row).  In the reduced row echelon form, a row whose pivot
-    lies before the last k columns can be solved for its pivot whatever the
-    other coordinates are.  So the projection is the kernel of the rows that
-    pivot in the last k columns; those rows are zero on every earlier column
-    and already reduced.  No kernel vector of the whole matrix is built, and
-    an empty row list constrains nothing.
+    appear in no row).  Elimination runs forward only: each row's leading
+    entry is cleared by the stored row that leads in its column, if there is
+    one, until the row is zero or leads in a new column, where it is stored
+    as it is.  The rank is the number of stored rows.  A stored row that
+    leads before the last k columns can be solved for its leading unknown
+    whatever the later unknowns are (back substitution), so the projection
+    is the kernel of the rows that lead in the last k columns, which lie
+    inside them.  Only those rows, at most k, go to `_rref`; no kernel
+    vector of the whole matrix is built, and an empty row list constrains
+    nothing.
     """
     if not 0 <= k <= cols:
         raise ValueError("k must lie between 0 and the number of columns")
     start = cols - k
-    form = _rref(rows)
-    block = [(pc - start, {j - start: x for j, x in r.items()}) for pc, r in form if pc >= start]
-    return len(form), reduced_basis(_kernel(block, k, one, zero))
+    pivots: dict[int, dict] = {}
+    for given in rows:
+        row = {j: x for j, x in given.items() if x}
+        while row:
+            p = min(row)
+            pivot = pivots.get(p)
+            if pivot is None:
+                pivots[p] = row
+                break
+            _subtract(row, row[p] / pivot[p], pivot)
+    block = _rref({j - start: x for j, x in r.items()} for p, r in pivots.items() if p >= start)
+    return len(pivots), reduced_basis(_kernel(block, k, one, zero))
 
 
 def det(m: Sequence[Sequence]):

@@ -16,19 +16,23 @@ jet_rigidity decides what truncated power-series solutions of a matrix
 relation can look like at the origin.  Each relation reads L H - H R = 0
 for one pair (L, R) of A and B, so its equations are the rows of
 M = I (x) L - R^T (x) I from sylvester's one builder.  The unknown n x n jet
-H is assembled into an exact linear system on its Taylor coefficients by one
-loop over branches t -> (t^a, s t^b): the cusp z^p = w^q is the one branch
+H is assembled into an exact linear system on its Taylor coefficients.  Each
+variety has one weight (a, b): the cusp z^p = w^q is the one branch
 (t^q, t^p), a union of lines w = s z has one branch (t, s t) per slope, and
-the full plane is the one weight (1, 1).  Restriction sends z^j w^k to
-s^k t^(aj+bk) on each branch, so on a curve one row collects one power of t
-on one branch; on the plane each monomial z^j w^k keeps its own row.  Each
-equation is a sparse row ({column: coefficient}) and goes to linalg's sparse
-reduced echelon form as it is.  The H(0) unknowns are numbered last, so that
-one form yields both the jet nullity and, from its last block, the
-admissible values of H(0), without a kernel basis of the whole jet.  Every
-retained equation up to the truncation order is a complete constraint on a
-true holomorphic solution, so a trivial projected solution space is a proof
-that H(0) is forced.
+the full plane is the weight (1, 1).  The unknowns are listed by weight, so
+each term of M meets only the unknowns whose product with it stays within
+the order.  On the plane each monomial z^j w^k keeps its own row.  On a
+curve z^j w^k restricts to s^k t^(aj+bk) on each branch, and the branch
+rows of one power of t are replaced by the rows whose coefficients are the
+remainders of s^k mod prod (s - s_b): they span the same space, at most
+one row per branch (a cusp is the one slope 1).  Each equation is a sparse
+row ({column: coefficient}), and linalg eliminates the rows forward only.
+The H(0) unknowns are numbered last, so that the rows leading in their
+columns yield the admissible values of H(0), and the number of leading rows
+the jet nullity, without a kernel basis of the whole jet.  Every retained
+equation up to the truncation order is a complete constraint on a true
+holomorphic solution, so a trivial projected solution space is a proof that
+H(0) is forced.
 
 index_sets enumerates the exponent-collision sets of the cusp comparison
 argument, winding_number certifies discrete curve indices, and
@@ -182,6 +186,8 @@ def verify_smooth_similarity(ell: int) -> SmoothSimilarityReport:
 
 @dataclass(frozen=True)
 class FullPlane:
+    weight = (1, 1)  # one row per monomial z^j w^k
+
     def describe(self) -> str:
         return "full_plane"
 
@@ -200,13 +206,20 @@ class Cusp:
     def describe(self) -> str:
         return f"cusp({self.p},{self.q})"
 
-    def branches(self) -> list[tuple]:
-        return [(self.q, self.p, None)]  # t -> (t^q, t^p)
+    # the one branch t -> (t^q, 1 t^p)
+    @property
+    def weight(self) -> tuple[int, int]:
+        return (self.q, self.p)
+
+    @property
+    def slopes(self) -> tuple[GaussianRational, ...]:
+        return (GR_ONE,)
 
 
 @dataclass(frozen=True)
 class Lines:
     slopes: tuple[GaussianRational, ...]
+    weight = (1, 1)  # the branches t -> (t, s t)
 
     def __post_init__(self):
         if len(set(self.slopes)) != len(self.slopes):
@@ -216,9 +229,6 @@ class Lines:
 
     def describe(self) -> str:
         return "lines(" + ",".join(str(t) for t in self.slopes) + ")"
-
-    def branches(self) -> list[tuple]:
-        return [(1, 1, s) for s in self.slopes]  # t -> (t, s t)
 
 
 Variety = FullPlane | Cusp | Lines
@@ -304,14 +314,35 @@ class JetRigidityResult:
         return bool(linalg.det(entries))
 
 
-def _unknown_monomials(branches: list[tuple], order: int) -> list[tuple[int, int]]:
-    # the (j, k) with aj + bk <= order for the weight (a, b) of some branch
-    out = []
-    for j in range(max(order // a for a, _, _ in branches) + 1):
-        top = max((order - a * j) // b for a, b, _ in branches)
-        out.extend((j, k) for k in range(top + 1))
-    out.sort(key=lambda jk: (jk[0] + jk[1], jk))
-    return out
+def _unknown_monomials(a: int, b: int, order: int) -> list[tuple[int, int, int]]:
+    """(a j + b k, j, k) of the unknowns h_jk with a j + b k <= order, by weight."""
+    return sorted(
+        (a * j + b * k, j, k) for j in range(order // a + 1) for k in range((order - a * j) // b + 1)
+    )
+
+
+def _remainders(slopes: Sequence[GaussianRational], top: int) -> list[list[tuple[int, GaussianRational]]]:
+    """Coefficients of s^d mod P, P = prod (s - s_b), for d = 0..top, as sparse (i, c) lists.
+
+    s_b^d = sum_i [s^d mod P]_i s_b^i at every root s_b of P, so the rows
+    sum_d s_b^d C_d of the branches and the rows sum_d [s^d mod P]_i C_d span
+    the same space: [s_b^i] is an invertible Vandermonde matrix.
+    """
+    # P, monic, from its constant term up
+    poly = [GR_ONE]
+    for s in slopes:
+        poly = [-s * poly[0]] + [x - s * y for x, y in zip(poly, poly[1:])] + [GR_ONE]
+    m = len(slopes)
+    rem = [GR_ONE] + [GR_ZERO] * (m - 1)
+    table = []
+    for _ in range(top + 1):
+        table.append([(i, x) for i, x in enumerate(rem) if x])
+        # s * rem mod P: the term lead s^m becomes lead (s^m - P)
+        lead = rem[-1]
+        rem = [GR_ZERO] + rem[:-1]
+        if lead:
+            rem = [x.sub_mul(lead, c) for x, c in zip(rem, poly)]
+    return table
 
 
 def jet_rigidity(
@@ -325,13 +356,15 @@ def jet_rigidity(
 
     Each relation reads L H - H R = 0 with (L, R) = _OPERANDS[relation], so
     its equations are the rows of M = I (x) L - R^T (x) I from the one
-    builder in `sylvester`.  Every term of an entry of M is spread over the
-    Taylor coefficients h_{jk} of the unknown jet H by one loop over branches
-    t -> (t^a, s t^b): the plane is the one weight (1, 1) and keeps one row
-    per monomial, a curve has one row per branch and power of t.  The jet
-    holds the h_{jk} with aj + bk <= order on some branch.  The system is
-    eliminated exactly and the H(0) projection is read from the last echelon
-    block (`linalg.projected_nullspace`).
+    builder in `sylvester`.  The jet holds the h_jk with a j + b k <= order
+    for the variety's weight (a, b), listed by weight, so each term gamma
+    z^mu of an entry of M walks the list only up to order - weight(mu).  On
+    the plane, the term's product with h_jk is one row per monomial
+    z^dz w^dw.  On a curve of branches t -> (t^a, s_b t^b) it lands on
+    s_b^dw t^e, e = a dz + b dw, and the branch rows of one t^e are replaced
+    by the rows i with coefficients [s^dw mod P]_i (`_remainders`).  The
+    system is eliminated exactly and the H(0) projection is read from the
+    rows that pivot in its columns (`linalg.projected_nullspace`).
     """
     if not 1 <= order <= MAX_ORDER:
         raise RigidityError(f"order must be between 1 and {MAX_ORDER}, got {order}")
@@ -345,42 +378,39 @@ def jet_rigidity(
     left, right = ({"A": a, "B": b}[name].entries for name in _OPERANDS[relation])
 
     plane = isinstance(variety, FullPlane)
-    branches = [(1, 1, None)] if plane else variety.branches()
-    monos = _unknown_monomials(branches, order)
-    # monos runs by degree from (0, 0), so numbering it newest (highest degree)
-    # first gives the H(0) unknowns the last n^2 columns, where
-    # projected_nullspace reads them
-    col_index: dict[tuple, int] = {}
-    for jk in reversed(monos):
-        for r in range(n):
-            for c in range(n):
-                col_index[(r, c, jk[0], jk[1])] = len(col_index)
-    # s^dw for the slope s of each line (dw <= order there)
-    powers = [None if slope is None else [slope ** e for e in range(order + 1)] for _, _, slope in branches]
+    wz, ww = variety.weight
+    monos = _unknown_monomials(wz, ww, order)
+    # monos runs by weight from (0, 0), so numbering its blocks of n^2
+    # columns heaviest first gives the H(0) unknowns the last n^2 columns,
+    # where projected_nullspace reads them
+    last = len(monos) - 1
+    unknowns = [(wt, j, k, (last - index) * n * n) for index, (wt, j, k) in enumerate(monos)]
+    table = None if plane else _remainders(variety.slopes, order // ww)
 
     rows: dict[tuple, dict[int, GaussianRational]] = {}
     # row rho of M is entry (rho % n, rho // n) of L H - H R, and its column
-    # kappa multiplies H[kappa % n][kappa // n]
+    # kappa multiplies H[kappa % n][kappa // n], at column block + (kappa % n) n + kappa // n
     for rho, m_row in enumerate(_sylvester_entries(left, right)):
         entry = (rho % n, rho // n)
         for kappa, factor in enumerate(m_row):
-            h_row, h_col = kappa % n, kappa // n
-            for mu, gamma in factor.terms.items():
-                for branch, (wz, ww, slope) in enumerate(branches):
-                    for (j, k) in monos:
-                        dz, dw = mu[0] + j, mu[1] + k
-                        e = wz * dz + ww * dw
-                        if e > order:
-                            continue
-                        coeff = gamma
-                        if slope is not None:
-                            coeff = gamma * powers[branch][dw]
-                            if not coeff:
-                                continue
-                        key = (entry, e, dz, dw) if plane else (entry, branch, e)
-                        _row_add(rows, key, col_index[(h_row, h_col, j, k)], coeff)
+            offset = (kappa % n) * n + kappa // n
+            for (mz, mw), gamma in factor.terms.items():
+                weight = wz * mz + ww * mw
+                budget = order - weight
+                if not plane:
+                    # gamma [s^dw mod P] for dw = mw + k, k = 0..budget // ww
+                    scaled = [[(i, gamma * r) for i, r in rem] for rem in table[mw : mw + budget // ww + 1]]
+                for wt, j, k, block in unknowns:
+                    if wt > budget:
+                        break
+                    col = block + offset
+                    if plane:
+                        _row_add(rows, (entry, weight + wt, mz + j, mw + k), col, gamma)
+                    else:
+                        for i, c in scaled[k]:
+                            _row_add(rows, (entry, weight + wt, i), col, c)
 
-    width = len(col_index)
+    width = len(monos) * n * n
     rank, basis = linalg.projected_nullspace(
         [rows[key] for key in sorted(rows)], width, n * n, GR_ONE, GR_ZERO
     )

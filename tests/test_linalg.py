@@ -6,7 +6,9 @@ det of rational-function matrices).  Rank-deficient rectangular matrices and
 zero columns exercise the column skip of the fraction-free kernel.  Sparse
 Q(i) matrices with zero rows and columns exercise the zero skipping of the
 reduced echelon form behind nullspace, invert and reduced_basis, and
-projected_nullspace is checked against the projection of the full kernel.
+projected_nullspace is checked against the projection of the full kernel,
+over Q(i) and Q(i)(z), on a row whose leading entry three stored rows clear
+in turn, and by the rows its forward elimination hands to `_rref`.
 Over Q(i), a two-variable polynomial ring and Q(i)(z), the constants in an
 answer come from the entries' ring.
 """
@@ -407,3 +409,63 @@ class TestProjectedNullspace:
         assert projected(m, 1, one, z) == (2, [[one]])
         with pytest.raises(ValueError):
             projected(m, 4, one, z)
+
+    def test_leading_entry_cleared_by_three_pivots_in_turn(self):
+        one, z = GR_ONE, GR_ZERO
+        rows = [{0: one, 1: one}, {1: one, 2: one}, {2: one, 3: g(2)}]
+        # x0 + x3 + x4 leads in column 0; minus the first row it leads in 1,
+        # plus the second in 2, minus the third in 3: it is stored as x4 - x3
+        last = {0: one, 3: one, 4: one}
+        assert linalg.projected_nullspace(rows + [last], 5, 2, one, z) == (4, [[one, one]])
+        # a fifth row, the sum of the first three, clears to nothing; the
+        # kernel is spanned by (-2, 2, -2, 1, 1)
+        total = {0: one, 1: g(2), 2: g(2), 3: g(2)}
+        assert linalg.projected_nullspace(rows + [last, total], 5, 2, one, z) == (4, [[one, one]])
+        assert linalg.projected_nullspace(rows + [total, last], 5, 5, one, z) == (
+            4,
+            [[one, -one, one, -one / 2, -one / 2]],
+        )
+
+    def test_rational_function_rows(self):
+        rng = random.Random(508)
+        one = RationalFunction.constant(Z, GR_ONE)
+        zero = RationalFunction.constant(Z, GR_ZERO)
+
+        def entry(rng):
+            if rng.random() < 0.4:
+                return zero
+            return RationalFunction(rand_poly(rng, 1), rand_poly(rng, 1, 0.0) or one.numerator)
+
+        for _ in range(12):
+            rows, cols = rng.randint(1, 4), rng.randint(2, 5)
+            m = [[entry(rng) for _ in range(cols)] for _ in range(rows)]
+            if rows >= 3:
+                # a row that the others cancel
+                f, h = entry(rng), entry(rng)
+                m[2] = [f * x + h * y for x, y in zip(m[0], m[1])]
+            k = rng.randint(0, cols)
+            full = linalg.nullspace(m)
+            rank, basis = projected(m, k, one, zero)
+            assert rank == cols - len(full)
+            assert basis == linalg.reduced_basis([v[cols - k:] for v in full])
+
+    def test_rref_sees_at_most_k_rows(self, monkeypatch):
+        seen = []
+        rref = linalg._rref
+
+        def counted(rows):
+            rows = list(rows)
+            seen.append(len(rows))
+            return rref(rows)
+
+        rng = random.Random(509)
+        cases = []
+        for _ in range(40):
+            cols = rng.randint(2, 10)
+            cases.append((sparse_qi(rng, rng.randint(cols, 3 * cols), cols), rng.randint(0, cols)))
+        expected = [projected(m, k, GR_ONE, GR_ZERO) for m, k in cases]
+        monkeypatch.setattr(linalg, "_rref", counted)
+        for (m, k), want in zip(cases, expected):
+            seen.clear()
+            assert projected(m, k, GR_ONE, GR_ZERO) == want
+            assert seen and max(seen) <= k < len(m)

@@ -345,6 +345,105 @@ class TestJetRigidityRelations:
         assert distinct
 
 
+class TestJetRigidityCurveOracle:
+    """Curve rows against an independent sympy build, on pairs outside the family.
+
+    sympy substitutes each branch t -> (t^a, s t^b) into L H - H R for a
+    symbolic jet H = sum h_jk z^j w^k (a j + b k <= order), collects the
+    coefficients of t^e for e <= order, and takes their rank and nullspace
+    over QQ_I; the admissible H(0) are that nullspace read on h_00.  The
+    pairs have entries of degree <= 2 in z and w, so, unlike the family's,
+    they tell the relations apart and reach every remainder of s^dw mod P.
+    """
+
+    OPERANDS = TestJetRigidityRelations.OPERANDS
+    VARIETIES = (
+        (Lines((g(0), g(0, 1), g(Fraction(-1, 2)))), 3),
+        # more slopes than order + 1: every s^dw is its own remainder
+        (Lines(tuple(g(x) for x in (1, -1, 2, 3, Fraction(1, 3)))), 3),
+        (Cusp(3, 2), 9),
+    )
+
+    @staticmethod
+    def to_sympy(x):
+        sympy = pytest.importorskip("sympy")
+        return sympy.Rational(str(x.re)) + sympy.I * sympy.Rational(str(x.im))
+
+    @staticmethod
+    def draw(rng, n):
+        """n x n Poly grid over (z, w), entries of degree <= 2 with small Q(i) coefficients."""
+        values = [g(1), g(-1), g(2), g(0, 1), g(1, -1), g(Fraction(1, 2))]
+        monomials = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+        def entry():
+            if rng.random() < 0.4:
+                return Poly.zero(VARS)
+            picked = rng.sample(monomials, rng.randint(1, 3))
+            return Poly(VARS, {m: rng.choice(values) for m in picked})
+
+        return [[entry() for _ in range(n)] for _ in range(n)]
+
+    def oracle(self, left, right, variety, order):
+        """(H(0) space as reduced rows, jet nullity) of L H - H R = 0 on the variety's branches."""
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+        from sympy.polys.rings import ring
+
+        field = sympy.QQ_I
+        _, t = ring("t", field)
+        n = len(left)
+        a, b = (variety.q, variety.p) if isinstance(variety, Cusp) else (1, 1)
+        slopes = (GR_ONE,) if isinstance(variety, Cusp) else variety.slopes
+        monos = [(j, k) for j in range(order // a + 1) for k in range((order - a * j) // b + 1)]
+        unknowns = [(r, c, j, k) for (j, k) in monos for r in range(n) for c in range(n)]
+        columns = [[] for _ in unknowns]
+        for slope in slopes:
+            s = field.from_sympy(self.to_sympy(slope))
+
+            def restrict(p):
+                # p(t^a, s t^b) in QQ_I[t]
+                return sum(
+                    (field.from_sympy(self.to_sympy(c)) * s**ew * t ** (a * ez + b * ew) for (ez, ew), c in p.terms.items()),
+                    t * 0,
+                )
+
+            lt = [[restrict(p) for p in row] for row in left]
+            rt = [[restrict(p) for p in row] for row in right]
+            for u, (r, c, j, k) in enumerate(unknowns):
+                # h_rcjk E_rc z^j w^k on the branch, in entry (i, l) of L H - H R
+                h = s**k * t ** (a * j + b * k)
+                for i in range(n):
+                    for l in range(n):
+                        residue = (lt[i][r] * h if l == c else t * 0) - (h * rt[c][l] if i == r else t * 0)
+                        columns[u].extend(residue.get((e,), field.zero) for e in range(order + 1))
+        system = DomainMatrix([list(row) for row in zip(*columns)], (len(columns[0]), len(unknowns)), field)
+        kernel = system.nullspace().to_Matrix()
+        first = [unknowns.index((r, c, 0, 0)) for r in range(n) for c in range(n)]
+        space = TestJetRigidityRelations.span(kernel[:, first]) if kernel.rows else []
+        return space, kernel.rows
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_curve_rows_match_the_sympy_build(self, n):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(3200 + n)
+        distinct = 0
+        for _ in range(3):
+            pair = {"A": self.draw(rng, n), "B": self.draw(rng, n)}
+            spaces = {}
+            for relation, (left, right) in self.OPERANDS.items():
+                for variety, order in self.VARIETIES:
+                    res = jet_rigidity(PolyMatrix(pair["A"]), PolyMatrix(pair["B"]), relation, variety, order)
+                    got = TestJetRigidityRelations.span(
+                        sympy.Matrix([[self.to_sympy(x) for x in v] for v in res.solution_space])
+                    ) if res.solution_space else []
+                    want, nullity = self.oracle(pair[left], pair[right], variety, order)
+                    assert (got, res.jet_nullity) == (want, nullity), (relation, variety)
+                    spaces[relation, variety] = got
+            distinct += any(spaces["AHeqHB", v] != spaces["HAeqBH", v] for v, _ in self.VARIETIES)
+        # the draws tell AH = HB from HA = BH
+        assert distinct
+
+
 class TestIndexSets:
     def test_boundary_instances_have_one_collision(self):
         # q = ell + 3 puts (p - ell - 3, 0) into B_alpha; the other five are empty
