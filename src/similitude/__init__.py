@@ -72,6 +72,7 @@ from .sylvester import (
     commutant_basis_at,
     generic_intertwiner_dim,
     intertwiner_dim_at,
+    invertible_member,
     path_to_identity,
     sylvester_matrix,
 )

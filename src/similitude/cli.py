@@ -5,8 +5,8 @@ no verdict to give), 1 for a completed analysis with a negative verdict (not
 similar, unstable, nontrivial rigidity space, failed certificate), 2 for
 usage or input errors (diagnostics go to stderr).
 
-Reports are deterministic for fixed argv, input files and SIMILITUDE_SEED,
-except for the wall-clock "timings" object.
+Reports are deterministic for fixed argv and input files, except for the
+wall-clock "timings" object.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 
@@ -195,14 +194,7 @@ def cmd_local_similarity(args) -> tuple[dict, str, int]:
 def cmd_pointwise(args) -> tuple[dict, str, int]:
     a0 = load_constant_matrix(args.a)
     b0 = load_constant_matrix(args.b)
-    raw_seed = os.environ.get("SIMILITUDE_SEED", "0")
-    try:
-        seed = int(raw_seed)
-    except ValueError as exc:
-        raise InputError(f"bad SIMILITUDE_SEED {raw_seed!r}: expected an integer") from exc
-    verdict = similarity_mod.pointwise_similar(
-        a0, b0, want_witness=args.witness, seed=seed
-    )
+    verdict = similarity_mod.pointwise_similar(a0, b0, want_witness=args.witness)
     result = {
         "similar": verdict.similar,
         "invariant_factors_a": [format_polynomial(p) for p in verdict.invariant_factors_a],
@@ -212,8 +204,6 @@ def cmd_pointwise(args) -> tuple[dict, str, int]:
         result["witness"] = (
             _scalar_grid(verdict.witness) if verdict.witness is not None else None
         )
-        if verdict.witness_note:
-            result["witness_note"] = verdict.witness_note
     return result, "similar" if verdict.similar else "not-similar", 0 if verdict.similar else 1
 
 
@@ -345,8 +335,8 @@ def cmd_verify_paper(args) -> tuple[dict, str, int]:
     ok4 = ok4 and r_lines.is_zero_space()
     control = rigidity_mod.Lines((GaussianRational(1), GaussianRational(2)))
     r_ctrl = rigidity_mod.jet_rigidity(fam.A, fam.B, "AHeqHB", control, order)
-    detail4["two_line_control_contains_invertible"] = r_ctrl.contains_invertible()
-    ok4 = ok4 and r_ctrl.contains_invertible()
+    ctrl_invertible = detail4["two_line_control_contains_invertible"] = r_ctrl.contains_invertible()
+    ok4 = ok4 and ctrl_invertible
     record("4-variety-rigidity", ok4, detail4)
 
     # ell = 0 is pinned to the minimal pair (4, 3); other levels use the

@@ -648,8 +648,8 @@ def stable_normalization(
     j = _model_family(matched, vs, n)
     j_at = j.evaluate([point])
     a_at = a.evaluate([point])
-    seed = pointwise_similar(a_at, j_at, want_witness=True, seed=0)
-    if not seed.similar or seed.witness is None:
+    seed = pointwise_similar(a_at, j_at, want_witness=True)
+    if not seed.similar:
         raise JordanError("seed construction fails: A(point) and J(point) are not similar")
     phi = seed.witness
 

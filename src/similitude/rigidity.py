@@ -58,7 +58,7 @@ from .algebra import (
     parse_gaussian_rational,
     rat,
 )
-from .sylvester import _sylvester_entries
+from .sylvester import _sylvester_entries, invertible_member
 
 FAMILY_VARS = ("z", "w")
 CONJ_VARS = ("z", "w", "u", "v")
@@ -97,27 +97,30 @@ def _check_ell(ell: int) -> None:
         raise RigidityError(f"ell must be between 0 and {MAX_ELL}, got {ell}")
 
 
+def _mono(*expo: int, coeff=1) -> Poly:
+    """The monomial with these exponents over FAMILY_VARS (two of them) or CONJ_VARS (four)."""
+    return Poly.monomial(FAMILY_VARS if len(expo) == 2 else CONJ_VARS, expo, coeff)
+
+
 def build_family(ell: int) -> CounterexampleFamily:
     _check_ell(ell)
-    z = Poly.variable(FAMILY_VARS, "z")
-    w = Poly.variable(FAMILY_VARS, "w")
+    e, f = 2 + ell, 3 + ell
     zero = Poly.zero(FAMILY_VARS)
-    zw = z ** (2 + ell) * w ** (2 + ell)
-    a = PolyMatrix([[zw, z ** (3 + ell)], [w ** (3 + ell), zero]])
-    b = PolyMatrix([[zero, z ** (3 + ell)], [w ** (3 + ell), zw]])
-
-    z4, w4, u4, v4 = (Poly.variable(CONJ_VARS, name) for name in CONJ_VARS)
-    denom = z4 * u4 + w4 * v4
-    s_cleared = PolyMatrix([[denom, v4 * z4 ** (2 + ell)], [-(u4 * w4 ** (2 + ell)), denom]])
+    a = PolyMatrix([[_mono(e, e), _mono(f, 0)], [_mono(0, f), zero]])
+    b = PolyMatrix([[zero, _mono(f, 0)], [_mono(0, f), _mono(e, e)]])
+    # (zu + wv) S = [[zu + wv, v z^e], [-u w^e, zu + wv]]
+    denom = _mono(1, 0, 1, 0) + _mono(0, 1, 0, 1)
+    s_cleared = PolyMatrix([[denom, _mono(e, 0, 0, 1)], [_mono(0, e, 1, 0, coeff=-1), denom]])
     return CounterexampleFamily(ell=ell, A=a, B=b, S_cleared=s_cleared, denominator=denom)
 
 
 def verify_division_identity(ell: int) -> bool:
     """c_z z^(3+l) + c_w w^(3+l) = z^(2+l) w^(2+l), exactly, conjugates formal."""
     _check_ell(ell)
-    z, w, u, v = (Poly.variable(CONJ_VARS, name) for name in CONJ_VARS)
-    lhs = u * w ** (2 + ell) * z ** (3 + ell) + v * z ** (2 + ell) * w ** (3 + ell)
-    rhs = z ** (2 + ell) * w ** (2 + ell) * (z * u + w * v)
+    e, f = 2 + ell, 3 + ell
+    # (u w^e) z^f + (v z^e) w^f against z^e w^e (zu + wv), over (z, w, u, v)
+    lhs = _mono(0, e, 1, 0) * _mono(f, 0, 0, 0) + _mono(e, 0, 0, 1) * _mono(0, f, 0, 0)
+    rhs = _mono(e, e, 0, 0) * (_mono(1, 0, 1, 0) + _mono(0, 1, 0, 1))
     return not (lhs - rhs)
 
 
@@ -300,18 +303,10 @@ class JetRigidityResult:
         return scaled == eye
 
     def contains_invertible(self) -> bool:
-        """Whether some admissible H(0) is invertible (det not identically zero on the span)."""
-        if not self.solution_space:
-            return False
-        k = len(self.solution_space)
-        xs = tuple(f"x{i}" for i in range(k))
-        units = [tuple(int(s == t) for s in range(k)) for t in range(k)]
+        """Whether some admissible H(0) is invertible, by sylvester.invertible_member."""
         n = self.n
-        entries = [
-            [Poly(xs, {e: v[i * n + j] for e, v in zip(units, self.solution_space)}) for j in range(n)]
-            for i in range(n)
-        ]
-        return bool(linalg.det(entries))
+        grids = [[v[i * n : i * n + n] for i in range(n)] for v in self.solution_space]
+        return invertible_member(grids) is not None
 
 
 def _unknown_monomials(a: int, b: int, order: int) -> list[tuple[int, int, int]]:

@@ -2,8 +2,10 @@
 
 pointwise_similar decides similarity of two constant matrices through the
 invariant factors of their characteristic pencils (exact Smith form over
-Q(i)[lambda]) and can produce an explicit conjugating witness by seeded random
-sampling of the intertwiner kernel.
+Q(i)[lambda]) and can produce an explicit conjugating witness: seeded random
+combinations of an intertwiner-kernel basis first, then, if they all fail,
+sylvester.invertible_member on that basis, so a similar verdict always
+carries a witness.
 
 wasow_check operationalizes the constancy criterion: the kernel dimension of
 the intertwiner representation matrix is constant near a point exactly when
@@ -34,7 +36,9 @@ from .algebra import (
     SimilitudeError,
 )
 from .smith import SmithError, _local_echelon, holomorphic_kernel_section, invariant_factors
-from .sylvester import ConstMatrix, _shape, _sylvester_entries, intertwiner_dim_at, sylvester_matrix, unvec, vec
+from .sylvester import (
+    ConstMatrix, _shape, _sylvester_entries, intertwiner_dim_at, invertible_member, sylvester_matrix, unvec, vec
+)
 
 WITNESS_RETRIES = 32
 
@@ -53,7 +57,6 @@ class PointwiseVerdict:
     invariant_factors_a: tuple[Poly, ...]
     invariant_factors_b: tuple[Poly, ...]
     witness: ConstMatrix | None
-    witness_note: str | None = None
 
 
 @dataclass(frozen=True)
@@ -91,14 +94,14 @@ def pointwise_similar(
     a0: ConstMatrix,
     b0: ConstMatrix,
     want_witness: bool = False,
-    seed: int = 0,
 ) -> PointwiseVerdict:
     """Decide similarity of constant matrices via invariant factors.
 
-    The verdict is exact and authoritative.  The witness search samples random
-    rational combinations of an intertwiner-kernel basis (coefficients in
-    -5..5, deterministic for a fixed seed); exhaustion after 32 draws signals
-    bad luck only and is reported without affecting the verdict.
+    The verdict is exact and authoritative.  A witness for a similar pair is
+    the identity when A0 = B0.  Otherwise up to 32 random rational
+    combinations of an intertwiner-kernel basis (coefficients in -5..5, drawn
+    from one generator seeded with 0) are tried, and when none is invertible
+    sylvester.invertible_member finds one in the kernel exactly.
     """
     n = len(a0)
     if len(b0) != n or any(len(r) != n for r in a0) or any(len(r) != n for r in b0):
@@ -106,25 +109,21 @@ def pointwise_similar(
     fa = tuple(invariant_factors(characteristic_pencil(a0)))
     fb = tuple(invariant_factors(characteristic_pencil(b0)))
     similar = fa == fb
-    witness = None
-    note = None
-    if similar and want_witness:
-        witness, note = _witness_search(a0, b0, seed)
+    witness = _witness(a0, b0) if similar and want_witness else None
     return PointwiseVerdict(
         similar=similar,
         invariant_factors_a=fa,
         invariant_factors_b=fb,
         witness=witness,
-        witness_note=note,
     )
 
 
-def _witness_search(a0: ConstMatrix, b0: ConstMatrix, seed: int):
+def _witness(a0: ConstMatrix, b0: ConstMatrix) -> ConstMatrix:
     n = len(a0)
     if a0 == b0:
-        return linalg.identity(n, GR_ONE, GR_ZERO), None
+        return linalg.identity(n, GR_ONE, GR_ZERO)
     kernel = linalg.nullspace(_sylvester_entries(a0, b0))
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for _ in range(WITNESS_RETRIES):
         combo = [GR_ZERO] * (n * n)
         for basis_vec in kernel:
@@ -132,8 +131,11 @@ def _witness_search(a0: ConstMatrix, b0: ConstMatrix, seed: int):
             combo = [x + c * y for x, y in zip(combo, basis_vec)]
         candidate = unvec(combo, n)
         if linalg.det(candidate):
-            return candidate, None
-    return None, f"witness search exhausted after {WITNESS_RETRIES} draws"
+            return candidate
+    witness = invertible_member([unvec(v, n) for v in kernel])
+    if witness is None:
+        raise AssertionError("similar matrices have no invertible intertwiner")
+    return witness
 
 
 def wasow_check(a: PolyMatrix, b: PolyMatrix, point: GaussianRational) -> WasowReport:

@@ -5,7 +5,8 @@ M = I_n (x) A - B^T (x) I_n, so M vec(Theta) = vec(A Theta - Theta B) holds
 identically in the family parameter; one builder fills M's entries straight
 from A and B, over the polynomials or at a point.  Kernel dimensions of M at
 a point and over the function field drive the similarity criteria; the
-nullspace at a point gives commutant bases; and path_to_identity realizes
+nullspace at a point gives commutant bases; invertible_member finds an
+invertible matrix in a span, or proves there is none; and path_to_identity realizes
 the connectivity of the invertible commutant by an explicit piecewise path,
 whose invertibility between samples rests on an exact Sturm count and whose
 samples are checked with exact arithmetic.
@@ -22,6 +23,7 @@ from .algebra import (
     GaussianRational,
     GR_ONE,
     GR_ZERO,
+    Poly,
     PolyMatrix,
     RationalFunction,
     SimilitudeError,
@@ -124,6 +126,43 @@ def commutant_basis_at(a: PolyMatrix, point: GaussianRational) -> CommutantBasis
     n = a.rows
     basis = tuple(unvec(v, n) for v in kernel)
     return CommutantBasis(point=point, basis=basis)
+
+
+def invertible_member(space: Sequence[ConstMatrix]) -> ConstMatrix | None:
+    """An invertible member of the span of n x n Q(i) matrices V_k, or None when there is none.
+
+    D = det(sum x_k V_k) over Q(i)[x_0, ..., x_{d-1}] is identically zero
+    exactly when every member is singular (Edmonds' problem).  Otherwise each
+    x_k in turn gets the least c in 0..deg_{x_k} D that keeps D nonzero, and
+    D becomes D with x_k = c: a nonzero polynomial of degree e in x_k has at
+    most e roots there (Schwartz-Zippel), so one of the e + 1 values serves.
+    The member sum c_k V_k then has determinant D(c) != 0.
+    """
+    if not space:
+        return None
+    n = len(space[0])
+    xs = tuple(f"x{k}" for k in range(len(space)))
+    units = [tuple(int(s == t) for s in range(len(xs))) for t in range(len(xs))]
+    form = linalg.det(
+        [[Poly(xs, {e: v[i][j] for e, v in zip(units, space)}) for j in range(n)] for i in range(n)]
+    )
+    if not form:
+        return None
+    bindings = {x: Poly.variable(xs, x) for x in xs}
+    values = []
+    for k, x in enumerate(xs):
+        for c in range(max(e[k] for e in form.terms) + 1):
+            fixed = form.substitute({**bindings, x: Poly.constant(xs, c)})
+            if fixed:
+                break
+        else:
+            raise AssertionError("a nonzero polynomial vanishes at 0..deg in one variable")
+        form = fixed
+        values.append(c)
+    return [
+        [sum((c * v[i][j] for c, v in zip(values, space)), GR_ZERO) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 # ---------------------------------------------------------------------------

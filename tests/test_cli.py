@@ -225,12 +225,22 @@ class TestExitCodes:
         assert (code, report) == (2, None)
         assert err == f"similitude: {message}\n"
 
-    def test_non_integer_seed_is_two(self, tmp_path, capsys, monkeypatch):
-        a = write(tmp_path, "a.json", NILP)
-        monkeypatch.setenv("SIMILITUDE_SEED", "x")
-        code, report, err = invoke(capsys, ["pointwise", "--a", a, "--b", a, "--witness"])
-        assert (code, report) == (2, None)
-        assert err.startswith("similitude: bad SIMILITUDE_SEED 'x'")
+    @pytest.mark.parametrize("value", ["x", "7"])
+    def test_seed_variable_leaves_the_witness_alone(self, tmp_path, capsys, monkeypatch, value):
+        # the witness search has no seed to set: SIMILITUDE_SEED is not read
+        a = write(tmp_path, "a.json", {"variables": [], "matrix": [["2", "1"], ["0", "3"]]})
+        b = write(tmp_path, "b.json", {"variables": [], "matrix": [["2", "0"], ["1", "3"]]})
+
+        def report():
+            code, out, _ = invoke(capsys, ["pointwise", "--a", a, "--b", b, "--witness"])
+            del out["timings"]
+            return code, out
+
+        monkeypatch.delenv("SIMILITUDE_SEED", raising=False)
+        code, unset = report()
+        monkeypatch.setenv("SIMILITUDE_SEED", value)
+        assert report() == (code, unset) and code == 0
+        assert unset["result"]["witness"] is not None
 
     def test_unknown_subcommand_is_two(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -309,16 +319,6 @@ class TestExitCodes:
         code, report, _ = invoke(capsys, ["jordan", "candidates", "--matrix", a])
         assert code == 0
         assert report["result"]["candidates"] == [{"exact": "-" + self.BIG}]
-
-    def test_witness_seed_env_override(self, tmp_path, capsys, monkeypatch):
-        a = write(tmp_path, "a.json", {"variables": [], "matrix": [["2", "1"], ["0", "3"]]})
-        b = write(
-            tmp_path, "b.json", {"variables": [], "matrix": [["2", "0"], ["1", "3"]]}
-        )
-        monkeypatch.setenv("SIMILITUDE_SEED", "7")
-        code, report, _ = invoke(capsys, ["pointwise", "--a", a, "--b", b, "--witness"])
-        assert code == 0
-        assert report["result"]["witness"] is not None
 
 
 class TestInputCaps:

@@ -207,8 +207,7 @@ def _report(name, workdir):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_report(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("SIMILITUDE_SEED", raising=False)
+def test_golden_report(name, tmp_path):
     expected = json.loads((GOLDEN / f"{name}.json").read_text())
     assert _report(name, tmp_path) == expected
 

@@ -16,6 +16,7 @@ import pytest
 
 import similitude
 import similitude.linalg as linalg
+import similitude.similarity as similarity
 from similitude.algebra import GR_ONE, GR_ZERO, GaussianRational, Poly, PolyMatrix, RationalFunction
 from similitude.sylvester import (
     SylvesterError,
@@ -24,6 +25,7 @@ from similitude.sylvester import (
     commutant_basis_at,
     generic_intertwiner_dim,
     intertwiner_dim_at,
+    invertible_member,
     path_to_identity,
     sylvester_matrix,
     unvec,
@@ -324,6 +326,57 @@ class TestRayPredicate:
         block = [[g(-2), GR_ONE, GR_ZERO], [GR_ZERO, g(-2), GR_ZERO], [GR_ZERO, GR_ZERO, g(-2)]]
         theta = conjugate(block)
         assert [_ray_blocked(theta, mu) for mu in self.MU] == [True, False, False]
+
+
+class TestInvertibleMember:
+    def test_space_with_no_invertible_member(self):
+        # every member has a zero second row, though no V_k is zero
+        e11 = [[GR_ONE, GR_ZERO], [GR_ZERO, GR_ZERO]]
+        e12 = [[GR_ZERO, GR_ONE], [GR_ZERO, GR_ZERO]]
+        assert invertible_member([e11, e12]) is None
+        assert invertible_member([]) is None
+
+    def test_least_values_that_keep_the_form_nonzero(self):
+        # D = det diag(x0, x0 - x1, x1) = x0 (x0 - x1) x1: x0 = 0 kills D, so
+        # x0 = 1; then (1 - x1) x1 vanishes at 0 and 1, so x1 = 2
+        member = invertible_member([diagonal([g(1), g(1), g(0)]), diagonal([g(0), g(-1), g(1)])])
+        assert member == diagonal([g(1), g(-1), g(2)])
+
+    def test_single_invertible_basis_member(self):
+        assert invertible_member([P3]) == P3
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[g(2), GR_ONE, GR_ZERO], [GR_ZERO, g(2), GR_ONE], [GR_ZERO, GR_ZERO, g(2)]],
+            diagonal([g(1), g(1), g(0, 1)]),
+            [
+                [g(1), GR_ONE, GR_ZERO, GR_ZERO],
+                [GR_ZERO, g(1), GR_ZERO, GR_ZERO],
+                [GR_ZERO, GR_ZERO, g(1), GR_ONE],
+                [GR_ZERO, GR_ZERO, GR_ZERO, g(1)],
+            ],
+        ],
+        ids=["jordan-3", "repeated-eigenvalue", "two-jordan-2"],
+    )
+    def test_pointwise_witness_when_every_draw_is_skipped(self, monkeypatch, a):
+        # with no random draw the witness comes from invertible_member alone
+        monkeypatch.setattr(similarity, "WITNESS_RETRIES", 0)
+        self.check_witness(a, random.Random(89))
+
+    def test_pointwise_witness_on_seeded_conjugates(self, monkeypatch):
+        monkeypatch.setattr(similarity, "WITNESS_RETRIES", 0)
+        rng = random.Random(83)
+        for _ in range(12):
+            self.check_witness(rand_const(rng, rng.randint(2, 4), span=1), rng)
+
+    @staticmethod
+    def check_witness(a, rng):
+        gamma = rand_invertible(rng, len(a))
+        b = linalg.mat_mul(linalg.invert(gamma), linalg.mat_mul(a, gamma))
+        res = similarity.pointwise_similar(a, b, want_witness=True)
+        assert res.similar and linalg.det(res.witness)
+        assert linalg.mat_mul(a, res.witness) == linalg.mat_mul(res.witness, b)
 
 
 MODULES = sorted(
