@@ -232,9 +232,7 @@ def cmd_jordan_candidates(args) -> tuple[dict, str, int]:
 def cmd_jordan_check(args) -> tuple[dict, str, int]:
     m = load_matrix_file(args.matrix)
     point = parse_point(args.point)
-    verdict = jordan_mod.is_jordan_stable(
-        m, point, probes=args.probes, tolerance=args.tolerance
-    )
+    verdict = jordan_mod.is_jordan_stable(m, point)
     result = {
         "point": str(verdict.point),
         "verdict": verdict.verdict,
@@ -444,8 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     pk = jsub.add_parser("check", help="stability verdict at a point")
     pk.add_argument("--matrix", required=True)
     pk.add_argument("--point", required=True)
-    pk.add_argument("--probes", type=int, default=jordan_mod.DEFAULT_PROBES)
-    pk.add_argument("--tolerance", type=float, default=jordan_mod.DEFAULT_TOLERANCE)
     pk.set_defaults(handler=cmd_jordan_check)
 
     p = sub.add_parser("rigidity", help="jet rigidity of the counterexample family")

@@ -6,8 +6,8 @@ determinant char(A(point)) must split over Q(i), and the blocks of an
 eigenvalue lambda are the nonzero local Smith exponents of the pencil at
 lambda (smith._local_echelon), lambda's orders in the invariant factors
 (Gantmacher, The Theory of Matrices, vol. 1, ch. VI).  Numeric mode clusters
-floating eigenvalues within a tolerance, reports cluster radii, and counts
-blocks from the rank sequence of powers: with r_k = rank (A - lambda I)^k
+floating eigenvalues within the fixed TOLERANCE, reports cluster radii, and
+counts blocks from the rank sequence of powers: with r_k = rank (A - lambda I)^k
 and r_0 = n, the number of blocks of size k is r_{k-1} - 2 r_k + r_{k+1}.
 
 jordan_instability_candidates returns a finite superset of the points where a
@@ -18,8 +18,9 @@ invariant factor of the self-intertwiner matrix (where the commutant
 dimension jumps).  Outside both loci, holomorphic eigenvalue functions exist
 and every nearby block change would strictly raise the commutant dimension
 (sums of squares of conjugate-partition parts are strictly Schur-convex), so
-non-candidates are provably stable.  Probing candidates can refute stability
-but never certify it, hence the honest "undetermined" verdict.
+non-candidates are provably stable.  Probing candidates at the four fixed
+exact offsets PROBE_OFFSETS can refute stability but never certify it, hence
+the honest "undetermined" verdict.
 
 The locus is computed on Q(i)[z] coefficient lists: the characteristic
 polynomial by Faddeev-LeVerrier, the discriminants and cyclic-vector minors
@@ -76,10 +77,15 @@ from .similarity import characteristic_pencil, local_similarity, pointwise_simil
 from .smith import _local_echelon, invariant_factors
 from .sylvester import ConstMatrix, sylvester_matrix, unvec
 
-DEFAULT_TOLERANCE = 1e-9
-DEFAULT_PROBES = 4
-# each probe is one more numeric Jordan profile of the family
-MAX_PROBES = 64
+# numeric mode's eigenvalue clustering radius, and its rank tolerance scaled by max(1, |A|_2)
+TOLERANCE = 1e-9
+# a candidate is probed at (1/1000) i^k from it, k = 0..3
+PROBE_OFFSETS = (
+    GaussianRational(rat(1, 1000)),
+    GaussianRational(0, rat(1, 1000)),
+    GaussianRational(rat(-1, 1000)),
+    GaussianRational(0, rat(-1, 1000)),
+)
 
 
 class JordanError(SimilitudeError):
@@ -279,7 +285,6 @@ def segre_at(
     a: PolyMatrix | ConstMatrix,
     point: GaussianRational | None = None,
     mode: str = "exact",
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> JordanProfile:
     """Jordan profile of A(point) (or of a constant matrix when point is None).
 
@@ -290,7 +295,6 @@ def segre_at(
     there, and they must add up to its multiplicity.  Numeric mode needs no
     splitting.
     """
-    _check_settings(tolerance)
     if isinstance(a, PolyMatrix):
         if point is None:
             raise JordanError("a family needs an evaluation point")
@@ -301,7 +305,7 @@ def segre_at(
     if mode == "exact":
         return _segre_exact(a0, n)
     if mode == "numeric":
-        return _segre_numeric(a0, n, tolerance)
+        return _segre_numeric(a0, n)
     raise JordanError(f"unknown mode {mode!r}")
 
 
@@ -326,7 +330,7 @@ def _segre_exact(a0: ConstMatrix, n: int) -> JordanProfile:
     return JordanProfile(size=n, eigenvalues=tuple(out), mode="exact")
 
 
-def _segre_numeric(a0: ConstMatrix, n: int, tolerance: float) -> JordanProfile:
+def _segre_numeric(a0: ConstMatrix, n: int) -> JordanProfile:
     import numpy as np
 
     arr = np.array([[x.to_complex() for x in row] for row in a0])
@@ -335,7 +339,7 @@ def _segre_numeric(a0: ConstMatrix, n: int, tolerance: float) -> JordanProfile:
     for e in eigs:
         placed = False
         for cluster in clusters:
-            if any(abs(e - other) <= tolerance for other in cluster):
+            if any(abs(e - other) <= TOLERANCE for other in cluster):
                 cluster.append(e)
                 placed = True
                 break
@@ -353,7 +357,7 @@ def _segre_numeric(a0: ConstMatrix, n: int, tolerance: float) -> JordanProfile:
         while True:
             k += 1
             power = power @ shifted
-            ranks.append(int(np.linalg.matrix_rank(power, tol=tolerance * scale)))
+            ranks.append(int(np.linalg.matrix_rank(power, tol=TOLERANCE * scale)))
             if ranks[-1] == ranks[-2] or k > n:
                 break
         out.append(
@@ -525,38 +529,15 @@ class StabilityVerdict:
     candidates: InstabilityCandidates
 
 
-def _check_settings(tolerance: float, probes: int = 1) -> None:
-    """Reject a tolerance that is not finite and positive, or a probe count outside 1..MAX_PROBES."""
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise JordanError(f"tolerance must be finite and greater than 0, got {tolerance}")
-    if not 1 <= probes <= MAX_PROBES:
-        raise JordanError(f"probes must be between 1 and {MAX_PROBES}, got {probes}")
-
-
-def _probe_offsets(count: int) -> list[GaussianRational]:
-    """Rational approximations of (1/1000) * k-th roots of unity."""
-    out = []
-    for k in range(count):
-        angle = 2.0 * math.pi * k / count
-        re = Fraction(math.cos(angle) / 1000.0).limit_denominator(10**7)
-        im = Fraction(math.sin(angle) / 1000.0).limit_denominator(10**7)
-        out.append(GaussianRational(re, im))
-    return out
-
-
-def is_jordan_stable(
-    a: PolyMatrix,
-    point: GaussianRational,
-    probes: int = DEFAULT_PROBES,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> StabilityVerdict:
+def is_jordan_stable(a: PolyMatrix, point: GaussianRational) -> StabilityVerdict:
     """Sound stability for non-candidates; probe-based refutation at candidates.
 
-    Probes compare the Jordan shape at the point with numeric-mode shapes at
-    nearby offsets; a difference refutes stability, agreement leaves the point
+    Probes compare the Jordan shape at the point (exact when char splits over
+    Q(i), numeric otherwise) with numeric-mode shapes at point + PROBE_OFFSETS;
+    an offset whose probe lands on another candidate is shrunk by 1/7, at most
+    8 times.  A difference refutes stability, agreement leaves the point
     undetermined (a finite probe cannot quantify over a neighborhood).
     """
-    _check_settings(tolerance, probes)
     cands = jordan_instability_candidates(a)
     if not cands.contains(point):
         return StabilityVerdict(
@@ -570,9 +551,9 @@ def is_jordan_stable(
     try:
         base = segre_at(a, point, mode="exact")
     except JordanError:
-        base = segre_at(a, point, mode="numeric", tolerance=tolerance)
+        base = segre_at(a, point, mode="numeric")
     probe_pts = []
-    for delta in _probe_offsets(probes):
+    for delta in PROBE_OFFSETS:
         candidate = point + delta
         shrink = 0
         while cands.contains(candidate) and shrink < 8:
@@ -580,9 +561,7 @@ def is_jordan_stable(
             candidate = point + delta
             shrink += 1
         probe_pts.append(candidate)
-    profiles = tuple(
-        segre_at(a, q, mode="numeric", tolerance=tolerance) for q in probe_pts
-    )
+    profiles = tuple(segre_at(a, q, mode="numeric") for q in probe_pts)
     differs = any(p.shape() != base.shape() for p in profiles)
     return StabilityVerdict(
         point=point,

@@ -649,29 +649,19 @@ class TestStabilityVerdicts:
             if not candidates.contains(point):
                 assert verdict.verdict == "stable"
 
-    def test_probe_offsets_match_the_numpy_formula(self):
-        np = pytest.importorskip("numpy")
-        import similitude.jordan as jordan
+    def test_probe_offsets_are_the_four_fixed_gaussian_rationals(self):
+        assert [str(d) for d in jordan.PROBE_OFFSETS] == ["1/1000", "1/1000i", "-1/1000", "-1/1000i"]
 
-        for count in range(1, jordan.MAX_PROBES + 1):
-            expected = []
-            for k in range(count):
-                angle = 2.0 * np.pi * k / count
-                re = Fraction(np.cos(angle) / 1000.0).limit_denominator(10**7)
-                im = Fraction(np.sin(angle) / 1000.0).limit_denominator(10**7)
-                expected.append(g(re, im))
-            assert jordan._probe_offsets(count) == expected, count
-
-    @pytest.mark.parametrize(
-        "probes,tolerance",
-        [(4, float("nan")), (4, float("inf")), (4, 0.0), (4, -1.0), (0, 1e-9), (-3, 1e-9)],
-    )
-    def test_nonsense_settings_raise(self, probes, tolerance):
-        with pytest.raises(JordanError):
-            is_jordan_stable(EX45, GR_ZERO, probes=probes, tolerance=tolerance)
-        if probes > 0:
-            with pytest.raises(JordanError, match="tolerance"):
-                segre_at(EX45, GR_ZERO, mode="numeric", tolerance=tolerance)
+    def test_probe_on_another_candidate_is_shrunk(self):
+        # the candidates are 0 and 1/1000, so the probe at 0 + 1/1000 moves to 1/7000
+        a = PolyMatrix.from_strings([["0", "z^2-1/1000*z"], ["0", "0"]], ["z"])
+        assert [str(c.exact) for c in jordan_instability_candidates(a).points] == ["0", "1/1000"]
+        verdict = is_jordan_stable(a, GR_ZERO)
+        assert verdict.verdict == "unstable"
+        assert [str(p) for p in verdict.probe_points] == ["1/7000", "1/1000i", "-1/1000", "-1/1000i"]
+        # off the candidates A is one nilpotent 2-block; at 0 and at 1/1000 it is zero
+        assert verdict.profile_at_point.shape() == (((1, 2),),)
+        assert all(p.shape() == (((2, 1),),) for p in verdict.probe_profiles)
 
 
 class TestStableNormalization:

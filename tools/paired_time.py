@@ -32,7 +32,6 @@ import argparse
 import gc
 import importlib
 import importlib.util
-import os
 import sys
 import tempfile
 import time
@@ -68,7 +67,6 @@ def warm_up(clis, workload: str) -> None:
 
 def paired_times(old_cli, new_cli, ops, rounds: int) -> tuple[dict, list[int]]:
     """({kind: [ops, old seconds, new seconds]}, ids of the ops whose reports differ)."""
-    os.environ["SIMILITUDE_SEED"] = "0"
     totals: dict[str, list] = {}
     differing = []
     with tempfile.TemporaryDirectory() as workdir:

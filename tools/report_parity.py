@@ -20,7 +20,6 @@ import argparse
 import contextlib
 import io
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -63,7 +62,6 @@ def report_line(op, code: int, stdout: str, workdir: str) -> str:
 
 def report_lines(cli, ops) -> list[str]:
     """One line per operation, by `report_line`."""
-    os.environ["SIMILITUDE_SEED"] = "0"
     with tempfile.TemporaryDirectory() as workdir:
         gen.write_inputs(ops, workdir)
         return [report_line(op, *run_op(cli, op, workdir), workdir) for op in ops]
