@@ -252,13 +252,30 @@ class TestExitCodes:
         assert code == 1
         assert report["verdict"] == "unstable"
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("--tolerance", "nan"),
+            ("--tolerance", "inf"),
+            ("--tolerance", "0"),
+            ("--tolerance", "-1"),
+            ("--probes", "0"),
+            ("--probes", "-3"),
+        ],
+    )
+    def test_jordan_check_nonsense_settings_are_two(self, tmp_path, capsys, option, value):
+        # the probe offsets and the numeric tolerance are constants of the jordan
+        # module, so the parser refuses either option whatever its value
+        a = write(tmp_path, "a.json", {"variables": ["z"], "matrix": [["0", "1"], ["z", "0"]]})
+        code, report, err = invoke(
+            capsys, ["jordan", "check", "--matrix", a, "--point", "0", f"{option}={value}"]
+        )
+        assert (code, report) == (2, None)
+        assert "unrecognized arguments" in err and option[2:] in err
+
     def test_jordan_check_takes_no_probe_settings(self, tmp_path, capsys):
-        # the probe offsets and the numeric tolerance are constants of the jordan module
         a = write(tmp_path, "a.json", EX45)
-        argv = ["jordan", "check", "--matrix", a, "--point", "0"]
-        for setting in (["--probes", "4"], ["--tolerance", "1e-9"]):
-            assert invoke(capsys, argv + setting)[:2] == (2, None), setting
-        _, report, _ = invoke(capsys, argv)
+        _, report, _ = invoke(capsys, ["jordan", "check", "--matrix", a, "--point", "0"])
         assert sorted(report["arguments"]) == ["command", "jordan_command", "matrix", "point"]
 
     def test_jordan_check_profile_is_exact_for_eigenvalues_half_apart(self, tmp_path, capsys):
@@ -344,6 +361,17 @@ class TestInputCaps:
         assert run(["clutching", "--epsilon", "1/8", "--grid", "4"]) != 2
         capsys.readouterr()
         self.check(capsys, ["clutching", "--epsilon", "1/8", "--grid", "5"], "grid")
+
+    def test_probes(self, tmp_path, capsys):
+        # the probe count is fixed at four, so no --probes value is admitted
+        a = write(tmp_path, "a.json", EX45)
+        argv = ["jordan", "check", "--matrix", a, "--point", "3"]
+        assert run(argv) != 2
+        capsys.readouterr()
+        for count in ("1", "4", "5"):
+            code, report, err = invoke(capsys, argv + ["--probes", count])
+            assert (code, report) == (2, None)
+            assert "unrecognized arguments" in err and "probes" in err
 
     @pytest.mark.parametrize(
         "entry",
