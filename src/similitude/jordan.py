@@ -22,6 +22,14 @@ non-candidates are provably stable.  Probing candidates at the four fixed
 exact offsets PROBE_OFFSETS can refute stability but never certify it, hence
 the honest "undetermined" verdict.
 
+Each root of the locus is listed once.  Roots in Q(i) are exact points; the
+others are approximate points, one per distinct root, read from the one
+numeric pass of root extraction over the squarefree remainder of a defining
+polynomial (gaussian_rational_roots).  That remainder, less its gcd with the
+remainders of the polynomials before it, is the point's squarefree min_poly,
+and half the distance to the nearest other approximation its radius, which
+nothing certifies.
+
 The locus is computed on Q(i)[z] coefficient lists: the characteristic
 polynomial by Faddeev-LeVerrier, the discriminants and cyclic-vector minors
 as fraction-free determinants (algebra._u_det).  Q(i)(z) is used only in the
@@ -68,6 +76,8 @@ from .algebra import (
     _u_deflate,
     _u_derivative,
     _u_det,
+    _u_divmod,
+    _u_gcd_monic,
     _u_mul,
     _u_order,
     _u_squarefree,
@@ -99,27 +109,31 @@ class JordanError(SimilitudeError):
 _SNAP_BOUNDS = (1, 10, 100, 10**4, 10**6, 10**9, 10**12)
 
 
-def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]], Poly]:
-    """All roots of a univariate p lying in Q(i), with multiplicities.
+def gaussian_rational_roots(
+    coeffs: list[GaussianRational],
+) -> tuple[list[tuple[GaussianRational, int]], list[GaussianRational], list[complex]]:
+    """All roots in Q(i) of a nonzero polynomial, given constant term first, with multiplicities.
 
     Numeric root candidates (of the squarefree part) are snapped to nearby
     Gaussian rationals: each coordinate's best approximations of denominator
     at most 1, 10, ..., 10^12, all read from one continued-fraction expansion
     (_snaps).  A snap is accepted only when it lies within half the distance
     from its approximation to the nearest other approximation, and when it
-    satisfies p exactly; multiplicities come from exact deflation.  Each
-    accepted root is deflated from the squarefree part too, and when what is
-    left of that is linear, its root is read exactly as -c_0 / c_1.  Returns
-    the roots and the (monic) cofactor with no Q(i) roots of small height.
+    satisfies the polynomial exactly; multiplicities come from exact
+    deflation.  Each accepted root is deflated from the squarefree part too,
+    and when what is left of that is linear, its root is read exactly as
+    -c_0 / c_1.  Returns the roots, the rest of the squarefree part (monic,
+    with no Q(i) roots of small height) and the float roots of that rest:
+    the candidates themselves when no root was deflated, else one more
+    numeric pass on the rest.
     """
-    if len(p.variables) != 1 or not p:
-        raise JordanError("root extraction requires a nonzero univariate polynomial")
-    coeffs = p.coefficients()
+    if not coeffs:
+        raise JordanError("root extraction requires a nonzero polynomial")
     lead_inv = coeffs[-1].inverse()
     work = [c * lead_inv for c in coeffs]
 
     # most inputs are squarefree, which one reduction modulo a prime proves
-    squarefree = work if _u_coprime_mod_p(work, [_u_derivative(work)]) else _u_squarefree(work)
+    rest = work if _u_coprime_mod_p(work, [_u_derivative(work)]) else _u_squarefree(work)
     # D * work lies in Z[i][t] with leading coefficient D, so a root u/v in
     # lowest terms has v | D, and its reduced denominator divides N(v) | D^2:
     # a snap whose denominator does not divide D^2 is no root
@@ -127,11 +141,7 @@ def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]]
     clear *= clear
 
     roots: list[tuple[GaussianRational, int]] = []
-    numeric = []
-    if len(squarefree) > 2:
-        import numpy as np
-
-        numeric = np.roots([c.to_complex() for c in reversed(squarefree)])
+    numeric = _float_roots(rest) if len(rest) > 2 else []
     for idx, approx in enumerate(numeric):
         # every other root lies next to its own approximation, at least
         # 2 * reach from this one, so a snap within reach cannot be one of them
@@ -146,18 +156,26 @@ def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussianRational, int]]
                 c = GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
                 if not _u_deflate(work, c)[1]:
                     mult, work = _u_order(work, c)
-                    squarefree = _u_deflate(squarefree, c)[0]
+                    rest = _u_deflate(rest, c)[0]
                     roots.append((c, mult))
                     break
             if bound >= clear:  # a part that moves past here has a denominator above D^2
                 break
-    if len(squarefree) == 2:  # one distinct root left: no snap is needed
-        root = -squarefree[0] / squarefree[1]
-        mult, work = _u_order(work, root)
-        roots.append((root, mult))
+    if len(rest) == 2:  # one distinct root left: no snap is needed
+        root = -rest[0] / rest[1]
+        roots.append((root, _u_order(work, root)[0]))
+        rest = [GR_ONE]
+    if roots:
+        numeric = _float_roots(rest) if len(rest) > 1 else []
     roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
-    cofactor = Poly.from_coefficients(p.variables, work)
-    return roots, cofactor
+    return roots, rest, numeric
+
+
+def _float_roots(coeffs: list[GaussianRational]) -> list[complex]:
+    """Float approximations of the roots of a squarefree polynomial."""
+    import numpy as np
+
+    return list(np.roots([c.to_complex() for c in reversed(coeffs)]))
 
 
 def _snaps(x: float):
@@ -312,8 +330,8 @@ def segre_at(
 def _segre_exact(a0: ConstMatrix, n: int) -> JordanProfile:
     pencil = characteristic_pencil(a0)
     char = _u_det([[p.coefficients() for p in row] for row in pencil.entries])
-    roots, cofactor = gaussian_rational_roots(Poly.from_coefficients(pencil.variables, char))
-    if cofactor.total_degree() > 0:
+    roots, rest, _ = gaussian_rational_roots(char)
+    if len(rest) > 1:
         raise JordanError("characteristic polynomial does not split over Q(i)")
     out = []
     for value, multiplicity in roots:
@@ -469,18 +487,27 @@ def jordan_instability_candidates(a: PolyMatrix) -> InstabilityCandidates:
             if last.total_degree() > 0:
                 defining.append(last)
 
+    # each root is listed once: an exact one unless seen, and the rest of a
+    # later polynomial loses its gcd with the rests before it
     points: list[CandidatePoint] = []
     seen: set = set()
+    earlier = [GR_ONE]
     for q in defining:
-        roots, cofactor = gaussian_rational_roots(q)
+        roots, rest, approximations = gaussian_rational_roots(q.coefficients())
         for value, _mult in roots:
             if value not in seen:
                 seen.add(value)
                 points.append(CandidatePoint(exact=value))
-        if cofactor.total_degree() > 0:
-            for approx, radius in _isolating_boxes(cofactor):
+        common = _u_gcd_monic(rest, earlier)
+        if len(common) > 1:
+            rest = _u_divmod(rest, common)[0]
+            approximations = _float_roots(rest)
+        if len(rest) > 1:
+            earlier = _u_mul(earlier, rest)
+            min_poly = Poly.from_coefficients(vs, rest)
+            for approx, radius in _isolating_boxes(approximations):
                 points.append(
-                    CandidatePoint(exact=None, approx=approx, radius=radius, min_poly=cofactor)
+                    CandidatePoint(exact=None, approx=approx, radius=radius, min_poly=min_poly)
                 )
     points.sort(
         key=lambda c: (
@@ -503,10 +530,8 @@ def _cyclic_minors(a: PolyMatrix) -> list[list[GaussianRational]]:
     return [_u_det([[pk[i][j] for pk in powers] for i in range(n)]) for j in range(n)]
 
 
-def _isolating_boxes(p: Poly) -> list[tuple[complex, float]]:
-    import numpy as np
-
-    roots = np.roots([c.to_complex() for c in reversed(p.coefficients())])
+def _isolating_boxes(roots: list[complex]) -> list[tuple[complex, float]]:
+    """Each approximate root with half the distance to the nearest other as its radius."""
     out = []
     for i, r in enumerate(roots):
         others = [abs(r - s) for j, s in enumerate(roots) if j != i]

@@ -68,32 +68,68 @@ def rand_unimodular(rng, n):
     return m
 
 
+def coeffs(text, var="t"):
+    return Poly.parse(text, [var]).coefficients()
+
+
+def count_numpy_roots(monkeypatch):
+    """Record the length of every list numpy.roots is called on."""
+    import numpy
+
+    calls = []
+    original = numpy.roots
+
+    def counting(p):
+        calls.append(len(p))
+        return original(p)
+
+    monkeypatch.setattr(numpy, "roots", counting)
+    return calls
+
+
 class TestRootExtraction:
     def test_rational_roots_with_multiplicity(self):
         # (z - 1)^2 (z + 1/2) = z^3 - 3/2 z^2 + 1/2
-        p = Poly.parse("z^3-3/2*z^2+1/2", ["z"])
-        roots, cofactor = gaussian_rational_roots(p)
+        roots, rest, approximations = gaussian_rational_roots(coeffs("z^3-3/2*z^2+1/2", "z"))
         assert [(str(r), m) for r, m in roots] == [("-1/2", 1), ("1", 2)]
-        assert cofactor.total_degree() == 0
+        assert rest == [GR_ONE]
+        assert approximations == []
 
     def test_gaussian_roots(self):
         # z^2 + 1 = (z - i)(z + i)
-        p = Poly.parse("z^2+1", ["z"])
-        roots, _ = gaussian_rational_roots(p)
+        roots, _, _ = gaussian_rational_roots(coeffs("z^2+1", "z"))
         assert [(str(r), m) for r, m in roots] == [("-1i", 1), ("1i", 1)]
 
     def test_snap_keeps_to_its_own_root(self):
         # (t - i)(t - 1/2 - i): the coarsest snap of the root 1/2 + i is i
-        p = Poly.parse("t^2-1/2*t-2i*t-1+1/2i", ["t"])
-        roots, cofactor = gaussian_rational_roots(p)
+        roots, rest, _ = gaussian_rational_roots(coeffs("t^2-1/2*t-2i*t-1+1/2i"))
         assert [(str(r), m) for r, m in roots] == [("1i", 1), ("1/2+1i", 1)]
-        assert cofactor.total_degree() == 0
+        assert rest == [GR_ONE]
 
-    def test_irrational_cofactor(self):
-        p = Poly.parse("z^2-2", ["z"])
-        roots, cofactor = gaussian_rational_roots(p)
+    def test_irrational_cofactor(self, monkeypatch):
+        # no root deflated: the approximations are the pass's own, one call
+        calls = count_numpy_roots(monkeypatch)
+        roots, rest, approximations = gaussian_rational_roots(coeffs("2*t^2-4"))
         assert roots == []
-        assert cofactor.total_degree() == 2
+        assert rest == coeffs("t^2-2")
+        assert sorted(x.real for x in approximations) == pytest.approx([-2**0.5, 2**0.5])
+        assert calls == [3]
+
+    def test_repeated_irrational_factor(self, monkeypatch):
+        # (t^2 - 2)^2 (t - 1): the rest is the squarefree t^2 - 2, one box per
+        # root, approximated again once the root 1 is deflated
+        calls = count_numpy_roots(monkeypatch)
+        t = Poly.variable(("t",), "t")
+        p = Poly.parse("t^2-2", ["t"]) ** 2 * (t - 1)
+        roots, rest, approximations = gaussian_rational_roots(p.coefficients())
+        assert roots == [(GR_ONE, 1)]
+        assert rest == coeffs("t^2-2")
+        assert sorted(x.real for x in approximations) == pytest.approx([-2**0.5, 2**0.5])
+        assert calls == [4, 3]
+
+    def test_zero_polynomial_raises(self):
+        with pytest.raises(JordanError):
+            gaussian_rational_roots([])
 
     def test_snap_bounds_stop_at_d_squared(self, monkeypatch):
         # once a bound reaches D^2 (here 1 and 9) a failed snap is final: a
@@ -114,9 +150,9 @@ class TestRootExtraction:
         cases = (("t^2-2", [], 4), ("t^3-1/3*t^2-2*t+2/3", [("1/3", 1)], 12))
         for text, roots_wanted, snaps_wanted in cases:
             snaps.clear()
-            roots, cofactor = gaussian_rational_roots(Poly.parse(text, ["t"]))
+            roots, rest, _ = gaussian_rational_roots(coeffs(text))
             assert [(str(r), m) for r, m in roots] == roots_wanted
-            assert cofactor == Poly.parse("t^2-2", ["t"])
+            assert rest == coeffs("t^2-2")
             assert len(snaps) == snaps_wanted
 
     def test_snaps_match_limit_denominator(self):
@@ -143,9 +179,8 @@ class TestRootExtraction:
         t = Poly.variable(("t",), "t")
         v = g(Fraction(1, 10**13 + 37))
         for mult in (1, 2):
-            roots, cofactor = gaussian_rational_roots((t - Poly.constant(("t",), v)) ** mult * (t - 2))
-            assert roots == [(v, mult), (g(2), 1)]
-            assert cofactor.coefficients() == [GR_ONE]
+            p = (t - Poly.constant(("t",), v)) ** mult * (t - 2)
+            assert gaussian_rational_roots(p.coefficients()) == ([(v, mult), (g(2), 1)], [GR_ONE], [])
 
         # a power of one linear factor is read off its squarefree part,
         # with no numeric root at all
@@ -154,9 +189,8 @@ class TestRootExtraction:
 
         monkeypatch.setattr("numpy.roots", refuse)
         w = g(Fraction(3, 10**30 + 1), Fraction(-1, 7))
-        roots, cofactor = gaussian_rational_roots((t - Poly.constant(("t",), w)) ** 3 * g(5, 1))
-        assert roots == [(w, 3)]
-        assert cofactor.coefficients() == [GR_ONE]
+        p = (t - Poly.constant(("t",), w)) ** 3 * g(5, 1)
+        assert gaussian_rational_roots(p.coefficients()) == ([(w, 3)], [GR_ONE], [])
 
     def test_roots_with_large_denominators(self):
         # products of linear factors whose roots have denominators up to 10^6,
@@ -175,9 +209,10 @@ class TestRootExtraction:
             p = cofactor * g(rng.randint(1, 5), rng.randint(-2, 2) or 1)
             for root, mult in want.items():
                 p = p * (t - Poly.constant(("t",), root)) ** mult
-            roots, rest = gaussian_rational_roots(p)
+            roots, rest, approximations = gaussian_rational_roots(p.coefficients())
             assert dict(roots) == want, str(p)
-            assert rest == cofactor
+            assert rest == cofactor.coefficients()
+            assert len(approximations) == len(rest) - 1
 
     def test_linear_factors_match_sympy(self):
         # repeated roots make the squarefree certificate fail, so both the
@@ -192,7 +227,7 @@ class TestRootExtraction:
             p = p * g(rng.randint(1, 4), rng.randint(-2, 2))
             for root in rng.sample(pool, rng.randint(1, 3)):
                 p = p * (t - Poly.constant(("t",), root)) ** rng.randint(1, 3)
-            roots, _ = gaussian_rational_roots(p)
+            roots, _, _ = gaussian_rational_roots(p.coefficients())
             expr = sum(
                 (sympy.Rational(str(c.re)) + sympy.I * sympy.Rational(str(c.im))) * sym_t**k
                 for k, c in enumerate(p.coefficients())
@@ -416,6 +451,23 @@ class TestCandidates:
         m = PolyMatrix.from_strings([["0", "z"], ["0", "0"]], ["z"])
         cands = jordan_instability_candidates(m)
         assert [str(c.exact) for c in cands.points] == ["0"]
+
+    @pytest.mark.parametrize(
+        "grid, defining",
+        [
+            # one defining polynomial, 4 (z^2 - 2)^2 up to sign: a repeated factor
+            ([["0", "1"], ["z^4-4*z^2+4", "0"]], 1),
+            # -(z^2 - 2)^2 and z^2 - 2: the same roots in both
+            ([["z^2-2", "0"], ["0", "0"]], 2),
+        ],
+    )
+    def test_each_irrational_root_is_listed_once(self, grid, defining):
+        cands = jordan_instability_candidates(PolyMatrix.from_strings(grid, ["z"]))
+        assert len(cands.defining_polynomials) == defining
+        assert all(c.exact is None for c in cands.points)
+        assert [c.min_poly for c in cands.points] == [Poly.parse("z^2-2", ["z"])] * 2
+        for c, root in zip(cands.points, (-(2**0.5), 2**0.5)):
+            assert abs(c.approx - root) < c.radius
 
     def test_candidate_soundness_outside_locus(self):
         rng = random.Random(89)
